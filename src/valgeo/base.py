@@ -1,11 +1,18 @@
-"""Small shared numerics: ball volumes and Monte-Carlo estimates."""
+"""Small shared numerics: ball volumes, Monte-Carlo estimates and chunking."""
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .grassmann import SeededSampler
+
+# Rows per Monte-Carlo chunk.  Chunk j draws from ``s.substream(j)``, so this
+# constant is part of every seeded result: changing it changes the reports.
+MC_CHUNK = 8192
 
 
 class Estimate(NamedTuple):
@@ -37,3 +44,15 @@ def mean_and_stderr(samples: np.ndarray) -> Estimate:
     if n == 1:
         return Estimate(float(x[0]), 0.0)
     return Estimate(float(x.mean()), float(x.std(ddof=1) / math.sqrt(n)))
+
+
+def mc_chunks(n_samples: int, s: SeededSampler) -> Iterator[tuple[slice, int, SeededSampler]]:
+    """Split ``n_samples`` rows into chunks of at most ``MC_CHUNK``.
+
+    Chunk j covers rows ``[j*MC_CHUNK, min((j+1)*MC_CHUNK, n_samples))`` and
+    yields ``(rows, count, s.substream(j))``.  The fixed layout makes every
+    estimator reproducible independently of how its chunks are scheduled.
+    """
+    for j, start in enumerate(range(0, n_samples, MC_CHUNK)):
+        stop = min(start + MC_CHUNK, n_samples)
+        yield slice(start, stop), stop - start, s.substream(j)

@@ -17,13 +17,12 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from ._kernels import hull_distances
-from .base import Estimate, mean_and_stderr, unit_ball_volume
+from .base import Estimate, mc_chunks, mean_and_stderr, unit_ball_volume
 from .errors import ConditioningWarning, DimensionError
 from .grassmann import SeededSampler, Subspace, haar_bases_batch, haar_unit_vectors
 
 _DEDUP_TOL = 1e-9
 _AFFINE_TOL = 1e-9
-_CHUNK = 8192
 
 
 # ---------------------------------------------------------------------------
@@ -314,31 +313,26 @@ def mc_hull_volume(p: Polytope, n_samples: int, s: SeededSampler,
     error has the usual binomial meaning; ``method="qmc"`` uses a seeded
     scrambled Sobol net for a tighter estimate (stderr then conservative).
     """
+    if method not in ("mc", "qmc"):
+        raise ValueError(f"unknown method {method!r}")
     lo, hi = p.bounding_box()
     widths = hi - lo
     box_vol = float(np.prod(widths))
     if box_vol == 0.0:
         return Estimate(0.0, 0.0)
-    if method not in ("mc", "qmc"):
-        raise ValueError(f"unknown method {method!r}")
     engine = None
     if method == "qmc":
         from scipy.stats import qmc
 
         engine = qmc.Sobol(d=p.ambient_dim, scramble=True, seed=s.substream(0).rng)
     hits = 0
-    done = 0
-    chunk_idx = 0
-    while done < n_samples:
-        c = min(_CHUNK, n_samples - done)
+    for _, c, sub in mc_chunks(n_samples, s):
         if engine is not None:
             u = _sobol_draw(engine, c)
         else:
-            u = s.substream(chunk_idx).uniform(size=(c, p.ambient_dim))
+            u = sub.uniform(size=(c, p.ambient_dim))
         pts = lo + u * widths
         hits += int(np.count_nonzero(contains_points(p, pts)))
-        done += c
-        chunk_idx += 1
     frac = hits / n_samples
     stderr = box_vol * math.sqrt(max(frac * (1.0 - frac), 0.0) / n_samples)
     return Estimate(box_vol * frac, stderr)
@@ -468,25 +462,18 @@ def _kubota_samples_polytope(p: Polytope, k: int, n_samples: int, s: SeededSampl
     normals = areas = None
     if use_cauchy:
         normals, areas = _facet_decomposition(p)
-    done = 0
-    chunk_idx = 0
-    while done < n_samples:
-        c = min(_CHUNK, n_samples - done)
-        sub = s.substream(chunk_idx)
+    for rows, c, sub in mc_chunks(n_samples, s):
         if k == 1:
             dirs = haar_unit_vectors(n, c, sub)
             supports = p.vertices @ dirs.T
-            vals[done : done + c] = supports.max(axis=0) - supports.min(axis=0)
+            vals[rows] = supports.max(axis=0) - supports.min(axis=0)
         elif use_cauchy:
             dirs = haar_unit_vectors(n, c, sub)
-            vals[done : done + c] = 0.5 * (np.abs(dirs @ normals.T) @ areas)
+            vals[rows] = 0.5 * (np.abs(dirs @ normals.T) @ areas)
         else:
             bases = haar_bases_batch(n, k, c, sub)
             proj = np.einsum("vn,snk->svk", p.vertices, bases)
-            for i in range(c):
-                vals[done + i] = _raw_volume(proj[i])
-        done += c
-        chunk_idx += 1
+            vals[rows] = [_raw_volume(proj[i]) for i in range(c)]
     return vals
 
 
@@ -497,16 +484,11 @@ def _kubota_samples_ball(b: Ball, k: int, n_samples: int, s: SeededSampler) -> n
         return np.zeros(n_samples)
     kappa_k = unit_ball_volume(k)
     vals = np.empty(n_samples)
-    done = 0
-    chunk_idx = 0
-    while done < n_samples:
-        c = min(_CHUNK, n_samples - done)
-        bases = haar_bases_batch(n, k, c, s.substream(chunk_idx))
+    for rows, c, sub in mc_chunks(n_samples, s):
+        bases = haar_bases_batch(n, k, c, sub)
         m = np.einsum("snk,nl->skl", bases, b.subspace.basis)
         sv = np.linalg.svd(m, compute_uv=False)
-        vals[done : done + c] = kappa_k * np.prod(np.clip(sv, 0.0, 1.0), axis=1)
-        done += c
-        chunk_idx += 1
+        vals[rows] = kappa_k * np.prod(np.clip(sv, 0.0, 1.0), axis=1)
     return vals
 
 
@@ -575,13 +557,10 @@ def parallel_body_volumes(
     box_vol = float(np.prod(widths))
     engine = qmc.Sobol(d=p.ambient_dim, scramble=True, seed=s.substream(0).rng)
     counts = np.zeros(len(eps_grid), dtype=np.int64)
-    done = 0
-    while done < n_samples:
-        c = min(_CHUNK, n_samples - done)
+    for _, c, _ in mc_chunks(n_samples, s):
         pts = lo + _sobol_draw(engine, c) * widths
         d = hull_distances(pts, p.vertices)
         counts += (d[None, :] <= eps_grid[:, None]).sum(axis=1)
-        done += c
     frac = counts / n_samples
     vols = box_vol * frac
     stderrs = box_vol * np.sqrt(np.maximum(frac * (1.0 - frac), 0.0) / n_samples)

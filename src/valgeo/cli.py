@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from ._kernels import BACKEND
-from .suites import SUITE_NAMES, config_from_sources, load_config_file, run_suite
+from .suites import SUITE_NAMES, check_config, config_from_sources, load_config_file, run_suite
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -49,6 +49,7 @@ def main(argv: list[str] | None = None) -> int:
             out=args.out,
             format=args.format,
         )
+        check_config(args.suite, cfg)
     except (OSError, ValueError) as exc:
         print(f"valgeo: configuration error: {exc}", file=sys.stderr)
         return 2

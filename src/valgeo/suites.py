@@ -539,16 +539,28 @@ def _lefschetz_suite(cfg: RunConfig) -> tuple[list[dict], dict]:
     return records, extras
 
 
+def _read_bodies_file(path: str, n: int) -> list[dict]:
+    """Parse a bodies file and check its shape without building polytopes."""
+    payload = json.loads(Path(path).read_text())
+    if not isinstance(payload, list) or not payload:
+        raise ValueError(f"{path}: expected a non-empty JSON list of polytopes")
+    for idx, entry in enumerate(payload):
+        try:
+            dim = int(entry["ambient_dim"])
+            vertices = np.asarray(entry["vertices"], dtype=float)
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"body {idx} is not a polytope object: {exc!r}") from exc
+        if dim != n:
+            raise ValueError(f"body {idx} has ambient dim {dim}, expected {n}")
+        if vertices.ndim != 2 or vertices.shape[0] == 0 or vertices.shape[1] != n:
+            raise ValueError(f"body {idx} needs a non-empty list of {n}-vectors as vertices")
+    return payload
+
+
 def _load_bodies(cfg: RunConfig, n: int, fallback_seed: int) -> list[tuple[str, B.Polytope]]:
     if cfg.bodies_file:
-        payload = json.loads(Path(cfg.bodies_file).read_text())
-        out = []
-        for idx, entry in enumerate(payload):
-            p = B.polytope_from_json(entry)
-            if p.ambient_dim != n:
-                raise ValueError(f"body {idx} has ambient dim {p.ambient_dim}, expected {n}")
-            out.append((f"body{idx}", p))
-        return out
+        payload = _read_bodies_file(cfg.bodies_file, n)
+        return [(f"body{idx}", B.polytope_from_json(entry)) for idx, entry in enumerate(payload)]
     return [
         ("cube", B.make_cube(n)),
         ("simplex", B.make_simplex(n)),
@@ -648,6 +660,27 @@ _SUITE_FUNCS = {
     "hadwiger": _hadwiger_suite,
     "lambda": _lambda_suite,
 }
+
+
+def check_config(name: str, cfg: RunConfig) -> None:
+    """Raise ValueError (or OSError) for settings the suite cannot run with.
+
+    Cheap checks only, made before any numerics, so that the CLI can report
+    a configuration error instead of failing part-way through a suite.
+    """
+    dims = cfg.dims(name)
+    if name == "angles" and min(dims) < 2:
+        raise ValueError(f"suite angles needs ambient dimensions >= 2, got {dims}")
+    if name == "claim23" and min(dims) < 4:
+        raise ValueError(f"suite claim23 needs ambient dimensions >= 4, got {dims}")
+    if name == "lefschetz":
+        # The probe runs in the first dimension only.
+        if dims[0] not in (3, 4):
+            raise ValueError(f"suite lefschetz needs ambient dimension 3 or 4, got {dims[0]}")
+        if cfg.dmax % 2 or not 0 <= cfg.dmax <= 12:
+            raise ValueError(f"suite lefschetz needs an even dmax in [0, 12], got {cfg.dmax}")
+    if name in ("hadwiger", "lambda") and cfg.bodies_file:
+        _read_bodies_file(cfg.bodies_file, 3)
 
 
 def run_suite(name: str, cfg: RunConfig) -> SuiteReport:

@@ -30,7 +30,7 @@ from ._harmonics import (
     gegenbauer_normalized,
     kernel_mean_quadrature,
 )
-from .base import Estimate, mean_and_stderr
+from .base import Estimate, mc_chunks, mean_and_stderr
 from .errors import DimensionError, PrecisionError, ScopeError
 from .grassmann import (
     SeededSampler,
@@ -44,8 +44,6 @@ from .grassmann import (
     sample_within,
     unit_vectors_orthogonal_to,
 )
-
-_CHUNK = 8192
 
 
 # ---------------------------------------------------------------------------
@@ -127,17 +125,10 @@ def radon_apply(f: GFunction, j: int, h: Subspace, n_samples: int, s: SeededSamp
         raise DimensionError(f"H has dimension {h.dim}, expected j={j}")
     if i == j:
         raise DimensionError("Radon transform requires i != j")
+    draw = sample_containing if j < i else sample_within
     vals = np.empty(n_samples)
-    done = 0
-    chunk_idx = 0
-    while done < n_samples:
-        c = min(_CHUNK, n_samples - done)
-        sub = s.substream(chunk_idx)
-        for t in range(c):
-            sample = sample_containing(h, i, sub) if j < i else sample_within(h, i, sub)
-            vals[done + t] = f(sample)
-        done += c
-        chunk_idx += 1
+    for rows, c, sub in mc_chunks(n_samples, s):
+        vals[rows] = [f(draw(h, i, sub)) for _ in range(c)]
     return mean_and_stderr(vals)
 
 
@@ -150,16 +141,10 @@ def cosine_apply(f: GFunction, j: int, e: Subspace, n_samples: int, s: SeededSam
     if e.dim != j:
         raise DimensionError(f"E has dimension {e.dim}, expected j={j}")
     vals = np.empty(n_samples)
-    done = 0
-    chunk_idx = 0
-    while done < n_samples:
-        c = min(_CHUNK, n_samples - done)
-        sub = s.substream(chunk_idx)
+    for rows, c, sub in mc_chunks(n_samples, s):
         for t in range(c):
             fs = haar_subspace(n, i, sub)
-            vals[done + t] = cos_angle(e, fs) * f(fs)
-        done += c
-        chunk_idx += 1
+            vals[rows.start + t] = cos_angle(e, fs) * f(fs)
     return mean_and_stderr(vals)
 
 
@@ -320,11 +305,7 @@ def operator_matrix_even(
     tr_sum = np.zeros(len(block_degs))
     tr_sumsq = np.zeros(len(block_degs))
 
-    done = 0
-    chunk_idx = 0
-    while done < n_samples:
-        c = min(_CHUNK, n_samples - done)
-        sub = s.substream(chunk_idx)
+    for _, c, sub in mc_chunks(n_samples, s):
         w = haar_unit_vectors(n, c, sub)
         v = haar_unit_vectors(n, c, sub)
         lines = unit_vectors_orthogonal_to(v, sub)
@@ -338,8 +319,6 @@ def operator_matrix_even(
             z = kern * np.mean(yw[:, idx] * yl[:, idx], axis=1)
             tr_sum[bi] += z.sum()
             tr_sumsq[bi] += (z**2).sum()
-        done += c
-        chunk_idx += 1
 
     mat = m_sum / n_samples
     var = np.maximum(m_sumsq / n_samples - mat**2, 0.0)

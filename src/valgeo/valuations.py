@@ -18,10 +18,11 @@ from typing import Callable
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from .base import Estimate, mean_and_stderr, unit_ball_volume
+from .base import Estimate, mc_chunks, mean_and_stderr, unit_ball_volume
 from .bodies import (
     Ball,
     Polytope,
+    _raw_volume,
     ball_intrinsic_volumes,
     fit_polynomial,
     hull_volume,
@@ -43,8 +44,6 @@ from .grassmann import (
     span_sum,
 )
 from .transforms import GFunction, constant_gfunction, zonal_harmonic
-
-_CHUNK = 8192
 
 BodySpec = Polytope | Ball
 
@@ -190,33 +189,16 @@ def _crofton_eval(expr: CroftonVal, body: BodySpec, budget: int, s: SeededSample
     n = body.ambient_dim
     i = expr.i
     vals = np.empty(budget)
-    done = 0
-    chunk_idx = 0
-    while done < budget:
-        c = min(_CHUNK, budget - done)
-        bases = haar_bases_batch(n, i, c, s.substream(chunk_idx))
+    for rows, c, sub in mc_chunks(budget, s):
+        bases = haar_bases_batch(n, i, c, sub)
         fvals = expr.f.eval_bases(bases)
         for t in range(c):
             if isinstance(body, Ball):
                 vol = projected_ball_volume(Subspace(n, bases[t]), body.subspace)
             else:
-                vol = _raw_hull_volume(body.vertices @ bases[t])
-            vals[done + t] = fvals[t] * vol
-        done += c
-        chunk_idx += 1
+                vol = _raw_volume(body.vertices @ bases[t])
+            vals[rows.start + t] = fvals[t] * vol
     return mean_and_stderr(vals)
-
-
-def _raw_hull_volume(points: np.ndarray) -> float:
-    k = points.shape[1]
-    if k == 0:
-        return 1.0
-    if k == 1:
-        return float(points.max() - points.min())
-    try:
-        return float(ConvexHull(points).volume)
-    except QhullError:
-        return 0.0
 
 
 def evaluate(expr: ValuationExpr, body: BodySpec, budget: int, s: SeededSampler) -> Estimate:
@@ -358,18 +340,13 @@ def lemma22_formula(f: Subspace, k: int, l: Subspace, n_samples: int,
 
         comp_basis = orthocomplement(f).basis
     vals = np.empty(n_samples)
-    done = 0
-    chunk_idx = 0
-    while done < n_samples:
-        c = min(_CHUNK, n_samples - done)
-        w = haar_bases_batch(n - i, k, c, s.substream(chunk_idx))
+    for rows, c, sub in mc_chunks(n_samples, s):
+        w = haar_bases_batch(n - i, k, c, sub)
         lift = np.einsum("nm,smk->snk", comp_basis, w)
         stack = np.concatenate(
             [np.broadcast_to(f.basis, (c, n, i)), lift], axis=2
         )
-        vals[done : done + c] = cos_angles_with_bases(l, stack)
-        done += c
-        chunk_idx += 1
+        vals[rows] = cos_angles_with_bases(l, stack)
     return mean_and_stderr(vals)
 
 
@@ -391,18 +368,13 @@ def lemma22_direct(f: Subspace, k: int, l: Subspace, n_samples: int,
     kappa_q = unit_ball_volume(q)
     c_nk = kubota_coefficient(n, k)
     vals = np.empty(n_samples)
-    done = 0
-    chunk_idx = 0
-    while done < n_samples:
-        c = min(_CHUNK, n_samples - done)
-        e_bases = haar_bases_batch(n, k, c, s.substream(chunk_idx))
+    for rows, c, sub in mc_chunks(n_samples, s):
+        e_bases = haar_bases_batch(n, k, c, sub)
         stack = np.concatenate(
             [np.swapaxes(e_bases, 1, 2), np.broadcast_to(f.basis.T, (c, i, n))], axis=1
         )
         m = stack @ l.basis
-        vals[done : done + c] = kappa_q * np.abs(np.linalg.det(m))
-        done += c
-        chunk_idx += 1
+        vals[rows] = kappa_q * np.abs(np.linalg.det(m))
     est = mean_and_stderr(vals)
     return Estimate(c_nk * est.value, c_nk * est.stderr)
 
@@ -432,18 +404,12 @@ def multiply_by_intrinsic(f: GFunction, i: int, k: int,
 
     def ev(l: Subspace) -> float:
         vals = np.empty(n_samples)
-        done = 0
-        chunk_idx = 0
-        while done < n_samples:
-            c = min(_CHUNK, n_samples - done)
-            sub = base.substream(chunk_idx)
+        for rows, c, sub in mc_chunks(n_samples, base):
             r_bases = haar_bases_batch(n, q, c, sub)
             w = haar_bases_batch(q, i, c, sub)
             fp = r_bases @ w
             cosines = cos_angles_with_bases(l, r_bases)
-            vals[done : done + c] = cosines * f.eval_bases(fp)
-            done += c
-            chunk_idx += 1
+            vals[rows] = cosines * f.eval_bases(fp)
         return float(vals.mean())
 
     return GFunction(n, q, ev, name=f"V_{k}*crofton({f.name})")
@@ -463,20 +429,14 @@ def lemma24_direct(f: GFunction, i: int, k: int, l: Subspace, n_samples: int,
     kappa_q = unit_ball_volume(q)
     c_nk = kubota_coefficient(n, k)
     vals = np.empty(n_samples)
-    done = 0
-    chunk_idx = 0
-    while done < n_samples:
-        c = min(_CHUNK, n_samples - done)
-        sub = s.substream(chunk_idx)
+    for rows, c, sub in mc_chunks(n_samples, s):
         e_bases = haar_bases_batch(n, k, c, sub)
         f_bases = haar_bases_batch(n, i, c, sub)
         stack = np.concatenate(
             [np.swapaxes(e_bases, 1, 2), np.swapaxes(f_bases, 1, 2)], axis=1
         )
         dets = kappa_q * np.abs(np.linalg.det(stack @ l.basis))
-        vals[done : done + c] = dets * f.eval_bases(f_bases)
-        done += c
-        chunk_idx += 1
+        vals[rows] = dets * f.eval_bases(f_bases)
     est = mean_and_stderr(vals)
     return Estimate(c_nk * est.value, c_nk * est.stderr)
 
@@ -509,26 +469,19 @@ def _shadow_steiner_coeff_samples(
     """
     n = body.ambient_dim
     coeffs = np.zeros((n_samples, k + 1))
-    done = 0
-    chunk_idx = 0
-    while done < n_samples:
-        c = min(_CHUNK, n_samples - done)
-        sub = s.substream(chunk_idx)
+    for rows, c, sub in mc_chunks(n_samples, s):
         if k == 1:
             dirs = haar_unit_vectors(n, c, sub)
             supports = body.vertices @ dirs.T
-            coeffs[done : done + c, 0] = supports.max(axis=0) - supports.min(axis=0)
-            coeffs[done : done + c, 1] = 2.0
+            coeffs[rows, 0] = supports.max(axis=0) - supports.min(axis=0)
+            coeffs[rows, 1] = 2.0
         elif k == 2:
             bases = haar_bases_batch(n, 2, c, sub)
             proj = np.einsum("vn,snk->svk", body.vertices, bases)
-            for t in range(c):
-                area, per = _area_perimeter(proj[t])
-                coeffs[done + t] = (area, per, math.pi)
+            coeffs[rows, :2] = [_area_perimeter(proj[t]) for t in range(c)]
+            coeffs[rows, 2] = math.pi
         else:
             raise ScopeError("exact shadow Steiner supports k <= 2")
-        done += c
-        chunk_idx += 1
     return coeffs
 
 
@@ -591,25 +544,19 @@ def parallel_valuation_values(
         if i > 2:
             raise ScopeError("parallel-body Crofton evaluation needs i <= 2")
         vals = np.zeros((budget, len(eps_grid)))
-        done = 0
-        chunk_idx = 0
-        while done < budget:
-            c = min(_CHUNK, budget - done)
-            sub = s.substream(chunk_idx)
+        for rows, c, sub in mc_chunks(budget, s):
             bases = haar_bases_batch(n, i, c, sub)
             proj = np.einsum("vn,snk->svk", body.vertices, bases)
             fvals = expr.f.eval_bases(bases)
             for t in range(c):
                 if i == 1:
                     col = proj[t][:, 0]
-                    vals[done + t] = fvals[t] * (col.max() - col.min() + 2.0 * eps_grid)
+                    vals[rows.start + t] = fvals[t] * (col.max() - col.min() + 2.0 * eps_grid)
                 else:
                     area, per = _area_perimeter(proj[t])
-                    vals[done + t] = fvals[t] * (
+                    vals[rows.start + t] = fvals[t] * (
                         area + per * eps_grid + math.pi * eps_grid**2
                     )
-            done += c
-            chunk_idx += 1
         mean = vals.mean(axis=0)
         stderr = vals.std(axis=0, ddof=1) / math.sqrt(budget)
         return mean, stderr
@@ -742,20 +689,13 @@ def v1_power(n: int, p: int) -> CustomVal:
 
     def ev(body: BodySpec, budget: int, s: SeededSampler) -> Estimate:
         vals = np.empty(budget)
-        done = 0
-        chunk_idx = 0
-        while done < budget:
-            c = min(_CHUNK, budget - done)
-            dirs = haar_unit_vectors(n, c * p, s.substream(chunk_idx)).reshape(c, p, n)
+        for rows, c, sub in mc_chunks(budget, s):
+            dirs = haar_unit_vectors(n, c * p, sub).reshape(c, p, n)
             if isinstance(body, Ball):
-                for t in range(c):
-                    vals[done + t] = _map_ball_volume(dirs[t], body.subspace, p)
+                vals[rows] = [_map_ball_volume(dirs[t], body.subspace, p) for t in range(c)]
             else:
                 embedded = np.einsum("vn,spn->svp", body.vertices, dirs)
-                for t in range(c):
-                    vals[done + t] = _raw_hull_volume(embedded[t])
-            done += c
-            chunk_idx += 1
+                vals[rows] = [_raw_volume(embedded[t]) for t in range(c)]
         est = mean_and_stderr(vals)
         return Estimate(c1p * est.value, c1p * est.stderr)
 

@@ -76,6 +76,13 @@ class TestVolumes:
         est = B.mc_hull_volume(p, 100_000, sampler)
         assert abs(est.value - exact) < 3.0 * est.stderr + 1e-12
 
+    def test_unknown_method_rejected(self, sampler):
+        flat = B.Polytope(3, [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        for p in (B.make_cube(3), flat):
+            with pytest.raises(ValueError, match="unknown method"):
+                B.mc_hull_volume(p, 100, sampler, method="bogus")
+        assert B.mc_hull_volume(flat, 100, sampler) == (0.0, 0.0)
+
     def test_point_volume_convention(self):
         point = B.Polytope(0, np.zeros((1, 0)))
         assert B.hull_volume(point) == 1.0

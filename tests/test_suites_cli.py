@@ -145,6 +145,41 @@ class TestCli:
         code = main(["claim23", "--config", str(bad)])
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["claim23", "--dim", "3"],
+        ["angles", "--dim", "1"],
+        ["lefschetz", "--dim", "5"],
+        ["lefschetz", "--dmax", "7"],
+    ])
+    def test_exit_two_on_unsupported_setting(self, argv, capsys):
+        assert main(argv) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_exit_two_on_missing_bodies_file(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"bodies = {tmp_path / 'missing.json'}\n")
+        assert main(["hadwiger", "--config", str(cfg)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_exit_two_on_wrong_dimension_bodies(self, tmp_path):
+        path = tmp_path / "bodies.json"
+        path.write_text(json.dumps([B.polytope_to_json(B.make_cube(4))]))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"bodies = {path}\n")
+        assert main(["lambda", "--config", str(cfg)]) == 2
+
+    def test_mid_suite_errors_not_masked(self, monkeypatch):
+        # Only the up-front checks map to exit 2; a failure inside a suite
+        # still surfaces as an exception.
+        from valgeo import suites
+
+        def broken(cfg):
+            raise ValueError("raised mid-suite")
+
+        monkeypatch.setitem(suites._SUITE_FUNCS, "claim23", broken)
+        with pytest.raises(ValueError, match="mid-suite"):
+            main(["claim23"])
+
     def test_exit_one_on_failed_check(self, tmp_path):
         cfg = tmp_path / "strict.cfg"
         cfg.write_text("tol.angle_mc = 1e-15\n")
