@@ -1,7 +1,8 @@
 """Polytope geometry: projections, exact volumes, Steiner fits, Kubota MC.
 
 Polytopes are stored by their extreme points.  Exact volumes go through
-Qhull (intended range n <= 6); Minkowski-ball volumes vol(K + eps D) are
+Qhull (intended range n <= 6), except planar shadows, which are measured a
+whole Monte-Carlo chunk at a time; Minkowski-ball volumes vol(K + eps D) are
 estimated by Monte-Carlo membership using the min-norm-point kernel; the
 Cauchy-Kubota estimator is calibrated to be exact on the unit ball.
 """
@@ -23,6 +24,7 @@ from .grassmann import SeededSampler, Subspace, haar_bases_batch, haar_unit_vect
 
 _DEDUP_TOL = 1e-9
 _AFFINE_TOL = 1e-9
+_SHADOW_BLOCK = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -136,12 +138,15 @@ class IntrinsicVolumeVector:
 
 
 def _dedupe(points: np.ndarray) -> np.ndarray:
-    scale = 1.0 + float(np.abs(points).max(initial=0.0))
-    kept: list[np.ndarray] = []
+    """Keep each point farther than the tolerance from every earlier kept one."""
+    tol = _DEDUP_TOL * (1.0 + float(np.abs(points).max(initial=0.0)))
+    kept = np.empty_like(points)
+    count = 0
     for p in points:
-        if all(np.linalg.norm(p - q) > _DEDUP_TOL * scale for q in kept):
-            kept.append(p)
-    return np.array(kept)
+        if count == 0 or np.all(np.linalg.norm(kept[:count] - p, axis=1) > tol):
+            kept[count] = p
+            count += 1
+    return kept[:count].copy()
 
 
 def _extreme_points(points: np.ndarray) -> tuple[np.ndarray, int]:
@@ -269,6 +274,90 @@ def _raw_volume(points: np.ndarray) -> float:
         return float(ConvexHull(points).volume)
     except QhullError:
         return 0.0
+
+
+def shadow_area_perimeter(points) -> tuple[np.ndarray, np.ndarray]:
+    """Area and perimeter of the convex hulls of c planar clouds at once.
+
+    ``points`` has shape (c, m, 2).  Degenerate clouds are classified first:
+    coincident points give (0, 0), and points within ``_AFFINE_TOL`` of a
+    line give (0, 2 * length), the segment's boundary traversed both ways.
+    The other clouds are gift-wrapped together, one hull vertex per
+    vectorised step, so a block of clouds costs at most m steps.  Blocks
+    hold about ``_SHADOW_BLOCK`` points, which bounds the temporaries.
+    """
+    pts = np.asarray(points, dtype=float)
+    c, m = pts.shape[:2]
+    area = np.empty(c)
+    perimeter = np.empty(c)
+    step = max(1, _SHADOW_BLOCK // m)
+    for lo in range(0, c, step):
+        block = slice(lo, lo + step)
+        area[block], perimeter[block] = _block_area_perimeter(pts[block])
+    return area, perimeter
+
+
+def _block_area_perimeter(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    c = pts.shape[0]
+    rows = np.arange(c)
+    # The lexicographically lowest point is a hull vertex; work relative to it.
+    x = pts[..., 0]
+    lowest = np.where(x == x.min(axis=1, keepdims=True), pts[..., 1], np.inf)
+    start = np.argmin(lowest, axis=1)
+    rel = pts - pts[rows, start][:, None, :]
+    r2 = np.einsum("cmi,cmi->cm", rel, rel)
+    far = np.argmax(r2, axis=1)
+    length = np.sqrt(r2[rows, far])
+    scale = np.maximum(length, 1.0)
+    u = rel[rows, far] / np.maximum(length, np.finfo(float).tiny)[:, None]
+    along = np.einsum("cmi,ci->cm", rel, u)
+    across = rel[..., 1] * u[:, None, 0] - rel[..., 0] * u[:, None, 1]
+    coincident = length <= _DEDUP_TOL * scale
+    flat = ~coincident & (np.abs(across).max(axis=1, initial=0.0) <= _AFFINE_TOL * scale)
+    full = ~(coincident | flat)
+    area = np.zeros(c)
+    perimeter = np.where(flat, 2.0 * (along.max(axis=1) - along.min(axis=1)), 0.0)
+    if full.any():
+        area[full], perimeter[full] = _gift_wrap(rel[full], _DEDUP_TOL * scale[full])
+    return area, perimeter
+
+
+def _gift_wrap(rel: np.ndarray, tol: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Counter-clockwise gift wrapping of (c, m, 2) clouds, each starting at
+    its lexicographically lowest point, which sits at the origin.
+
+    Each step moves every open cloud to the point of smallest turn from the
+    incoming edge (largest signed squared cosine); points within ``tol`` of
+    the current vertex are skipped, and a cloud closes when it steps back
+    within ``tol`` of the origin.
+    """
+    c, m, _ = rel.shape
+    rows = np.arange(c)
+    vx, vy = rel[..., 0], rel[..., 1]
+    tol2 = (tol * tol)[:, None]
+    p = np.zeros((c, 2))
+    d = np.tile([0.0, -1.0], (c, 1))  # arriving straight down: every point is to the left
+    area2 = np.zeros(c)
+    perimeter = np.zeros(c)
+    open_ = np.ones(c, dtype=bool)
+    for _ in range(m):
+        wx = vx - p[:, :1]
+        wy = vy - p[:, 1:]
+        dist2 = wx * wx + wy * wy
+        dot = wx * d[:, :1] + wy * d[:, 1:]
+        score = dot * np.abs(dot) / np.maximum(dist2, tol2)
+        score[dist2 <= tol2] = -np.inf
+        q = rel[rows, np.argmax(score, axis=1)]
+        closing = q[:, 0] ** 2 + q[:, 1] ** 2 <= tol2[:, 0]
+        q[closing] = 0.0
+        area2 += np.where(open_, p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0], 0.0)
+        perimeter += np.where(open_, np.hypot(q[:, 0] - p[:, 0], q[:, 1] - p[:, 1]), 0.0)
+        open_ &= ~closing
+        if not open_.any():
+            return 0.5 * area2, perimeter
+        d = q - p
+        p = q
+    raise RuntimeError("gift wrapping did not close within m steps")
 
 
 def minkowski_segment(p: Polytope, u, lam: float) -> Polytope:
@@ -450,30 +539,40 @@ def shadow_volume(p: Polytope, direction: np.ndarray) -> float:
     Cauchy's projection formula: half the sum over facets of area times
     |<normal, direction>|.
     """
-    normals, areas = _facet_decomposition(p)
     u = np.asarray(direction, dtype=float)
-    return 0.5 * float(areas @ np.abs(normals @ u))
+    return float(cauchy_shadow_volumes(_facet_decomposition(p), u[None, :])[0])
+
+
+def cauchy_shadow_volumes(facets: tuple[np.ndarray, np.ndarray], dirs: np.ndarray) -> np.ndarray:
+    """Cauchy's projection formula for each row of ``dirs`` at once.
+
+    ``facets`` is ``_facet_decomposition(p)`` of a full-dimensional P.  Row t
+    is half the sum over facets of area times |<normal, dirs[t]>|: the shadow
+    volume along dirs[t] for a unit row, and |dirs[t]| times it otherwise.
+    """
+    normals, areas = facets
+    return 0.5 * (np.abs(dirs @ normals.T) @ areas)
 
 
 def _kubota_samples_polytope(p: Polytope, k: int, n_samples: int, s: SeededSampler) -> np.ndarray:
     n = p.ambient_dim
     vals = np.empty(n_samples)
     use_cauchy = k == n - 1 and k >= 2 and p.affine_dim == n
-    normals = areas = None
-    if use_cauchy:
-        normals, areas = _facet_decomposition(p)
+    facets = _facet_decomposition(p) if use_cauchy else None
     for rows, c, sub in mc_chunks(n_samples, s):
         if k == 1:
             dirs = haar_unit_vectors(n, c, sub)
             supports = p.vertices @ dirs.T
             vals[rows] = supports.max(axis=0) - supports.min(axis=0)
         elif use_cauchy:
-            dirs = haar_unit_vectors(n, c, sub)
-            vals[rows] = 0.5 * (np.abs(dirs @ normals.T) @ areas)
+            vals[rows] = cauchy_shadow_volumes(facets, haar_unit_vectors(n, c, sub))
         else:
             bases = haar_bases_batch(n, k, c, sub)
             proj = np.einsum("vn,snk->svk", p.vertices, bases)
-            vals[rows] = [_raw_volume(proj[i]) for i in range(c)]
+            if k == 2:
+                vals[rows] = shadow_area_perimeter(proj)[0]
+            else:
+                vals[rows] = [_raw_volume(proj[i]) for i in range(c)]
     return vals
 
 

@@ -58,6 +58,7 @@ _DEFAULT_SAMPLES = {
     "lambda": 131_072,
 }
 
+# Only these suites read --dim; the others run in fixed dimensions.
 _DEFAULT_DIMENSIONS = {
     "angles": [3, 4, 5, 6],
     "claim23": [5, 6],
@@ -641,7 +642,8 @@ def _lambda_suite(cfg: RunConfig) -> tuple[list[dict], dict]:
     expr = V.Lambda(V.ProjectionVal(f))
     est = V.lambda_apply(expr, cube, None, budget, SeededSampler(cfg.seed, 100))
     shadow = B.project(cube, f)
-    expected = V._area_perimeter(shadow.vertices)[1]  # d/deps of area + per*eps + pi eps^2
+    # d/deps of area + per*eps + pi eps^2 at 0
+    expected = float(B.shadow_area_perimeter(shadow.vertices[None])[1][0])
     records.append(check_rel("lambda/projection-valuation-planar", est.value, expected, 1e-9))
     extras = {
         "lambda_ratios": {"columns": ["k", "body", "ratio"], "rows": rows}
@@ -669,12 +671,15 @@ def check_config(name: str, cfg: RunConfig) -> None:
     a configuration error instead of failing part-way through a suite.
     """
     dims = cfg.dims(name)
+    if cfg.dimensions and name not in _DEFAULT_DIMENSIONS:
+        raise ValueError(f"suite {name} runs in fixed dimensions and takes no --dim")
+    if name == "lefschetz" and len(dims) > 1:
+        raise ValueError(f"suite lefschetz runs in one dimension, got {dims}")
     if name == "angles" and min(dims) < 2:
         raise ValueError(f"suite angles needs ambient dimensions >= 2, got {dims}")
     if name == "claim23" and min(dims) < 4:
         raise ValueError(f"suite claim23 needs ambient dimensions >= 4, got {dims}")
     if name == "lefschetz":
-        # The probe runs in the first dimension only.
         if dims[0] not in (3, 4):
             raise ValueError(f"suite lefschetz needs ambient dimension 3 or 4, got {dims[0]}")
         if cfg.dmax % 2 or not 0 <= cfg.dmax <= 12:

@@ -16,20 +16,22 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .base import Estimate, mc_chunks, mean_and_stderr, unit_ball_volume
 from .bodies import (
     Ball,
     Polytope,
+    _facet_decomposition,
     _raw_volume,
     ball_intrinsic_volumes,
+    cauchy_shadow_volumes,
     fit_polynomial,
     hull_volume,
     kubota_coefficient,
     kubota_estimate,
     parallel_body_volumes,
     project,
+    shadow_area_perimeter,
 )
 from .errors import DimensionError, PolynomialFitError, ScopeError
 from .grassmann import (
@@ -192,12 +194,13 @@ def _crofton_eval(expr: CroftonVal, body: BodySpec, budget: int, s: SeededSample
     for rows, c, sub in mc_chunks(budget, s):
         bases = haar_bases_batch(n, i, c, sub)
         fvals = expr.f.eval_bases(bases)
-        for t in range(c):
-            if isinstance(body, Ball):
-                vol = projected_ball_volume(Subspace(n, bases[t]), body.subspace)
-            else:
-                vol = _raw_volume(body.vertices @ bases[t])
-            vals[rows.start + t] = fvals[t] * vol
+        if isinstance(body, Ball):
+            vols = [projected_ball_volume(Subspace(n, b), body.subspace) for b in bases]
+        elif i == 2:
+            vols = shadow_area_perimeter(np.einsum("vn,snk->svk", body.vertices, bases))[0]
+        else:
+            vols = [_raw_volume(body.vertices @ b) for b in bases]
+        vals[rows] = fvals * vols
     return mean_and_stderr(vals)
 
 
@@ -478,24 +481,11 @@ def _shadow_steiner_coeff_samples(
         elif k == 2:
             bases = haar_bases_batch(n, 2, c, sub)
             proj = np.einsum("vn,snk->svk", body.vertices, bases)
-            coeffs[rows, :2] = [_area_perimeter(proj[t]) for t in range(c)]
+            coeffs[rows, 0], coeffs[rows, 1] = shadow_area_perimeter(proj)
             coeffs[rows, 2] = math.pi
         else:
             raise ScopeError("exact shadow Steiner supports k <= 2")
     return coeffs
-
-
-def _area_perimeter(points: np.ndarray) -> tuple[float, float]:
-    """Area and perimeter of the 2-d hull; degenerate clouds give (0, 2*length)."""
-    try:
-        hull = ConvexHull(points)
-        return float(hull.volume), float(hull.area)
-    except QhullError:
-        center = points.mean(axis=0)
-        centered = points - center
-        _, sv, vt = np.linalg.svd(centered, full_matrices=False)
-        t = centered @ vt[0]
-        return 0.0, 2.0 * float(t.max() - t.min())
 
 
 def parallel_valuation_values(
@@ -536,7 +526,7 @@ def parallel_valuation_values(
             length = float(q.vertices.max() - q.vertices.min())
             return length + 2.0 * eps_grid, np.zeros_like(eps_grid)
         if i == 2:
-            area, per = _area_perimeter(q.vertices)
+            (area,), (per,) = shadow_area_perimeter(q.vertices[None])
             return area + per * eps_grid + math.pi * eps_grid**2, np.zeros_like(eps_grid)
         return parallel_body_volumes(q, eps_grid, budget, s)
     if isinstance(expr, CroftonVal):
@@ -547,16 +537,15 @@ def parallel_valuation_values(
         for rows, c, sub in mc_chunks(budget, s):
             bases = haar_bases_batch(n, i, c, sub)
             proj = np.einsum("vn,snk->svk", body.vertices, bases)
-            fvals = expr.f.eval_bases(bases)
-            for t in range(c):
-                if i == 1:
-                    col = proj[t][:, 0]
-                    vals[rows.start + t] = fvals[t] * (col.max() - col.min() + 2.0 * eps_grid)
-                else:
-                    area, per = _area_perimeter(proj[t])
-                    vals[rows.start + t] = fvals[t] * (
-                        area + per * eps_grid + math.pi * eps_grid**2
-                    )
+            fvals = expr.f.eval_bases(bases)[:, None]
+            if i == 1:
+                length = (proj[..., 0].max(axis=1) - proj[..., 0].min(axis=1))[:, None]
+                vals[rows] = fvals * (length + 2.0 * eps_grid)
+            else:
+                area, per = shadow_area_perimeter(proj)
+                vals[rows] = fvals * (
+                    area[:, None] + per[:, None] * eps_grid + math.pi * eps_grid**2
+                )
         mean = vals.mean(axis=0)
         stderr = vals.std(axis=0, ddof=1) / math.sqrt(budget)
         return mean, stderr
@@ -688,14 +677,24 @@ def v1_power(n: int, p: int) -> CustomVal:
     c1p = kubota_coefficient(n, 1) ** p
 
     def ev(body: BodySpec, budget: int, s: SeededSampler) -> Estimate:
+        # In R^3 the image of a full-dimensional K under two lines has area
+        # 1/2 sum_f A_f |n_f . (u1 x u2)|: Cauchy's formula along u1 x u2.
+        use_cauchy = (n == 3 and p == 2 and isinstance(body, Polytope)
+                      and body.affine_dim == n)
+        facets = _facet_decomposition(body) if use_cauchy else None
         vals = np.empty(budget)
         for rows, c, sub in mc_chunks(budget, s):
             dirs = haar_unit_vectors(n, c * p, sub).reshape(c, p, n)
             if isinstance(body, Ball):
                 vals[rows] = [_map_ball_volume(dirs[t], body.subspace, p) for t in range(c)]
+            elif use_cauchy:
+                vals[rows] = cauchy_shadow_volumes(facets, np.cross(dirs[:, 0], dirs[:, 1]))
             else:
                 embedded = np.einsum("vn,spn->svp", body.vertices, dirs)
-                vals[rows] = [_raw_volume(embedded[t]) for t in range(c)]
+                if p == 2:
+                    vals[rows] = shadow_area_perimeter(embedded)[0]
+                else:
+                    vals[rows] = [_raw_volume(embedded[t]) for t in range(c)]
         est = mean_and_stderr(vals)
         return Estimate(c1p * est.value, c1p * est.stderr)
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.spatial import ConvexHull, QhullError
 
 from valgeo import bodies as B
 from valgeo.base import unit_ball_volume
@@ -51,6 +53,99 @@ class TestConstructors:
         q = B.polytope_from_json(B.polytope_to_json(p))
         assert q.ambient_dim == 3
         assert np.allclose(np.sort(q.vertices, axis=0), np.sort(p.vertices, axis=0))
+
+
+class TestDedupe:
+    @staticmethod
+    def _pairwise_loop(points):
+        # The original pair-by-pair loop, kept as the reference.
+        scale = 1.0 + float(np.abs(points).max(initial=0.0))
+        kept = []
+        for p in points:
+            if all(np.linalg.norm(p - q) > B._DEDUP_TOL * scale for q in kept):
+                kept.append(p)
+        return np.array(kept)
+
+    def test_equals_pairwise_loop(self, rng):
+        base = rng.standard_normal((60, 3))
+        tol = B._DEDUP_TOL * (1.0 + np.abs(base).max())
+        near = base[:20] + rng.uniform(-0.4, 0.4, size=(20, 3)) * tol / np.sqrt(3)
+        apart = base[20:30] + 3.0 * tol
+        cloud = np.vstack([base, base[::3], near, apart])
+        cloud = cloud[rng.permutation(len(cloud))]
+        kept = B._dedupe(cloud)
+        assert np.array_equal(kept, self._pairwise_loop(cloud))
+        assert len(kept) == 70
+
+
+def _reference_area_perimeter(cloud):
+    """Qhull area and perimeter; a cloud Qhull finds flat gives (0, 2 * length)."""
+    try:
+        hull = ConvexHull(cloud)
+        return hull.volume, hull.area
+    except QhullError:
+        centered = cloud - cloud.mean(axis=0)
+        t = centered @ np.linalg.svd(centered)[2][0]
+        return 0.0, 2.0 * float(t.max() - t.min())
+
+
+class TestShadowAreaPerimeter:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        c=st.integers(1, 12),
+        m=st.integers(3, 200),
+        kind=st.sampled_from(["gaussian", "anisotropic", "lattice", "repeated"]),
+    )
+    def test_matches_qhull(self, seed, c, m, kind):
+        rng = np.random.default_rng(seed)
+        if kind == "lattice":  # many collinear and coincident points
+            clouds = rng.integers(0, 4, size=(c, m, 2)).astype(float)
+        elif kind == "repeated":
+            few = rng.standard_normal((c, 4, 2))
+            clouds = few[:, rng.integers(0, 4, size=m)]
+        else:
+            clouds = rng.standard_normal((c, m, 2)) + rng.uniform(-5, 5, size=(c, 1, 2))
+            if kind == "anisotropic":
+                clouds *= [1.0, 10.0 ** rng.uniform(-4, 0)]
+        area, perimeter = B.shadow_area_perimeter(clouds)
+        for t in range(c):
+            ref_area, ref_perimeter = _reference_area_perimeter(clouds[t])
+            # Qhull's own area of a thin triangle is off by up to ~6e-13
+            # relative (against exact rational arithmetic), hence the floor.
+            span = np.ptp(clouds[t], axis=0).max()
+            assert area[t] == pytest.approx(ref_area, rel=1e-12, abs=1e-12 * span**2)
+            assert perimeter[t] == pytest.approx(ref_perimeter, rel=1e-12)
+
+    def test_degenerate_rows(self):
+        clouds = np.array([
+            [[0, 0], [3, 4], [1.5, 2], [3, 4], [0, 0], [0.3, 0.4]],  # collinear, duplicates
+            [[2, -1]] * 6,                                             # coincident
+            [[0, 0], [1, 0], [0, 1], [1, 1], [0, 0], [0.5, 0.5]],     # full, for contrast
+        ], dtype=float)
+        area, perimeter = B.shadow_area_perimeter(clouds)
+        assert area.tolist() == [0.0, 0.0, pytest.approx(1.0, rel=1e-15)]
+        assert perimeter.tolist() == [pytest.approx(10.0, rel=1e-15), 0.0,
+                                      pytest.approx(4.0, rel=1e-15)]
+
+    def test_blocks_match_single_rows(self, rng):
+        # 300 clouds of 200 points span several blocks; rows must not interact.
+        clouds = rng.standard_normal((300, 200, 2))
+        clouds[::7] = clouds[::7, :1]                      # coincident rows
+        clouds[3::7, :, 1] = 2.0 * clouds[3::7, :, 0]      # collinear rows
+        assert 300 > B._SHADOW_BLOCK // 200
+        area, perimeter = B.shadow_area_perimeter(clouds)
+        for t in range(0, 300, 13):
+            single = B.shadow_area_perimeter(clouds[t:t + 1])
+            assert (area[t], perimeter[t]) == (single[0][0], single[1][0])
+
+    def test_one_and_two_points(self):
+        area, perimeter = B.shadow_area_perimeter(np.array([[[1.0, 2.0]], [[-3.0, 0.5]]]))
+        assert area.tolist() == [0.0, 0.0] and perimeter.tolist() == [0.0, 0.0]
+        area, perimeter = B.shadow_area_perimeter(np.array([[[0.0, 0.0], [3.0, 4.0]],
+                                                            [[1.0, 1.0], [1.0, 1.0]]]))
+        assert area.tolist() == [0.0, 0.0]
+        assert perimeter.tolist() == [pytest.approx(10.0, rel=1e-15), 0.0]
 
 
 class TestProjection:

@@ -150,6 +150,13 @@ class TestCli:
         ["angles", "--dim", "1"],
         ["lefschetz", "--dim", "5"],
         ["lefschetz", "--dmax", "7"],
+        ["lefschetz", "--dim", "3", "--dim", "4"],
+        ["kubota", "--dim", "3"],
+        ["steiner", "--dim", "3"],
+        ["lemma22", "--dim", "7"],
+        ["lemma24", "--dim", "4"],
+        ["hadwiger", "--dim", "3"],
+        ["lambda", "--dim", "3"],
     ])
     def test_exit_two_on_unsupported_setting(self, argv, capsys):
         assert main(argv) == 2

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
 from valgeo import bodies as B
 from valgeo import transforms as T
@@ -13,6 +14,7 @@ from valgeo.grassmann import (
     coordinate_subspace,
     cos_angle,
     haar_subspace,
+    haar_unit_vectors,
     orthonormal_basis,
     span_sum,
     zero_subspace,
@@ -289,7 +291,7 @@ class TestLambda:
         cube = B.make_cube(3)
         est = V.lambda_apply(V.Lambda(V.ProjectionVal(f)), cube, None, 100, SeededSampler(72))
         shadow = B.project(cube, f)
-        assert est.value == pytest.approx(V._area_perimeter(shadow.vertices)[1], rel=1e-9)
+        assert est.value == pytest.approx(ConvexHull(shadow.vertices).area, rel=1e-9)
 
     def test_fit_error_on_impossible_residual(self):
         with pytest.raises(PolynomialFitError):
@@ -348,6 +350,27 @@ class TestProportionality:
     def test_v1_power_on_ball(self, sampler):
         est = V.evaluate(V.v1_power(3, 1), B.Ball(haar_subspace(3, 3, sampler)), 30_000, SeededSampler(84))
         assert est.value == pytest.approx(4.0, rel=0.03)
+
+    @pytest.mark.parametrize("body, path", [
+        (B.make_cube(3), "cauchy_shadow_volumes"),
+        (B.make_simplex(3), "cauchy_shadow_volumes"),
+        (B.Polytope(3, [[0, 0, 0], [2, 0, 0], [0, 1, 0], [1.5, 1.5, 0]]), "shadow_area_perimeter"),
+    ])
+    def test_v1_power_square_per_sample_matches_qhull(self, monkeypatch, body, path):
+        # One chunk: every per-sample area against Qhull on the same draws.
+        seen, used = [], []
+        mean = V.mean_and_stderr
+        monkeypatch.setattr(V, "mean_and_stderr", lambda vals: (seen.append(vals.copy()), mean(vals))[1])
+        for name in ("cauchy_shadow_volumes", "shadow_area_perimeter"):
+            fn = getattr(V, name)
+            monkeypatch.setattr(V, name, lambda *a, _fn=fn, _name=name: (used.append(_name), _fn(*a))[1])
+        budget, s = 2048, SeededSampler(85)
+        V.v1_power(3, 2).evaluator(body, budget, s)
+        dirs = haar_unit_vectors(3, 2 * budget, s.substream(0)).reshape(budget, 2, 3)
+        embedded = np.einsum("vn,spn->svp", body.vertices, dirs)
+        reference = [ConvexHull(e).volume for e in embedded]
+        assert set(used) == {path}
+        np.testing.assert_allclose(seen[0], reference, rtol=1e-12, atol=1e-14)
 
 
 class TestExprJson:
