@@ -11,11 +11,11 @@ import time
 
 import numpy as np
 
-from valgeo._kernels import pywolfe
+from valgeo._kernels import BUILD_COMMAND, load_compiled, pywolfe
 
 try:
-    from valgeo._kernels import _mnp as compiled
-except ImportError:
+    compiled = load_compiled()
+except (OSError, AttributeError):
     compiled = None
 
 
@@ -35,7 +35,7 @@ def run(n_points: int) -> None:
     rng = np.random.default_rng(0)
     backends = [("python", pywolfe.hull_distances)]
     if compiled is not None:
-        backends.insert(0, ("cython", compiled.hull_distances))
+        backends.insert(0, ("c", compiled))
     print(f"{'workload':<26} {'backend':<8} {'time [s]':>9} {'points/s':>12} {'speedup':>8}")
     for name, verts, pts in workloads(n_points, rng):
         results = {}
@@ -52,10 +52,10 @@ def run(n_points: int) -> None:
                 f"{n_points / times[bname]:>12.0f} {speed:>7.1f}x"
             )
         if compiled is not None:
-            gap = float(np.abs(results["cython"] - results["python"]).max())
+            gap = float(np.abs(results["c"] - results["python"]).max())
             assert gap < 1e-9, f"backend disagreement {gap:.2e} on {name}"
     if compiled is None:
-        print("\ncompiled kernel unavailable; build it with: python setup.py build_ext --inplace")
+        print(f"\ncompiled kernel unavailable; build it with: {BUILD_COMMAND}")
     else:
         print("\nbackends agree to 1e-9 on every workload")
 

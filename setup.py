@@ -1,13 +1,16 @@
 """Build script: compiles the optional min-norm-point kernel.
 
-The package works without the extension (a pure-NumPy implementation of the
+The kernel ``src/valgeo/_kernels/_mnp.c`` is plain C99 with no Python C-API;
+any C compiler builds it, and ``valgeo._kernels`` loads the result with
+ctypes.  The package works without it (a pure-NumPy implementation of the
 same algorithm is selected at import time); the compiled kernel is only a
-speedup for the Monte-Carlo membership loops.
+speedup for the Monte-Carlo membership loops.  In a checkout, build it with
+``python setup.py build_ext --inplace``.
 """
 
 import sys
 
-from setuptools import setup
+from setuptools import Extension, setup
 from setuptools.command.build_ext import build_ext
 
 
@@ -26,22 +29,16 @@ class OptionalBuildExt(build_ext):
         except Exception as exc:  # pragma: no cover - toolchain dependent
             print(f"warning: skipping {ext.name} ({exc})", file=sys.stderr)
 
-
-def extensions():
-    try:
-        import numpy
-        from Cython.Build import cythonize
-        from setuptools import Extension
-    except ImportError:  # pragma: no cover - build environment dependent
-        return []
-    ext = Extension(
-        "valgeo._kernels._mnp",
-        ["src/valgeo/_kernels/_mnp.pyx"],
-        include_dirs=[numpy.get_include()],
-        extra_compile_args=["-O3"],
-        define_macros=[("NPY_NO_DEPRECATED_API", "NPY_1_7_API_VERSION")],
-    )
-    return cythonize([ext], language_level=3)
+    def get_export_symbols(self, ext):
+        # A ctypes library, not an extension module: it has no PyInit_ symbol.
+        return ext.export_symbols
 
 
-setup(ext_modules=extensions(), cmdclass={"build_ext": OptionalBuildExt})
+KERNEL = Extension(
+    "valgeo._kernels._mnp",
+    ["src/valgeo/_kernels/_mnp.c"],
+    export_symbols=["valgeo_hull_distances"],
+    extra_compile_args=["-O3"],
+)
+
+setup(ext_modules=[KERNEL], cmdclass={"build_ext": OptionalBuildExt})

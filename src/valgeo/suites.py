@@ -736,7 +736,8 @@ def emit_plot_data(report: SuiteReport, out_dir: str) -> list[Path]:
         path = out / f"{key}.csv"
         lines = [",".join(str(c) for c in table["columns"])]
         for row in table["rows"]:
-            lines.append(",".join(repr(x) if isinstance(x, float) else str(x) for x in row))
+            # float() first: a NumPy 2 scalar's repr is "np.float64(...)".
+            lines.append(",".join(repr(float(x)) if isinstance(x, float) else str(x) for x in row))
         path.write_text("\n".join(lines) + "\n")
         written.append(path)
     return written

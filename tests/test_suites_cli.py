@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from valgeo import bodies as B
@@ -119,6 +120,22 @@ class TestPlotData:
         with pytest.warns(UserWarning):
             written = emit_plot_data(empty, str(tmp_path))
         assert written == []
+
+    def test_numpy_scalars_written_as_numbers(self, tmp_path):
+        rows = [[np.int64(2), np.float64(3.1418491722332025), 0.1],
+                [3, np.float64(-1e-300), np.float64(2.0)]]
+        report = SuiteReport(
+            suite="x", seed=0,
+            records=[{"name": "c", "expected": 1.0, "observed": 1.0,
+                      "tolerance": 0.1, "pass": True}],
+            extras={"table": {"columns": ["k", "ratio", "err"], "rows": rows}},
+        )
+        (path,) = emit_plot_data(report, str(tmp_path))
+        header, *lines = path.read_text().strip().splitlines()
+        assert header == "k,ratio,err"
+        cells = [[float(c) for c in line.split(",")] for line in lines]
+        assert cells == [[2.0, 3.1418491722332025, 0.1], [3.0, -1e-300, 2.0]]
+        assert lines[0] == "2,3.1418491722332025,0.1"
 
     def test_kubota_convergence_table(self, tmp_path):
         cfg = RunConfig(seed=4, samples=8000, out_dir=str(tmp_path))
