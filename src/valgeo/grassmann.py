@@ -225,8 +225,18 @@ def cos_angle(e: Subspace, f: Subspace) -> float:
         return cos_angle(orthocomplement(e), orthocomplement(f))
     if f.dim == e.ambient_dim:
         return 1.0
-    sv = np.linalg.svd(f.basis.T @ e.basis, compute_uv=False)
-    return float(np.prod(np.clip(sv, 0.0, 1.0)))
+    return float(cos_from_products(f.basis.T @ e.basis))
+
+
+def cos_from_products(m: np.ndarray) -> np.ndarray:
+    """Product of the clipped singular values of each Q_F^T Q_E in a stack.
+
+    ``m`` has shape (..., dim F, dim E); a single matrix gives a 0-d array.
+    This is ``cos_angle``'s arithmetic, and for dim E > dim F it equals
+    cos(F, E) = cos(E, F) as well.
+    """
+    sv = np.linalg.svd(m, compute_uv=False)
+    return np.prod(np.clip(sv, 0.0, 1.0), axis=-1)
 
 
 def sin_angle(e: Subspace, f: Subspace) -> float:
@@ -316,5 +326,4 @@ def cos_angles_with_bases(l: Subspace, bases: np.ndarray) -> np.ndarray:
     m = np.einsum("snk,nj->skj", bases, l.basis)
     if m.shape[1] == m.shape[2]:
         return np.abs(np.linalg.det(m))
-    sv = np.linalg.svd(m, compute_uv=False)
-    return np.prod(np.clip(sv, 0.0, 1.0), axis=1)
+    return cos_from_products(m)

@@ -460,12 +460,7 @@ def _lemma24_suite(cfg: RunConfig) -> tuple[list[dict], dict]:
     n, i, k = 4, 1, 1
     axis = np.array([1.0, 0.5, -0.25, 0.7])
     f = T.zonal_harmonic(n, 2, axis)
-    smooth = T.GFunction(
-        n, 1,
-        lambda sub: 1.0 + 0.5 * f(sub),
-        name="1+zonal/2",
-        batch_evaluator=lambda bases: 1.0 + 0.5 * f.batch_evaluator(bases),
-    )
+    smooth = T.GFunction(n, 1, lambda bases: 1.0 + 0.5 * f.evaluator(bases), name="1+zonal/2")
     points = 20
     direct = np.empty(points)
     formula = np.empty(points)
@@ -479,9 +474,9 @@ def _lemma24_suite(cfg: RunConfig) -> tuple[list[dict], dict]:
     # f == 1 gives a constant function (O(n)-invariance).
     one = T.constant_gfunction(n, 1)
     g = V.multiply_by_intrinsic(one, i, k, min(n_samples, 30000), SeededSampler(cfg.seed, 72))
-    vals = [
-        g(haar_subspace(n, 2, SeededSampler(cfg.seed, 73 + j))) for j in range(4)
-    ]
+    vals = g.eval_bases(
+        np.stack([haar_subspace(n, 2, SeededSampler(cfg.seed, 73 + j)).basis for j in range(4)])
+    )
     spread = (max(vals) - min(vals)) / abs(np.mean(vals))
     records.append(check_le("lemma24/constant-function-spread", spread, 0.05))
     extras = {

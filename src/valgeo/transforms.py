@@ -1,7 +1,8 @@
 """Radon and cosine transforms on Grassmannians, and the Lefschetz probe.
 
-Functions on a Grassmannian are evaluable objects (``GFunction``); the two
-transforms are Monte-Carlo averages against the Haar measure.  On lines
+Functions on a Grassmannian are evaluable objects (``GFunction``) that act
+on whole stacks of bases; the two transforms are Monte-Carlo averages
+against the Haar measure, drawn and evaluated one chunk at a time.  On lines
 (Gr_1) the even spherical harmonics diagonalize both transforms, which gives
 independent one-dimensional quadrature oracles:
 
@@ -35,13 +36,11 @@ from .errors import DimensionError, PrecisionError, ScopeError
 from .grassmann import (
     SeededSampler,
     Subspace,
-    cos_angle,
-    haar_subspace,
+    cos_from_products,
+    haar_bases_batch,
     haar_unit_vectors,
     orthocomplement,
     orthonormal_basis,
-    sample_containing,
-    sample_within,
     unit_vectors_orthogonal_to,
 )
 
@@ -53,60 +52,45 @@ from .grassmann import (
 
 @dataclass(frozen=True)
 class GFunction:
-    """A scalar function on Gr_k(R^n) given by a pure evaluator.
+    """A scalar function on Gr_k(R^n) given by a pure batched evaluator.
 
-    The evaluator must depend only on the subspace, not on the basis chosen
-    to represent it (checked in the tests by re-randomizing bases).  Closed
-    forms may supply ``batch_evaluator`` acting on a stack of bases; Monte-
-    Carlo loops use it when present.
+    ``evaluator`` maps a (count, n, k) stack of orthonormal bases to the
+    (count,) values of the function on the subspaces they span.  It must
+    depend only on each subspace, not on the basis chosen to represent it
+    (checked in the tests by re-randomizing bases).  Calling the function on
+    one ``Subspace`` evaluates a one-row stack.
     """
 
     ambient_dim: int
     grass_dim: int
-    evaluator: Callable[[Subspace], float] = field(repr=False)
+    evaluator: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     name: str = ""
     spec: dict | None = None
-    batch_evaluator: Callable[[np.ndarray], np.ndarray] | None = field(
-        default=None, repr=False
-    )
 
     def __call__(self, subspace: Subspace) -> float:
-        if subspace.ambient_dim != self.ambient_dim or subspace.dim != self.grass_dim:
-            raise DimensionError(
-                f"{self.name or 'GFunction'} expects Gr_{self.grass_dim}(R^{self.ambient_dim})"
-            )
-        return float(self.evaluator(subspace))
+        return float(self.eval_bases(subspace.basis[None])[0])
 
     def eval_bases(self, bases: np.ndarray) -> np.ndarray:
         """Evaluate on a (count, n, k) stack of orthonormal bases."""
-        if self.batch_evaluator is not None:
-            return np.asarray(self.batch_evaluator(bases), dtype=float)
-        return np.array(
-            [self.evaluator(Subspace(self.ambient_dim, b)) for b in bases], dtype=float
-        )
+        if np.ndim(bases) != 3 or np.shape(bases)[1:] != (self.ambient_dim, self.grass_dim):
+            raise DimensionError(
+                f"{self.name or 'GFunction'} expects Gr_{self.grass_dim}(R^{self.ambient_dim})"
+            )
+        return np.asarray(self.evaluator(bases), dtype=float)
 
 
 def constant_gfunction(n: int, k: int, value: float = 1.0) -> GFunction:
-    return GFunction(n, k, lambda _s: value, name=f"const({value})",
-                     spec={"kind": "constant", "value": value},
-                     batch_evaluator=lambda bases: np.full(bases.shape[0], value))
+    return GFunction(n, k, lambda bases: np.full(bases.shape[0], value),
+                     name=f"const({value})", spec={"kind": "constant", "value": value})
 
 
 def zonal_harmonic(n: int, d: int, axis) -> GFunction:
     """Zonal spherical harmonic of degree d on lines: G_d(<axis, u>)."""
     axis = np.asarray(axis, dtype=float)
     axis = axis / np.linalg.norm(axis)
-
-    def ev(sub: Subspace) -> float:
-        u = sub.basis[:, 0]
-        return float(gegenbauer_normalized(n, d, float(axis @ u)))
-
-    def ev_batch(bases: np.ndarray) -> np.ndarray:
-        return gegenbauer_normalized(n, d, bases[:, :, 0] @ axis)
-
-    return GFunction(n, 1, ev, name=f"zonal(d={d})",
-                     spec={"kind": "zonal", "degree": d, "axis": axis.tolist()},
-                     batch_evaluator=ev_batch)
+    return GFunction(n, 1, lambda bases: gegenbauer_normalized(n, d, bases[:, :, 0] @ axis),
+                     name=f"zonal(d={d})",
+                     spec={"kind": "zonal", "degree": d, "axis": axis.tolist()})
 
 
 # ---------------------------------------------------------------------------
@@ -114,37 +98,60 @@ def zonal_harmonic(n: int, d: int, axis) -> GFunction:
 # ---------------------------------------------------------------------------
 
 
+def _containing_bases(h: Subspace, comp: np.ndarray, i: int, count: int,
+                      s: SeededSampler) -> np.ndarray:
+    """(count, n, i) bases of Haar i-subspaces containing H.
+
+    Each row is H's basis followed by ``comp`` (a basis of H^perp) times a
+    Haar frame: ``sample_containing`` for a whole chunk, reading the same
+    Gaussian stream.
+    """
+    n, k = h.ambient_dim, h.dim
+    lift = np.einsum("nm,smk->snk", comp, haar_bases_batch(n - k, i - k, count, s))
+    return np.concatenate([np.broadcast_to(h.basis, (count, n, k)), lift], axis=2)
+
+
 def radon_apply(f: GFunction, j: int, h: Subspace, n_samples: int, s: SeededSampler) -> Estimate:
     """Radon transform (R_{j,i} f)(H): average of f over subspaces through/in H.
 
     For j < i averages over Haar i-subspaces containing H, for j > i over
-    Haar i-subspaces inside H.  i = j is undefined.
+    Haar i-subspaces inside H.  i = j is undefined.  Each chunk draws its
+    subspaces at once, from the stream the per-sample ``sample_containing``
+    and ``sample_within`` read.
     """
     i = f.grass_dim
     if h.dim != j:
         raise DimensionError(f"H has dimension {h.dim}, expected j={j}")
     if i == j:
         raise DimensionError("Radon transform requires i != j")
-    draw = sample_containing if j < i else sample_within
+    comp = orthocomplement(h).basis
     vals = np.empty(n_samples)
     for rows, c, sub in mc_chunks(n_samples, s):
-        vals[rows] = [f(draw(h, i, sub)) for _ in range(c)]
+        if j < i:
+            bases = _containing_bases(h, comp, i, c, sub)
+        else:
+            bases = h.basis @ haar_bases_batch(j, i, c, sub)
+        vals[rows] = f.eval_bases(bases)
     return mean_and_stderr(vals)
 
 
 def cosine_apply(f: GFunction, j: int, e: Subspace, n_samples: int, s: SeededSampler) -> Estimate:
-    """Cosine transform (T_{j,i} f)(E) = E_F[ |cos(E, F)| f(F) ] over Haar F in Gr_i."""
+    """Cosine transform (T_{j,i} f)(E) = E_F[ |cos(E, F)| f(F) ] over Haar F in Gr_i.
+
+    Each chunk draws its F's with ``haar_bases_batch`` (the stream that
+    per-sample ``haar_subspace`` reads) and takes |cos| with ``cos_angle``'s
+    singular-value arithmetic.
+    """
     i = f.grass_dim
     n = f.ambient_dim
     if not (1 <= i <= n - 1 and 1 <= j <= n - 1):
         raise DimensionError("cosine transform needs 1 <= i, j <= n-1")
-    if e.dim != j:
-        raise DimensionError(f"E has dimension {e.dim}, expected j={j}")
+    if e.dim != j or e.ambient_dim != n:
+        raise DimensionError(f"E must lie in Gr_{j}(R^{n})")
     vals = np.empty(n_samples)
     for rows, c, sub in mc_chunks(n_samples, s):
-        for t in range(c):
-            fs = haar_subspace(n, i, sub)
-            vals[rows.start + t] = cos_angle(e, fs) * f(fs)
+        bases = haar_bases_batch(n, i, c, sub)
+        vals[rows] = cos_from_products(np.swapaxes(bases, 1, 2) @ e.basis) * f.eval_bases(bases)
     return mean_and_stderr(vals)
 
 
@@ -163,23 +170,11 @@ def even_harmonic_basis(n: int, d_max: int) -> list[GFunction]:
     out = []
     for block in basis.blocks:
         for row in range(block.size):
-            def ev(sub: Subspace, _b=block, _r=row) -> float:
-                u = sub.basis[:, 0]
-                return float(_b.eval_points(u[None, :])[0, _r])
-
-            def ev_batch(bases: np.ndarray, _b=block, _r=row) -> np.ndarray:
+            def ev(bases: np.ndarray, _b=block, _r=row) -> np.ndarray:
                 return _b.eval_points(bases[:, :, 0])[:, _r]
 
-            out.append(
-                GFunction(
-                    n,
-                    1,
-                    ev,
-                    name=f"Y[{block.degree},{row}]",
-                    spec={"kind": "harmonic", "degree": block.degree, "order": row},
-                    batch_evaluator=ev_batch,
-                )
-            )
+            out.append(GFunction(n, 1, ev, name=f"Y[{block.degree},{row}]",
+                                 spec={"kind": "harmonic", "degree": block.degree, "order": row}))
     return out
 
 

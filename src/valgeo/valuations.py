@@ -41,11 +41,13 @@ from .grassmann import (
     cos_angles_with_bases,
     haar_bases_batch,
     haar_unit_vectors,
+    orthocomplement,
     orthonormal_basis,
     sin_angle,
     span_sum,
 )
-from .transforms import GFunction, constant_gfunction, zonal_harmonic
+from .transforms import (GFunction, _containing_bases, constant_gfunction,
+                         even_harmonic_basis, zonal_harmonic)
 
 BodySpec = Polytope | Ball
 
@@ -159,19 +161,24 @@ class CustomVal(ValuationExpr):
 # ---------------------------------------------------------------------------
 
 
-def _map_ball_volume(m: np.ndarray, l: Subspace, q: int) -> float:
-    """q-volume of the image of the unit ball of L under the q x n map m."""
+def _map_ball_volume(m: np.ndarray, l: np.ndarray, q: int) -> np.ndarray:
+    """q-volume of the image of the unit ball of L under the q x n map m.
+
+    ``m`` (..., q, n) and the orthonormal basis ``l`` (..., n, dim L) may each
+    be a stack; the result has their broadcast batch shape.
+    """
+    shape = np.broadcast_shapes(m.shape[:-2], l.shape[:-2])
     if q == 0:
-        return 1.0
-    if l.dim < q:
-        return 0.0
-    sv = np.linalg.svd(m @ l.basis, compute_uv=False)
-    return float(unit_ball_volume(q) * np.prod(sv[:q]))
+        return np.ones(shape)
+    if l.shape[-1] < q:
+        return np.zeros(shape)
+    sv = np.linalg.svd(m @ l, compute_uv=False)
+    return unit_ball_volume(q) * np.prod(sv[..., :q], axis=-1)
 
 
 def projected_ball_volume(f: Subspace, l: Subspace) -> float:
     """vol_i(Pr_F D_L) with i = dim F (the Klain function of a projection valuation)."""
-    return _map_ball_volume(f.basis.T, l, f.dim)
+    return float(_map_ball_volume(f.basis.T, l.basis, f.dim))
 
 
 def product_projection(f1: Subspace, f2: Subspace, k: Polytope) -> float:
@@ -195,7 +202,7 @@ def _crofton_eval(expr: CroftonVal, body: BodySpec, budget: int, s: SeededSample
         bases = haar_bases_batch(n, i, c, sub)
         fvals = expr.f.eval_bases(bases)
         if isinstance(body, Ball):
-            vols = [projected_ball_volume(Subspace(n, b), body.subspace) for b in bases]
+            vols = _map_ball_volume(np.swapaxes(bases, 1, 2), body.subspace.basis, i)
         elif i == 2:
             vols = shadow_area_perimeter(np.einsum("vn,snk->svk", body.vertices, bases))[0]
         else:
@@ -238,7 +245,7 @@ def evaluate(expr: ValuationExpr, body: BodySpec, budget: int, s: SeededSampler)
     if isinstance(expr, ProductProj):
         if isinstance(body, Ball):
             m = np.vstack([expr.f1.basis.T, expr.f2.basis.T])
-            return Estimate(_map_ball_volume(m, body.subspace, expr.degree), 0.0)
+            return Estimate(float(_map_ball_volume(m, body.subspace.basis, expr.degree)), 0.0)
         return Estimate(product_projection(expr.f1, expr.f2, body), 0.0)
     if isinstance(expr, Lambda):
         if isinstance(body, Ball):
@@ -260,36 +267,32 @@ def klain_function(expr: ValuationExpr, budget: int = 4096,
     """The Klain function L -> phi(D_L) on Gr_deg, as an evaluable GFunction.
 
     Closed forms are used for intrinsic volumes, projection valuations and
-    stacked products; Crofton integrals evaluate by Monte-Carlo with a fixed
-    derived stream, so the returned evaluator is a pure function of L.
+    stacked products, on a whole stack of L's at once.  Other expressions
+    are estimated once per L by Monte-Carlo with a fixed derived stream, so
+    the returned evaluator is a pure function of L.
     """
     deg = expr.degree
-    if isinstance(expr, IntrinsicVolume):
+    n = ambient_dim
+    if isinstance(expr, (ProjectionVal, ProductProj)):
+        # Both map D_L through a fixed linear map m.
+        if isinstance(expr, ProjectionVal):
+            n, m = expr.subspace.ambient_dim, expr.subspace.basis.T
+        else:
+            n, m = expr.f1.ambient_dim, np.vstack([expr.f1.basis.T, expr.f2.basis.T])
+
+        def ev(bases: np.ndarray) -> np.ndarray:
+            return _map_ball_volume(m, bases, deg)
+    elif isinstance(expr, IntrinsicVolume):
         const = unit_ball_volume(deg)
 
-        def ev(sub: Subspace) -> float:
-            return const
-
-        n = ambient_dim
-    elif isinstance(expr, ProjectionVal):
-        def ev(sub: Subspace) -> float:
-            return projected_ball_volume(expr.subspace, sub)
-
-        n = expr.subspace.ambient_dim
-    elif isinstance(expr, ProductProj):
-        m = np.vstack([expr.f1.basis.T, expr.f2.basis.T])
-
-        def ev(sub: Subspace) -> float:
-            return _map_ball_volume(m, sub, deg)
-
-        n = expr.f1.ambient_dim
+        def ev(bases: np.ndarray) -> np.ndarray:
+            return np.full(len(bases), const)
     else:
         base = s if s is not None else SeededSampler(0)
 
-        def ev(sub: Subspace) -> float:
-            return evaluate(expr, Ball(sub), budget, base.substream(0)).value
-
-        n = ambient_dim
+        def ev(bases: np.ndarray) -> np.ndarray:
+            return np.array([evaluate(expr, Ball(Subspace(n, b)), budget, base.substream(0)).value
+                             for b in bases])
     if n is None:
         raise DimensionError("ambient_dim required for this expression type")
     return GFunction(n, deg, ev, name=f"klain({type(expr).__name__})")
@@ -310,7 +313,7 @@ def claim23_check(e: Subspace, f: Subspace, l: Subspace) -> tuple[float, float]:
     if l.dim != e.dim + f.dim:
         raise DimensionError("need dim L = dim E + dim F")
     m = np.vstack([e.basis.T, f.basis.T])
-    lhs = _map_ball_volume(m, l, l.dim)
+    lhs = float(_map_ball_volume(m, l.basis, l.dim))
     rhs = unit_ball_volume(l.dim) * cos_angle(l, span_sum(e, f)) * sin_angle(e, f)
     return lhs, rhs
 
@@ -336,20 +339,10 @@ def lemma22_formula(f: Subspace, k: int, l: Subspace, n_samples: int,
         raise DimensionError("L must have dimension k + dim F")
     if k == 0:
         return Estimate(cos_angle(l, f), 0.0)
-    if i == 0:
-        comp_basis = np.eye(n)
-    else:
-        from .grassmann import orthocomplement
-
-        comp_basis = orthocomplement(f).basis
+    comp = orthocomplement(f).basis
     vals = np.empty(n_samples)
     for rows, c, sub in mc_chunks(n_samples, s):
-        w = haar_bases_batch(n - i, k, c, sub)
-        lift = np.einsum("nm,smk->snk", comp_basis, w)
-        stack = np.concatenate(
-            [np.broadcast_to(f.basis, (c, n, i)), lift], axis=2
-        )
-        vals[rows] = cos_angles_with_bases(l, stack)
+        vals[rows] = cos_angles_with_bases(l, _containing_bases(f, comp, k + i, c, sub))
     return mean_and_stderr(vals)
 
 
@@ -395,7 +388,9 @@ def multiply_by_intrinsic(f: GFunction, i: int, k: int,
     Returns the composed-transform function on Gr_{k+i}: at L it averages
     |cos(L, R)| f(F') over Haar R in Gr_{k+i} and Haar F' inside R (a
     one-sample estimator of the cosine transform applied after the Radon
-    transform), up to the lemma's unspecified constant.
+    transform), up to the lemma's unspecified constant.  Every L of an
+    evaluated stack reads the same draws of R and F', and f is evaluated on
+    them once per chunk.
     """
     if f.grass_dim != i:
         raise DimensionError("f lives on the wrong Grassmannian")
@@ -405,15 +400,15 @@ def multiply_by_intrinsic(f: GFunction, i: int, k: int,
         raise DimensionError("k + i exceeds ambient dimension")
     base = s if s is not None else SeededSampler(0)
 
-    def ev(l: Subspace) -> float:
-        vals = np.empty(n_samples)
+    def ev(l_bases: np.ndarray) -> np.ndarray:
+        ls = [Subspace(n, b) for b in l_bases]
+        vals = np.empty((len(ls), n_samples))
         for rows, c, sub in mc_chunks(n_samples, base):
             r_bases = haar_bases_batch(n, q, c, sub)
-            w = haar_bases_batch(q, i, c, sub)
-            fp = r_bases @ w
-            cosines = cos_angles_with_bases(l, r_bases)
-            vals[rows] = cosines * f.eval_bases(fp)
-        return float(vals.mean())
+            fvals = f.eval_bases(r_bases @ haar_bases_batch(q, i, c, sub))
+            for row, l in zip(vals, ls):
+                row[rows] = cos_angles_with_bases(l, r_bases) * fvals
+        return vals.mean(axis=1)
 
     return GFunction(n, q, ev, name=f"V_{k}*crofton({f.name})")
 
@@ -686,7 +681,7 @@ def v1_power(n: int, p: int) -> CustomVal:
         for rows, c, sub in mc_chunks(budget, s):
             dirs = haar_unit_vectors(n, c * p, sub).reshape(c, p, n)
             if isinstance(body, Ball):
-                vals[rows] = [_map_ball_volume(dirs[t], body.subspace, p) for t in range(c)]
+                vals[rows] = _map_ball_volume(dirs, body.subspace.basis, p)
             elif use_cauchy:
                 vals[rows] = cauchy_shadow_volumes(facets, np.cross(dirs[:, 0], dirs[:, 1]))
             else:
@@ -743,6 +738,10 @@ def _gfunction_from_spec(n: int, i: int, spec: dict) -> GFunction:
         return constant_gfunction(n, i, float(spec["value"]))
     if kind == "zonal":
         return zonal_harmonic(n, int(spec["degree"]), np.asarray(spec["axis"], dtype=float))
+    if kind == "harmonic":
+        degree = int(spec["degree"])
+        return [g for g in even_harmonic_basis(n, degree)
+                if g.spec["degree"] == degree][int(spec["order"])]
     raise ValueError(f"unknown GFunction spec {spec!r}")
 
 

@@ -8,7 +8,18 @@ from valgeo import bodies as B
 from valgeo import transforms as T
 from valgeo import valuations as V
 from valgeo.base import MC_CHUNK, Estimate, mc_chunks, mean_and_stderr, unit_ball_volume
-from valgeo.grassmann import SeededSampler, haar_bases_batch, haar_subspace
+from valgeo.grassmann import (
+    SeededSampler,
+    Subspace,
+    cos_angle,
+    cos_angles_with_bases,
+    cos_from_products,
+    haar_bases_batch,
+    haar_subspace,
+    haar_unit_vectors,
+    sample_containing,
+    sample_within,
+)
 
 # Two full chunks and a ragged third: exercises the labels and the last slice.
 BUDGET = 2 * 8192 + 7
@@ -86,3 +97,175 @@ def test_batched_estimator_matches_old_loop():
 def test_per_sample_estimator_matches_old_loop():
     new = B.kubota_estimate(B.make_cube(4), 2, BUDGET, SeededSampler(42))
     assert new == _old_kubota_cube4_v2(BUDGET, SeededSampler(42))
+
+
+# The per-sample loops that the batched transforms replaced.  Each batched
+# estimator must read the same Gaussian stream as the per-sample samplers and
+# give the same value on every sample.
+
+
+def _old_chunks(n_samples, s):
+    done = 0
+    chunk_idx = 0
+    while done < n_samples:
+        c = min(8192, n_samples - done)
+        yield slice(done, done + c), c, s.substream(chunk_idx)
+        done += c
+        chunk_idx += 1
+
+
+def _old_cosine_apply_samples(f, e, n_samples, s):
+    vals = np.empty(n_samples)
+    for rows, c, sub in _old_chunks(n_samples, s):
+        for t in range(c):
+            fs = haar_subspace(f.ambient_dim, f.grass_dim, sub)
+            vals[rows.start + t] = cos_angle(e, fs) * f(fs)
+    return vals
+
+
+def _old_radon_apply_samples(f, h, n_samples, s):
+    draw = sample_containing if h.dim < f.grass_dim else sample_within
+    vals = np.empty(n_samples)
+    for rows, c, sub in _old_chunks(n_samples, s):
+        vals[rows] = [f(draw(h, f.grass_dim, sub)) for _ in range(c)]
+    return vals
+
+
+def _old_multiply_by_intrinsic_at(f, i, k, l, n_samples, s):
+    n, q = f.ambient_dim, k + i
+    vals = np.empty(n_samples)
+    for rows, c, sub in _old_chunks(n_samples, s):
+        r_bases = haar_bases_batch(n, q, c, sub)
+        w = haar_bases_batch(q, i, c, sub)
+        fp = r_bases @ w
+        cosines = cos_angles_with_bases(l, r_bases)
+        vals[rows] = cosines * f.eval_bases(fp)
+    return float(vals.mean())
+
+
+def _old_map_ball_volume(m, l, q):
+    if q == 0:
+        return 1.0
+    if l.dim < q:
+        return 0.0
+    sv = np.linalg.svd(m @ l.basis, compute_uv=False)
+    return float(unit_ball_volume(q) * np.prod(sv[:q]))
+
+
+def _old_crofton_on_ball_samples(f, l, n_samples, s):
+    n, i = f.ambient_dim, f.grass_dim
+    vals = np.empty(n_samples)
+    for rows, c, sub in _old_chunks(n_samples, s):
+        bases = haar_bases_batch(n, i, c, sub)
+        fvals = f.eval_bases(bases)
+        vols = [_old_map_ball_volume(Subspace(n, b).basis.T, l, i) for b in bases]
+        vals[rows] = fvals * vols
+    return vals
+
+
+def _old_v1_power_on_ball_samples(n, p, l, n_samples, s):
+    vals = np.empty(n_samples)
+    for rows, c, sub in _old_chunks(n_samples, s):
+        dirs = haar_unit_vectors(n, c * p, sub).reshape(c, p, n)
+        vals[rows] = [_old_map_ball_volume(dirs[t], l, p) for t in range(c)]
+    return vals
+
+
+def _samples(monkeypatch, module, call):
+    """The per-sample values that ``call`` hands to ``module.mean_and_stderr``."""
+    seen = []
+    monkeypatch.setattr(module, "mean_and_stderr",
+                        lambda vals: (seen.append(vals.copy()), mean_and_stderr(vals))[1])
+    call()
+    (vals,) = seen
+    return vals
+
+
+def _first_row_weight(n, i):
+    """|P_F e_1|^2 on Gr_i(R^n): elementwise, so one row and a stack agree bit for bit."""
+    return T.GFunction(n, i, lambda bases: (bases[:, 0, :] ** 2).sum(axis=-1))
+
+
+@pytest.mark.parametrize("n, i, j", [(3, 1, 1), (4, 2, 2), (5, 3, 1)])
+def test_cosine_apply_matches_old_loop(monkeypatch, n, i, j):
+    f = _first_row_weight(n, i)
+    e = haar_subspace(n, j, SeededSampler(64))
+    new = _samples(monkeypatch, T, lambda: T.cosine_apply(f, j, e, BUDGET, SeededSampler(66)))
+    assert np.array_equal(new, _old_cosine_apply_samples(f, e, BUDGET, SeededSampler(66)))
+
+
+def test_cosine_apply_constant_matches_old_loop(monkeypatch):
+    # The lemma22 suite's i = 0 reference.
+    f = T.constant_gfunction(4, 2)
+    e = haar_subspace(4, 2, SeededSampler(64))
+    new = _samples(monkeypatch, T, lambda: T.cosine_apply(f, 2, e, BUDGET, SeededSampler(66)))
+    assert np.array_equal(new, _old_cosine_apply_samples(f, e, BUDGET, SeededSampler(66)))
+
+
+@pytest.mark.parametrize("n, i, j", [(3, 1, 2), (5, 2, 4)])
+def test_radon_apply_within_matches_old_loop(monkeypatch, n, i, j):
+    f = _first_row_weight(n, i)
+    h = haar_subspace(n, j, SeededSampler(5))
+    new = _samples(monkeypatch, T, lambda: T.radon_apply(f, j, h, BUDGET, SeededSampler(6)))
+    assert np.array_equal(new, _old_radon_apply_samples(f, h, BUDGET, SeededSampler(6)))
+
+
+@pytest.mark.parametrize("n, i, j", [(4, 2, 1), (4, 2, 0)])
+def test_radon_apply_containing_matches_old_loop(monkeypatch, n, i, j):
+    # The containing draw lifts its frame with an einsum; the old loop used a
+    # matmul per sample, so the two agree to rounding, not bit for bit.
+    f = _first_row_weight(n, i)
+    h = haar_subspace(n, j, SeededSampler(5))
+    new = _samples(monkeypatch, T, lambda: T.radon_apply(f, j, h, BUDGET, SeededSampler(6)))
+    old = _old_radon_apply_samples(f, h, BUDGET, SeededSampler(6))
+    np.testing.assert_allclose(new, old, rtol=0, atol=1e-14)
+
+
+def test_multiply_by_intrinsic_stack_matches_rows_and_old_loop():
+    zonal = T.zonal_harmonic(4, 2, [1.0, 0.5, -0.25, 0.7])
+    f = T.GFunction(4, 1, lambda bases: 1.0 + 0.5 * zonal.evaluator(bases))
+    g = V.multiply_by_intrinsic(f, 1, 1, BUDGET, SeededSampler(72))
+    ls = [haar_subspace(4, 2, SeededSampler(73 + j)) for j in range(4)]
+    stacked = g.eval_bases(np.stack([l.basis for l in ls]))
+    assert stacked.tolist() == [g(l) for l in ls]
+    assert stacked.tolist() == [
+        _old_multiply_by_intrinsic_at(f, 1, 1, l, BUDGET, SeededSampler(72)) for l in ls
+    ]
+
+
+@pytest.mark.parametrize("n, i, ldim", [(3, 1, 2), (4, 2, 3)])
+def test_crofton_on_ball_matches_old_loop(monkeypatch, n, i, ldim):
+    f = _first_row_weight(n, i)
+    ball = B.Ball(haar_subspace(n, ldim, SeededSampler(77)))
+    new = _samples(monkeypatch, V,
+                   lambda: V.evaluate(V.CroftonVal(f, i), ball, BUDGET, SeededSampler(78)))
+    old = _old_crofton_on_ball_samples(f, ball.subspace, BUDGET, SeededSampler(78))
+    assert np.array_equal(new, old)
+
+
+@pytest.mark.parametrize("n, p, ldim", [(3, 1, 2), (3, 2, 3), (4, 2, 3)])
+def test_v1_power_on_ball_matches_old_loop(monkeypatch, n, p, ldim):
+    ball = B.Ball(haar_subspace(n, ldim, SeededSampler(79)))
+    new = _samples(monkeypatch, V,
+                   lambda: V.evaluate(V.v1_power(n, p), ball, BUDGET, SeededSampler(80)))
+    old = _old_v1_power_on_ball_samples(n, p, ball.subspace, BUDGET, SeededSampler(80))
+    assert np.array_equal(new, old)
+
+
+def test_ball_branches_vanish_above_ball_dimension():
+    ball = B.Ball(haar_subspace(4, 2, SeededSampler(79)))
+    crofton = V.CroftonVal(_first_row_weight(4, 3), 3)
+    assert V.evaluate(crofton, ball, 50, SeededSampler(78)) == (0, 0)
+    assert V.evaluate(V.v1_power(4, 3), ball, 50, SeededSampler(80)) == (0, 0)
+
+
+@pytest.mark.parametrize(
+    "n, i, j", [(4, 1, 3), (5, 2, 3), (4, 2, 2), (5, 3, 3), (4, 3, 1), (5, 3, 2)]
+)
+def test_stacked_cosines_match_cos_angle(n, i, j):
+    # j > i, j = i and j < i: one formula, the singular values of F^T E.
+    e = haar_subspace(n, j, SeededSampler(81))
+    bases = haar_bases_batch(n, i, 200, SeededSampler(82))
+    stacked = cos_from_products(np.swapaxes(bases, 1, 2) @ e.basis)
+    reference = [cos_angle(e, Subspace(n, b)) for b in bases]
+    np.testing.assert_allclose(stacked, reference, rtol=0, atol=1e-12)

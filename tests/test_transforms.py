@@ -8,6 +8,7 @@ from valgeo import transforms as T
 from valgeo.errors import DimensionError, ScopeError
 from valgeo.grassmann import (
     SeededSampler,
+    Subspace,
     coordinate_subspace,
     haar_bases_batch,
     haar_subspace,
@@ -31,8 +32,17 @@ class TestGFunction:
         f = T.zonal_harmonic(3, 2, [0.0, 0.0, 1.0])
         bases = haar_bases_batch(3, 1, 16, sampler)
         batch = f.eval_bases(bases)
-        loop = [f(orthonormal_basis(b)) for b in bases]
+        loop = [f(Subspace(3, b)) for b in bases]
         assert np.allclose(batch, loop, atol=1e-12)
+
+    def test_eval_bases_validates_dimensions(self):
+        f = T.constant_gfunction(3, 1)
+        with pytest.raises(DimensionError):
+            f.eval_bases(np.zeros((5, 4, 1)))  # wrong n
+        with pytest.raises(DimensionError):
+            f.eval_bases(np.zeros((5, 3, 2)))  # wrong k
+        with pytest.raises(DimensionError):
+            f.eval_bases(np.zeros((3, 1)))  # not a stack
 
 
 class TestRadon:
@@ -49,7 +59,7 @@ class TestRadon:
 
     def test_degree_two_harmonic_in_plane(self, sampler):
         # Lines in {z = 0} have zero e3 component, so the average is -1/3.
-        f = T.GFunction(3, 1, lambda sub: float(sub.basis[2, 0] ** 2 - 1 / 3))
+        f = T.GFunction(3, 1, lambda bases: bases[:, 2, 0] ** 2 - 1 / 3)
         h = coordinate_subspace(3, [0, 1])
         est = T.radon_apply(f, 2, h, 200, sampler)
         assert est.value == pytest.approx(-1 / 3, abs=1e-12)
@@ -65,7 +75,7 @@ class TestRadon:
         n = 3
         f = T.zonal_harmonic(n, 2, [0.0, 0.0, 1.0])
         g = np.linalg.qr(np.random.default_rng(4).normal(size=(n, n)))[0]
-        f_rot = T.GFunction(n, 1, lambda sub: f(orthonormal_basis(g @ sub.basis)))
+        f_rot = T.GFunction(n, 1, lambda bases: f.eval_bases(g @ bases))
         h = haar_subspace(n, 2, SeededSampler(5))
         gh = orthonormal_basis(g @ h.basis)
         a = T.radon_apply(f_rot, 2, h, 20000, SeededSampler(6))
@@ -105,7 +115,9 @@ class TestCosine:
 
         n = 3
         f = T.zonal_harmonic(n, 2, [0.0, 1.0, 0.0])
-        f_perp = T.GFunction(n, 2, lambda sub: f(orthocomplement(sub)))
+        f_perp = T.GFunction(
+            n, 2, lambda bases: f.eval_bases(np.linalg.qr(bases, mode="complete")[0][:, :, 2:])
+        )
         e = haar_subspace(n, 1, SeededSampler(25))
         a = T.cosine_apply(f, 1, e, 30_000, SeededSampler(26))
         b = T.cosine_apply(f_perp, 2, orthocomplement(e), 30_000, SeededSampler(27))
@@ -115,7 +127,7 @@ class TestCosine:
         n = 3
         f = T.zonal_harmonic(n, 2, [0.0, 0.0, 1.0])
         g = np.linalg.qr(np.random.default_rng(28).normal(size=(n, n)))[0]
-        f_rot = T.GFunction(n, 1, lambda sub: f(orthonormal_basis(g @ sub.basis)))
+        f_rot = T.GFunction(n, 1, lambda bases: f.eval_bases(g @ bases))
         e = haar_subspace(n, 1, SeededSampler(29))
         ge = orthonormal_basis(g @ e.basis)
         a = T.cosine_apply(f_rot, 1, e, 30_000, SeededSampler(30))

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from valgeo.grassmann import (
     SeededSampler,
     coordinate_subspace,
     cos_angle,
+    haar_bases_batch,
     haar_subspace,
     haar_unit_vectors,
     orthonormal_basis,
@@ -240,10 +242,7 @@ class TestLemma24:
     def test_proportional_to_direct(self):
         n, i, k = 4, 1, 1
         f = T.zonal_harmonic(n, 2, [1.0, 0.4, -0.2, 0.5])
-        smooth = T.GFunction(
-            n, 1, lambda sub: 1.0 + 0.5 * f(sub),
-            batch_evaluator=lambda bases: 1.0 + 0.5 * f.batch_evaluator(bases),
-        )
+        smooth = T.GFunction(n, 1, lambda bases: 1.0 + 0.5 * f.eval_bases(bases))
         direct, formula = [], []
         for j in range(8):
             l = haar_subspace(n, 2, SeededSampler(90 + j))
@@ -381,6 +380,16 @@ class TestExprJson:
         rebuilt = V.expr_from_json(data)
         assert rebuilt.degree == expr.degree
         assert isinstance(rebuilt, V.Lambda)
+
+    @pytest.mark.parametrize("n, index", [(3, 3), (3, 14), (4, 0), (4, 9)])
+    def test_harmonic_crofton_round_trip(self, n, index, sampler):
+        f = T.even_harmonic_basis(n, 4)[index]
+        data = json.loads(json.dumps(V.expr_to_json(V.CroftonVal(f, 1))))
+        assert data["f"]["kind"] == "harmonic"
+        rebuilt = V.expr_from_json(data)
+        assert rebuilt.f.spec == f.spec
+        bases = haar_bases_batch(n, 1, 32, sampler)
+        assert np.array_equal(rebuilt.f.eval_bases(bases), f.eval_bases(bases))
 
     def test_projection_round_trip(self, sampler):
         f = haar_subspace(4, 2, sampler)
