@@ -54,7 +54,7 @@ else:
                   else f"failed to load ({exc})")
         warnings.warn(
             f"valgeo: the compiled hull-distance kernel {reason}; using the "
-            f"pure-NumPy kernel, two orders of magnitude slower. Build it with "
+            f"pure-NumPy kernel, about ten times slower. Build it with "
             f"`{BUILD_COMMAND}` (needs only a C compiler).",
             RuntimeWarning,
         )

@@ -80,6 +80,41 @@ def slsqp_distance(x, vertices):
     return math.sqrt(max(res.fun, 0.0))
 
 
+def scalar_min_norm_point(w, max_iter=1000):
+    """One-point Wolfe loop, the pure kernel before it was batched (reference)."""
+    sq = np.einsum("ij,ij->i", w, w)
+    if float(sq.max()) == 0.0:
+        return np.zeros(w.shape[1])
+    tol = 1e-12 * float(sq.max())
+    j = int(np.argmin(sq))
+    corral, lam, x = [j], np.array([1.0]), w[j].copy()
+    for _ in range(max_iter):
+        dots = w @ x
+        jstar = int(np.argmin(dots))
+        if float(x @ x) - dots[jstar] <= tol or jstar in corral:
+            return x
+        corral.append(jstar)
+        lam = np.append(lam, 0.0)
+        while True:
+            alpha = pywolfe._affine_minimizer(w[corral])
+            if alpha.min() > 1e-12:
+                lam, x = alpha, alpha @ w[corral]
+                break
+            neg = alpha <= 1e-12
+            with np.errstate(divide="ignore", invalid="ignore"):
+                theta = float(np.min(lam[neg] / (lam[neg] - alpha[neg])))
+            theta = min(max(theta, 0.0), 1.0)
+            lam = theta * alpha + (1.0 - theta) * lam
+            drop = int(np.argmin(lam))
+            corral.pop(drop)
+            lam = np.delete(lam, drop)
+            if lam.sum() <= 0.0 or not corral:
+                corral, lam, x = [jstar], np.array([1.0]), w[jstar].copy()
+                break
+            lam = lam / lam.sum()
+    return x
+
+
 CUBE = np.array(
     [[x, y, z] for x in (-0.5, 0.5) for y in (-0.5, 0.5) for z in (-0.5, 0.5)]
 )
@@ -193,6 +228,38 @@ class TestBackends:
         for name, hull_distances in backends.items():
             d = hull_distances(np.array([[1.0, 0.0]]), verts)
             assert d[0] == pytest.approx(math.sqrt(0.5), abs=1e-9), name
+
+    def test_batched_matches_scalar_loop(self, rng):
+        for trial in range(60):
+            n = int(rng.integers(1, 7))
+            verts = rng.normal(size=(int(rng.integers(1, 20)), n))
+            if trial % 3 == 0 and n > 1:
+                verts[:, int(rng.integers(1, n)):] = 0.0
+            if trial % 5 == 0:
+                verts = np.round(verts)  # repeated and lattice vertices
+            pts = rng.normal(size=(40, n)) * 1.5
+            expected = [np.linalg.norm(scalar_min_norm_point(verts - p)) for p in pts]
+            assert np.abs(pywolfe.hull_distances(pts, verts) - expected).max() < 1e-12
+
+    def test_blocks_are_independent(self, rng, monkeypatch):
+        verts = rng.normal(size=(12, 3))
+        pts = rng.normal(size=(200, 3)) * 1.5
+        whole = pywolfe.hull_distances(pts, verts)
+        monkeypatch.setattr(pywolfe, "BLOCK_FLOATS", 7 * verts.size)
+        blocked = pywolfe.hull_distances(pts, verts)
+        single = [pywolfe.hull_distances(p[None], verts)[0] for p in pts]
+        assert np.abs(blocked - whole).max() < 1e-15
+        assert np.abs(np.array(single) - whole).max() < 1e-15
+
+    def test_singular_corral_takes_the_ridge(self):
+        good = np.array([[1.0, 0.0], [0.0, 1.0]])
+        repeated = np.array([[1.0, 0.0], [1.0, 0.0]])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 0.0]], [0, 0, 1.0])
+        alpha = pywolfe._affine_minimizers(np.stack([good, repeated]))
+        assert np.array_equal(alpha[0], pywolfe._affine_minimizer(good))
+        assert np.array_equal(alpha[1], pywolfe._affine_minimizer(repeated))
+        assert alpha.sum(axis=1) == pytest.approx([1.0, 1.0], abs=1e-9)
 
     def test_rejects_empty_vertex_set(self, backends):
         for hull_distances in backends.values():
