@@ -10,6 +10,11 @@ functionals are
 
 with the conventions cos = 1 on the zero subspace (empty product) and the
 higher-dimensional branch evaluated through orthocomplements.
+
+The sign-fixed QR, the orthocomplement and the cosine are computed on
+(count, n, k) stacks of bases (``signed_qr_batch``, ``orthocomplement_batch``,
+``cos_angle_batch``); the functions on one ``Subspace`` are one-row calls into
+the same code, so a row of a stack equals the scalar result bit for bit.
 """
 
 from __future__ import annotations
@@ -49,10 +54,7 @@ class Subspace:
             )
         if b.shape[1] > self.ambient_dim:
             raise DimensionError(f"subspace dim {b.shape[1]} exceeds ambient {self.ambient_dim}")
-        if b.shape[1] > 0:
-            gram = b.T @ b
-            if not np.allclose(gram, np.eye(b.shape[1]), atol=ORTHO_TOL):
-                raise ValueError("basis columns are not orthonormal")
+        _check_orthonormal(b)
         b.setflags(write=False)
         object.__setattr__(self, "basis", b)
 
@@ -133,16 +135,41 @@ class SeededSampler:
         return f"SeededSampler(seed={self.seed}, stream_id={self.stream_id})"
 
 
-def _signed_qr(m: np.ndarray) -> np.ndarray:
-    """QR orthonormalization with the sign of R's diagonal fixed positive.
+def _check_orthonormal(bases: np.ndarray) -> None:
+    """Raise ValueError unless each (n, k) matrix of ``bases``, one matrix or
+    a stack, has orthonormal columns; one vectorized test for the stack."""
+    k = bases.shape[-1]
+    if k > 0:
+        eye = np.eye(k)
+        gram = np.swapaxes(bases, -1, -2) @ bases
+        # np.allclose(gram, eye, atol=ORTHO_TOL), with its default rtol of
+        # 1e-5, written out: the call costs four times as much.
+        if not np.all(np.abs(gram - eye) <= ORTHO_TOL + 1e-5 * eye):
+            raise ValueError("basis columns are not orthonormal")
+
+
+def _stack(bases) -> np.ndarray:
+    b = np.ascontiguousarray(np.asarray(bases, dtype=float))
+    if b.ndim != 3 or b.shape[2] > b.shape[1]:
+        raise DimensionError(f"expected a (count, n, k) stack with k <= n, got shape {b.shape}")
+    return b
+
+
+def signed_qr_batch(m: np.ndarray) -> np.ndarray:
+    """Q factors of a (count, n, k) stack with the signs of R's diagonals fixed
+    positive.
 
     Makes the decomposition unique for full-rank input, so Haar sampling is
-    reproducible bit for bit.
+    reproducible bit for bit.  Row t equals the QR of ``m[t]`` alone.
     """
     q, r = np.linalg.qr(m)
-    signs = np.sign(np.diag(r))
+    signs = np.sign(np.einsum("...ii->...i", r))
     signs[signs == 0] = 1.0
-    return q * signs
+    return q * signs[..., None, :]
+
+
+def _signed_qr(m: np.ndarray) -> np.ndarray:
+    return signed_qr_batch(m[None])[0]
 
 
 def orthonormal_basis(m: np.ndarray) -> Subspace:
@@ -174,26 +201,37 @@ def haar_subspace(n: int, k: int, s: SeededSampler) -> Subspace:
     """
     if not 0 <= k <= n:
         raise DimensionError(f"need 0 <= k <= n, got k={k}, n={n}")
+    return Subspace(n, haar_bases_batch(n, k, 1, s)[0])
+
+
+def _complement(bases: np.ndarray) -> np.ndarray:
+    """Complements of a stack already known to be orthonormal."""
+    n, k = bases.shape[1:]
     if k == 0:
-        return zero_subspace(n)
-    g = s.standard_normal((n, k))
-    return Subspace(n, _signed_qr(g))
+        return np.broadcast_to(np.eye(n), (len(bases), n, n)).copy()
+    if k == n:
+        return np.zeros((len(bases), n, 0))
+    q, _ = np.linalg.qr(bases, mode="complete")
+    comp = q[:, :, k:]
+    # Column signs of the complete factor are arbitrary; fix them for
+    # reproducibility: each column's entry of largest magnitude is positive.
+    top = np.argmax(np.abs(comp), axis=1)
+    signs = np.sign(np.take_along_axis(comp, top[:, None, :], axis=1))
+    signs[signs == 0] = 1.0
+    return comp * signs
+
+
+def orthocomplement_batch(bases: np.ndarray) -> np.ndarray:
+    """(count, n, n - k) bases of the orthogonal complements of a (count, n, k)
+    stack of orthonormal bases; row t is ``orthocomplement`` of row t."""
+    b = _stack(bases)
+    _check_orthonormal(b)
+    return _complement(b)
 
 
 def orthocomplement(e: Subspace) -> Subspace:
     """The orthogonal complement, of dimension n - dim(e)."""
-    n, k = e.ambient_dim, e.dim
-    if k == 0:
-        return full_space(n)
-    if k == n:
-        return zero_subspace(n)
-    q, _ = np.linalg.qr(e.basis, mode="complete")
-    comp = q[:, k:]
-    # Column signs of the complete factor are arbitrary; fix them for
-    # reproducibility.
-    signs = np.sign(comp[np.argmax(np.abs(comp), axis=0), np.arange(comp.shape[1])])
-    signs[signs == 0] = 1.0
-    return Subspace(n, comp * signs)
+    return Subspace(e.ambient_dim, _complement(e.basis[None])[0])
 
 
 def span_sum(e: Subspace, f: Subspace) -> Subspace:
@@ -209,6 +247,27 @@ def span_sum(e: Subspace, f: Subspace) -> Subspace:
     return Subspace(n, u[:, :rank])
 
 
+def _cos(e: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """cos(E_t, F_t) for paired stacks already known to be orthonormal."""
+    n = e.shape[1]
+    if e.shape[2] > f.shape[2]:
+        e, f = _complement(e), _complement(f)
+    if e.shape[2] == 0 or f.shape[2] == n:
+        return np.ones(len(e))
+    return cos_from_products(np.swapaxes(f, 1, 2) @ e)
+
+
+def cos_angle_batch(e: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """(count,) values of ``cos_angle`` on two stacks of orthonormal bases,
+    (count, n, dim E) and (count, n, dim F); row t is cos(E_t, F_t)."""
+    e, f = _stack(e), _stack(f)
+    if e.shape[:2] != f.shape[:2]:
+        raise DimensionError(f"stacks of shapes {e.shape} and {f.shape} do not pair up")
+    _check_orthonormal(e)
+    _check_orthonormal(f)
+    return _cos(e, f)
+
+
 def cos_angle(e: Subspace, f: Subspace) -> float:
     """|cos(E, F)|: the factor by which projection onto F scales dim(E)-volume.
 
@@ -219,13 +278,7 @@ def cos_angle(e: Subspace, f: Subspace) -> float:
     """
     if e.ambient_dim != f.ambient_dim:
         raise DimensionError("ambient dimensions differ")
-    if e.dim == 0:
-        return 1.0
-    if e.dim > f.dim:
-        return cos_angle(orthocomplement(e), orthocomplement(f))
-    if f.dim == e.ambient_dim:
-        return 1.0
-    return float(cos_from_products(f.basis.T @ e.basis))
+    return float(_cos(e.basis[None], f.basis[None])[0])
 
 
 def cos_from_products(m: np.ndarray) -> np.ndarray:
@@ -302,12 +355,7 @@ def haar_unit_vectors(n: int, count: int, s: SeededSampler) -> np.ndarray:
 
 def haar_bases_batch(n: int, k: int, count: int, s: SeededSampler) -> np.ndarray:
     """(count, n, k) stack of independent Haar orthonormal bases."""
-    g = s.standard_normal((count, n, k))
-    q, r = np.linalg.qr(g)
-    diag = np.einsum("sii->si", r)
-    signs = np.sign(diag)
-    signs[signs == 0] = 1.0
-    return q * signs[:, None, :]
+    return signed_qr_batch(s.standard_normal((count, n, k)))
 
 
 def unit_vectors_orthogonal_to(v: np.ndarray, s: SeededSampler) -> np.ndarray:

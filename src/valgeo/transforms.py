@@ -72,11 +72,15 @@ class GFunction:
 
     def eval_bases(self, bases: np.ndarray) -> np.ndarray:
         """Evaluate on a (count, n, k) stack of orthonormal bases."""
+        label = self.name or "GFunction"
         if np.ndim(bases) != 3 or np.shape(bases)[1:] != (self.ambient_dim, self.grass_dim):
+            raise DimensionError(f"{label} expects Gr_{self.grass_dim}(R^{self.ambient_dim})")
+        vals = np.asarray(self.evaluator(bases), dtype=float)
+        if vals.shape != (len(bases),):
             raise DimensionError(
-                f"{self.name or 'GFunction'} expects Gr_{self.grass_dim}(R^{self.ambient_dim})"
+                f"{label} evaluator returned shape {vals.shape} for {len(bases)} bases"
             )
-        return np.asarray(self.evaluator(bases), dtype=float)
+        return vals
 
 
 def constant_gfunction(n: int, k: int, value: float = 1.0) -> GFunction:

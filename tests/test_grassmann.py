@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import ks_2samp
 
 from valgeo.base import unit_ball_volume
@@ -11,6 +12,7 @@ from valgeo.grassmann import (
     Subspace,
     coordinate_subspace,
     cos_angle,
+    cos_angle_batch,
     cos_angles_with_bases,
     ellipsoid_image_volume,
     full_space,
@@ -18,14 +20,17 @@ from valgeo.grassmann import (
     haar_subspace,
     haar_unit_vectors,
     orthocomplement,
+    orthocomplement_batch,
     orthonormal_basis,
     sample_containing,
     sample_within,
+    signed_qr_batch,
     sin_angle,
     span_sum,
     unit_vectors_orthogonal_to,
     zero_subspace,
 )
+from valgeo.suites import _angle_laws
 
 
 def projector_close(e, f, tol=1e-10):
@@ -321,3 +326,138 @@ class TestBatchHelpers:
         w = unit_vectors_orthogonal_to(v, sampler)
         assert np.abs(np.einsum("ij,ij->i", v, w)).max() < 1e-10
         assert np.abs(np.linalg.norm(w, axis=1) - 1.0).max() < 1e-12
+
+
+# The scalar arithmetic of the sign-fixed QR, the complement and the cosine as
+# it was before they became one-row calls into the stacked primitives.
+def reference_signed_qr(m):
+    q, r = np.linalg.qr(m)
+    signs = np.sign(np.diag(r))
+    signs[signs == 0] = 1.0
+    return q * signs
+
+
+def reference_orthocomplement(basis):
+    n, k = basis.shape
+    if k == 0:
+        return np.eye(n)
+    if k == n:
+        return np.zeros((n, 0))
+    q, _ = np.linalg.qr(basis, mode="complete")
+    comp = q[:, k:]
+    signs = np.sign(comp[np.argmax(np.abs(comp), axis=0), np.arange(comp.shape[1])])
+    signs[signs == 0] = 1.0
+    return comp * signs
+
+
+def reference_cos_angle(e, f):
+    n = e.shape[0]
+    if e.shape[1] == 0:
+        return 1.0
+    if e.shape[1] > f.shape[1]:
+        return reference_cos_angle(reference_orthocomplement(e), reference_orthocomplement(f))
+    if f.shape[1] == n:
+        return 1.0
+    sv = np.linalg.svd(f.T @ e, compute_uv=False)
+    return float(np.prod(np.clip(sv, 0.0, 1.0)))
+
+
+def reference_angle_laws(n, s):
+    """The angles suite's law loop as it ran before it was batched: one trial
+    at a time through the scalar samplers and functionals."""
+    sym_dev = perp_dev = branch_dev = range_dev = 0.0
+    for t in range(100):
+        i = 1 + t % (n - 1)
+        j = 1 + (t // 7) % (n - 1)
+        e = haar_subspace(n, i, s)
+        f = haar_subspace(n, j, s)
+        ce, cf = cos_angle(e, f), cos_angle(f, e)
+        cp = cos_angle(orthocomplement(e), orthocomplement(f))
+        se, sf = sin_angle(e, f), sin_angle(f, e)
+        sp = sin_angle(orthocomplement(e), orthocomplement(f))
+        sym_dev = max(sym_dev, abs(ce - cf), abs(se - sf))
+        perp_dev = max(perp_dev, abs(ce - cp), abs(se - sp))
+        for val in (ce, cf, cp, se, sf, sp):
+            range_dev = max(range_dev, -val, val - 1.0)
+        if i == j:
+            direct = float(np.prod(np.linalg.svd(f.basis.T @ e.basis, compute_uv=False)))
+            branch_dev = max(branch_dev, abs(direct - cp))
+    return float(sym_dev), float(perp_dev), float(branch_dev), float(range_dev)
+
+
+class TestBatchedAngleLaws:
+    @pytest.mark.parametrize("seed", [99, 1234, 3456993387, 2906882619])
+    def test_equal_to_per_trial_loop(self, seed):
+        for n in range(2, 8):
+            batched = _angle_laws(n, SeededSampler(seed, stream_id=n))
+            assert batched == reference_angle_laws(n, SeededSampler(seed, stream_id=n))
+
+
+def _orthonormal_stack(rng, count, n, k):
+    return signed_qr_batch(rng.standard_normal((count, n, k)))
+
+
+class TestStackedPrimitives:
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 7), count=st.integers(1, 5))
+    def test_rows_equal_scalar_arithmetic(self, seed, n, count):
+        rng = np.random.default_rng(seed)
+        for ke in range(n + 1):
+            g = rng.standard_normal((count, n, ke))
+            e = signed_qr_batch(g)
+            comp = orthocomplement_batch(e)
+            assert comp.shape == (count, n, n - ke)
+            for kf in range(n + 1):
+                f = _orthonormal_stack(rng, count, n, kf)
+                cos = cos_angle_batch(e, f)
+                for t in range(count):
+                    assert cos[t] == reference_cos_angle(e[t], f[t])
+            for t in range(count):
+                assert np.array_equal(e[t], reference_signed_qr(g[t]))
+                assert np.array_equal(comp[t], reference_orthocomplement(e[t]))
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 7), count=st.integers(1, 5))
+    def test_symmetry_complement_and_range_laws(self, seed, n, count):
+        rng = np.random.default_rng(seed)
+        for ke in range(n + 1):
+            for kf in range(n + 1):
+                e = _orthonormal_stack(rng, count, n, ke)
+                f = _orthonormal_stack(rng, count, n, kf)
+                oce, ocf = orthocomplement_batch(e), orthocomplement_batch(f)
+                ce, cf = cos_angle_batch(e, f), cos_angle_batch(f, e)
+                cp = cos_angle_batch(oce, ocf)
+                se, sf = cos_angle_batch(e, ocf), cos_angle_batch(f, oce)
+                sp = cos_angle_batch(oce, orthocomplement_batch(ocf))
+                assert np.abs(ce - cf).max() <= 1e-10
+                assert np.abs(se - sf).max() <= 1e-10
+                assert np.abs(ce - cp).max() <= 1e-10
+                assert np.abs(se - sp).max() <= 1e-10
+                vals = np.concatenate([ce, cf, cp, se, sf, sp])
+                assert vals.min() >= -1e-10 and vals.max() <= 1.0 + 1e-10
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 7), count=st.integers(1, 5),
+           data=st.data())
+    def test_non_orthonormal_row_raises(self, seed, n, count, data):
+        k = data.draw(st.integers(1, n))
+        bad_row = data.draw(st.integers(0, count - 1))
+        rng = np.random.default_rng(seed)
+        good = _orthonormal_stack(rng, count, n, k)
+        bad = good.copy()
+        bad[bad_row, :, k - 1] *= 1.001
+        with pytest.raises(ValueError):
+            orthocomplement_batch(bad)
+        with pytest.raises(ValueError):
+            cos_angle_batch(bad, good)
+        with pytest.raises(ValueError):
+            cos_angle_batch(good, bad)
+
+    def test_stack_shapes_are_checked(self):
+        e = _orthonormal_stack(np.random.default_rng(0), 3, 4, 2)
+        with pytest.raises(DimensionError):
+            cos_angle_batch(e, e[:2])
+        with pytest.raises(DimensionError):
+            cos_angle_batch(e, _orthonormal_stack(np.random.default_rng(1), 3, 5, 2))
+        with pytest.raises(DimensionError):
+            orthocomplement_batch(e[0])

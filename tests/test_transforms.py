@@ -44,6 +44,16 @@ class TestGFunction:
         with pytest.raises(DimensionError):
             f.eval_bases(np.zeros((3, 1)))  # not a stack
 
+    def test_evaluator_output_shape_is_checked(self, sampler):
+        # A scalar-valued evaluator must not broadcast over a chunk.
+        f = T.GFunction(3, 1, lambda bases: 2.0)
+        with pytest.raises(DimensionError):
+            f.eval_bases(haar_bases_batch(3, 1, 4, sampler))
+        with pytest.raises(DimensionError):
+            f(haar_subspace(3, 1, sampler))
+        with pytest.raises(DimensionError):
+            T.radon_apply(f, 2, coordinate_subspace(3, [0, 1]), 100, sampler)
+
 
 class TestRadon:
     def test_constant_is_constant(self, sampler):
