@@ -11,10 +11,17 @@ functionals are
 with the conventions cos = 1 on the zero subspace (empty product) and the
 higher-dimensional branch evaluated through orthocomplements.
 
-The sign-fixed QR, the orthocomplement and the cosine are computed on
-(count, n, k) stacks of bases (``signed_qr_batch``, ``orthocomplement_batch``,
-``cos_angle_batch``); the functions on one ``Subspace`` are one-row calls into
-the same code, so a row of a stack equals the scalar result bit for bit.
+Haar frames come from ``haar_frames``: classical Gram-Schmidt, with one
+reorthogonalisation pass, of a (count, n, k) stack of Gaussian matrices.  Its
+Q factor has a positive R diagonal, so it is the Haar sample itself (Mezzadri
+2007) and needs neither LAPACK nor a sign fix.  The sign-fixed QR
+(``signed_qr_batch``) is kept for ``orthonormal_basis``, which orthonormalises
+arbitrary rank-checked input.
+
+The orthocomplement and the cosine are computed on stacks of bases
+(``orthocomplement_batch``, ``cos_angle_batch``).  Every sampler and every
+function on one ``Subspace`` is a one-row call into the same code as its
+stacked form, so a row of a stack equals the scalar result bit for bit.
 """
 
 from __future__ import annotations
@@ -159,8 +166,8 @@ def signed_qr_batch(m: np.ndarray) -> np.ndarray:
     """Q factors of a (count, n, k) stack with the signs of R's diagonals fixed
     positive.
 
-    Makes the decomposition unique for full-rank input, so Haar sampling is
-    reproducible bit for bit.  Row t equals the QR of ``m[t]`` alone.
+    Makes the decomposition unique for full-rank input.  Row t equals the QR
+    of ``m[t]`` alone.
     """
     q, r = np.linalg.qr(m)
     signs = np.sign(np.einsum("...ii->...i", r))
@@ -168,8 +175,23 @@ def signed_qr_batch(m: np.ndarray) -> np.ndarray:
     return q * signs[..., None, :]
 
 
-def _signed_qr(m: np.ndarray) -> np.ndarray:
-    return signed_qr_batch(m[None])[0]
+def haar_frames(g: np.ndarray) -> np.ndarray:
+    """Orthonormal frames of a (count, n, k) stack of Gaussian matrices.
+
+    Classical Gram-Schmidt, column by column for the whole stack, with a
+    second projection pass that keeps the columns orthonormal to rounding
+    even for ill-conditioned draws.  The result is the Q factor whose R has
+    a positive diagonal, which makes iid Gaussian input a Haar frame.  Row t
+    equals the frame of ``g[t]`` alone bit for bit.
+    """
+    q = np.array(np.swapaxes(_stack(g), 1, 2))  # (count, k, n): columns contiguous
+    for j in range(q.shape[1]):
+        v, done = q[:, j], q[:, :j]
+        if j:  # project out the finished columns, then once more
+            for _ in range(2):
+                v -= np.einsum("sin,si->sn", done, np.einsum("sin,sn->si", done, v))
+        v /= np.sqrt(np.einsum("sn,sn->s", v, v))[:, None]
+    return np.ascontiguousarray(np.swapaxes(q, 1, 2))
 
 
 def orthonormal_basis(m: np.ndarray) -> Subspace:
@@ -189,7 +211,7 @@ def orthonormal_basis(m: np.ndarray) -> Subspace:
     sv = np.linalg.svd(m, compute_uv=False)
     if sv.size < k or sv[-1] <= RANK_TOL * max(1.0, sv[0]):
         raise RankError(f"matrix of shape {m.shape} is rank deficient")
-    return Subspace(n, _signed_qr(m))
+    return Subspace(n, signed_qr_batch(m[None])[0])
 
 
 def haar_subspace(n: int, k: int, s: SeededSampler) -> Subspace:
@@ -308,7 +330,7 @@ def sample_containing(h: Subspace, i: int, s: SeededSampler) -> Subspace:
         raise DimensionError(f"need dim H < i <= n, got dim H={k}, i={i}, n={n}")
     comp = orthocomplement(h)
     g = s.standard_normal((n - k, i - k))
-    w = comp.basis @ _signed_qr(g)
+    w = comp.basis @ haar_frames(g[None])[0]
     return Subspace(n, np.hstack([h.basis, w]))
 
 
@@ -320,7 +342,7 @@ def sample_within(h: Subspace, i: int, s: SeededSampler) -> Subspace:
     if i == 0:
         return zero_subspace(n)
     g = s.standard_normal((k, i))
-    return Subspace(n, h.basis @ _signed_qr(g))
+    return Subspace(n, h.basis @ haar_frames(g[None])[0])
 
 
 def ellipsoid_image_volume(a: np.ndarray, l: Subspace) -> float:
@@ -355,7 +377,7 @@ def haar_unit_vectors(n: int, count: int, s: SeededSampler) -> np.ndarray:
 
 def haar_bases_batch(n: int, k: int, count: int, s: SeededSampler) -> np.ndarray:
     """(count, n, k) stack of independent Haar orthonormal bases."""
-    return signed_qr_batch(s.standard_normal((count, n, k)))
+    return haar_frames(s.standard_normal((count, n, k)))
 
 
 def unit_vectors_orthogonal_to(v: np.ndarray, s: SeededSampler) -> np.ndarray:

@@ -27,11 +27,11 @@ from .grassmann import (
     coordinate_subspace,
     cos_angle,
     cos_angle_batch,
+    haar_frames,
     haar_subspace,
     orthocomplement,
     orthocomplement_batch,
     orthonormal_basis,
-    signed_qr_batch,
     span_sum,
     zero_subspace,
 )
@@ -237,8 +237,8 @@ def _angle_laws(n: int, s: SeededSampler) -> tuple[float, float, float, float]:
     sym = perp = branch = beyond = 0.0
     for a, b in sorted(set(zip(i.tolist(), j.tolist()))):
         rows = np.flatnonzero((i == a) & (j == b))
-        e = signed_qr_batch(np.stack([g[starts[r]:starts[r] + n * a].reshape(n, a) for r in rows]))
-        f = signed_qr_batch(np.stack([g[starts[r] + n * a:ends[r]].reshape(n, b) for r in rows]))
+        e = haar_frames(np.stack([g[starts[r]:starts[r] + n * a].reshape(n, a) for r in rows]))
+        f = haar_frames(np.stack([g[starts[r] + n * a:ends[r]].reshape(n, b) for r in rows]))
         oce, ocf = orthocomplement_batch(e), orthocomplement_batch(f)
         ce, cf = cos_angle_batch(e, f), cos_angle_batch(f, e)
         cp = cos_angle_batch(oce, ocf)

@@ -69,8 +69,11 @@ def _old_lemma24_direct(f, i, k, l, n_samples, s):
 
 
 def _old_kubota_cube4_v2(n_samples, s):
-    """The per-sample hull loop of the old Kubota estimator, k = 2 on the 4-cube."""
+    """The hand-written chunk loop of the old Kubota estimator, k = 2 on the
+    4-cube: (estimate, shadows, areas), with the areas from the estimator's
+    own planar-shadow arithmetic."""
     cube = B.make_cube(4)
+    shadows = np.empty((n_samples, cube.n_vertices, 2))
     vals = np.empty(n_samples)
     done = 0
     chunk_idx = 0
@@ -78,13 +81,13 @@ def _old_kubota_cube4_v2(n_samples, s):
         c = min(8192, n_samples - done)
         bases = haar_bases_batch(4, 2, c, s.substream(chunk_idx))
         proj = np.einsum("vn,snk->svk", cube.vertices, bases)
-        for t in range(c):
-            vals[done + t] = ConvexHull(proj[t]).volume
+        shadows[done : done + c] = proj
+        vals[done : done + c] = B.shadow_area_perimeter(proj)[0]
         done += c
         chunk_idx += 1
     est = mean_and_stderr(vals)
     coeff = B.kubota_coefficient(4, 2)
-    return Estimate(coeff * est.value, coeff * est.stderr)
+    return Estimate(coeff * est.value, coeff * est.stderr), shadows, vals
 
 
 def test_batched_estimator_matches_old_loop():
@@ -96,7 +99,11 @@ def test_batched_estimator_matches_old_loop():
 
 def test_per_sample_estimator_matches_old_loop():
     new = B.kubota_estimate(B.make_cube(4), 2, BUDGET, SeededSampler(42))
-    assert new == _old_kubota_cube4_v2(BUDGET, SeededSampler(42))
+    old, shadows, areas = _old_kubota_cube4_v2(BUDGET, SeededSampler(42))
+    assert new == old
+    # Every planar-shadow area agrees with Qhull's per sample.
+    qhull = np.array([ConvexHull(x).volume for x in shadows])
+    assert np.abs(areas / qhull - 1.0).max() <= 1e-12
 
 
 # The per-sample loops that the batched transforms replaced.  Each batched

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import ks_2samp
 
-from valgeo.base import unit_ball_volume
+from valgeo.base import mean_and_stderr, unit_ball_volume
 from valgeo.errors import DimensionError, RankError
 from valgeo.grassmann import (
     SeededSampler,
@@ -17,6 +17,7 @@ from valgeo.grassmann import (
     ellipsoid_image_volume,
     full_space,
     haar_bases_batch,
+    haar_frames,
     haar_subspace,
     haar_unit_vectors,
     orthocomplement,
@@ -461,3 +462,74 @@ class TestStackedPrimitives:
             cos_angle_batch(e, _orthonormal_stack(np.random.default_rng(1), 3, 5, 2))
         with pytest.raises(DimensionError):
             orthocomplement_batch(e[0])
+
+
+def _assert_haar_frame_rows(q, g, ortho_tol):
+    """Each row of q has orthonormal columns and Q^T g is upper triangular
+    with a positive diagonal: q is the R-positive Q factor of g."""
+    k = g.shape[2]
+    gram = np.swapaxes(q, 1, 2) @ q
+    assert np.abs(gram - np.eye(k)).max(initial=0.0) <= ortho_tol
+    r = np.swapaxes(q, 1, 2) @ g
+    scale = np.abs(g).max(axis=(1, 2), initial=1.0)[:, None, None]
+    assert np.all(np.abs(np.tril(r, -1)) <= 1e-13 * scale)
+    assert np.all(np.einsum("sii->si", r) > 0.0)
+
+
+class TestHaarFrames:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 7), count=st.integers(1, 6))
+    def test_rows_are_r_positive_q_factors(self, seed, n, count):
+        rng = np.random.default_rng(seed)
+        for k in range(n + 1):
+            g = rng.standard_normal((count, n, k))
+            q = haar_frames(g)
+            assert q.shape == (count, n, k) and q.flags.c_contiguous
+            for t in range(count):
+                assert np.array_equal(haar_frames(g[t : t + 1])[0], q[t])
+            _assert_haar_frame_rows(q, g, 1e-14)
+            # Both are the R-positive Q factor, so they agree on draws that
+            # are not ill-conditioned, up to rounding.
+            cond = np.array([np.linalg.cond(x) if k else 1.0 for x in g])
+            well = cond <= 100.0
+            gap = np.abs(q[well] - signed_qr_batch(g[well]))
+            assert gap.max(initial=0.0) <= 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 7), count=st.integers(1, 6),
+           data=st.data())
+    def test_orthonormal_with_nearly_parallel_columns(self, seed, n, count, data):
+        k = data.draw(st.integers(2, n))  # includes square stacks
+        a, b = sorted(data.draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2,
+                                         unique=True)))
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((count, n, k))
+        g[:, :, b] = g[:, :, a] + 1e-8 * rng.standard_normal((count, n))
+        assert np.linalg.cond(g).min() > 1e7
+        q = haar_frames(g)
+        _assert_haar_frame_rows(q, g, 1e-14)
+        for t in range(count):
+            assert np.array_equal(haar_frames(g[t : t + 1])[0], q[t])
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_first_axis_weight_matches_exact_mean(self, n):
+        # For a Haar k-frame F in R^n, |F^T e_1|^2 has mean k/n.
+        for k in range(n + 1):
+            f = haar_bases_batch(n, k, 20_000, SeededSampler(5150 + n, stream_id=k))
+            est = mean_and_stderr(np.einsum("sk,sk->s", f[:, 0], f[:, 0]))
+            # k = 0 and k = n are exact up to rounding: stderr is ~0 there.
+            assert abs(est.value - k / n) <= 4.0 * est.stderr + 1e-14
+
+    def test_stack_shape_is_checked(self):
+        with pytest.raises(DimensionError):
+            haar_frames(np.ones((3, 2)))
+        with pytest.raises(DimensionError):
+            haar_frames(np.ones((1, 2, 3)))
+
+    def test_samplers_draw_through_haar_frames(self):
+        g = SeededSampler(12, 3).standard_normal((1, 5, 2))
+        assert np.array_equal(haar_subspace(5, 2, SeededSampler(12, 3)).basis,
+                              haar_frames(g)[0])
+        h = haar_subspace(5, 2, SeededSampler(13))
+        inside = h.basis @ haar_frames(SeededSampler(14).standard_normal((1, 2, 1)))[0]
+        assert np.array_equal(sample_within(h, 1, SeededSampler(14)).basis, inside)

@@ -317,3 +317,33 @@ class TestBackends:
         backend, warned = import_valgeo(package_copy(tmp_path, library=library))
         assert backend == "c"
         assert warned == []
+
+
+def run_suite_files(path, suite, samples, out, **env):
+    """Run ``valgeo <suite>`` at seed 1234 from ``path`` in a fresh interpreter:
+    (backend, {report file name: bytes})."""
+    base = {k: v for k, v in os.environ.items() if k != "VALGEO_PURE_PYTHON"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "valgeo", suite, "--seed", "1234",
+         "--samples", str(samples), "--out", str(out)],
+        capture_output=True, text=True, env=dict(base, PYTHONPATH=str(path), **env),
+    )
+    # Exit status 1 is a failed check at the reduced budget; the report is
+    # still written and must still match.
+    assert proc.returncode in (0, 1), proc.stderr
+    backend = proc.stdout.split("kernel backend ")[1].split()[0]
+    return backend, {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("suite, samples", [("angles", 1024), ("hadwiger", 4096)])
+def test_reports_are_identical_under_both_backends(tmp_path, built_kernel_dir, suite, samples):
+    if built_kernel_dir is None:
+        pytest.skip("no C compiler on PATH")
+    library = (built_kernel_dir / LIB_NAME).read_bytes()
+    compiled = package_copy(tmp_path / "c", library=library)
+    c_backend, c_files = run_suite_files(compiled, suite, samples, tmp_path / "out-c")
+    py_backend, py_files = run_suite_files(compiled, suite, samples, tmp_path / "out-python",
+                                           VALGEO_PURE_PYTHON="1")
+    assert (c_backend, py_backend) == ("c", "python")
+    assert f"{suite}_report.json" in c_files
+    assert c_files == py_files
