@@ -54,8 +54,8 @@ else:
                   else f"failed to load ({exc})")
         warnings.warn(
             f"valgeo: the compiled hull-distance kernel {reason}; using the "
-            f"pure-NumPy kernel, about ten times slower. Build it with "
-            f"`{BUILD_COMMAND}` (needs only a C compiler).",
+            f"slower pure-NumPy kernel (benchmarks/bench_kernels.py measures by "
+            f"how much). Build it with `{BUILD_COMMAND}` (needs only a C compiler).",
             RuntimeWarning,
         )
 

@@ -3,7 +3,8 @@
 Polytopes are stored by their extreme points.  Exact volumes go through
 Qhull (intended range n <= 6), except planar shadows, which are measured a
 whole Monte-Carlo chunk at a time; Minkowski-ball volumes vol(K + eps D) are
-estimated by Monte-Carlo membership using the min-norm-point kernel; the
+estimated by Monte-Carlo membership, decided by facet certificates where
+they are conclusive and by the min-norm-point kernel elsewhere; the
 Cauchy-Kubota estimator is calibrated to be exact on the unit ball.
 """
 
@@ -17,6 +18,7 @@ from typing import Sequence
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
+from . import trace
 from ._kernels import hull_distances
 from .base import Estimate, mc_chunks, mean_and_stderr, unit_ball_volume
 from .errors import ConditioningWarning, DimensionError
@@ -25,6 +27,11 @@ from .grassmann import SeededSampler, Subspace, haar_bases_batch, haar_unit_vect
 _DEDUP_TOL = 1e-9
 _AFFINE_TOL = 1e-9
 _SHADOW_BLOCK = 1 << 14
+_CONTAINS_TOL = 1e-9   # contains_points: dist <= tol * (1 + max|v|)
+_MARGIN = 1e-9         # _within decides a point only this far (times 1 + max|v|) from a threshold
+_COPLANAR_TOL = 1e-12  # facet rows merged by _facet_inequalities
+_AUDIT_STRIDE = 64     # _within also sends every 64th decided point to Wolfe
+_FACET_BLOCK = 1 << 17  # _within brackets points in blocks of this many point-facet pairs
 
 
 # ---------------------------------------------------------------------------
@@ -378,9 +385,131 @@ def dist_to_polytope(x, p: Polytope) -> float:
     return float(hull_distances(x, p.vertices)[0])
 
 
-def contains_points(p: Polytope, points: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    scale_ = 1.0 + float(np.abs(p.vertices).max())
-    return hull_distances(points, p.vertices) <= tol * scale_
+def _hull_scale(p: Polytope) -> float:
+    return 1.0 + float(np.abs(p.vertices).max())
+
+
+def contains_points(p: Polytope, points: np.ndarray, tol: float = _CONTAINS_TOL) -> np.ndarray:
+    """dist(x, P) <= tol * (1 + max|v|) for each row x of ``points``."""
+    thresholds = np.array([tol * _hull_scale(p)])
+    return _within(p, _facet_inequalities(p), points, thresholds)[0]
+
+
+def _facet_inequalities(p: Polytope) -> tuple[np.ndarray, np.ndarray, np.ndarray, float] | None:
+    """P's H-representation (A, b, A A^T, m) with P = {x : A x <= b}, or None.
+
+    The rows of A are unit facet normals from Qhull.  Qhull triangulates
+    non-simplicial facets, and the pieces of one facet share its hyperplane,
+    so rows that agree to 1e-12 (offsets relative to the scale 1 + max|v|)
+    are merged into one.  m = 1e-9 * (1 + max|v|) is the decision margin of
+    ``_within``.  None means there is no certificate and every point goes to
+    Wolfe: for flat bodies, which have no facets in their ambient space, and
+    when Qhull fails or a vertex breaks a facet inequality by more than
+    rounding.
+    """
+    if p.affine_dim < p.ambient_dim or p.ambient_dim < 2:
+        return None
+    try:
+        eq = ConvexHull(p.vertices).equations
+    except QhullError:
+        return None
+    scale_ = _hull_scale(p)
+    gap = np.zeros((eq.shape[0], eq.shape[0]))
+    for col in np.hstack([eq[:, :-1], eq[:, -1:] / scale_]).T:
+        np.maximum(gap, np.abs(col[:, None] - col[None, :]), out=gap)
+    merged = np.tril(gap <= _COPLANAR_TOL, -1).any(axis=1)
+    a, b = eq[~merged, :-1], -eq[~merged, -1]
+    margin = _MARGIN * scale_
+    if (p.vertices @ a.T - b).max() > 1e-3 * margin:
+        return None
+    return a, b, a @ a.T, margin
+
+
+def _within(p: Polytope, facets, points: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """The (T, N) boolean matrix dist(points[i], P) <= thresholds[j].
+
+    It equals ``hull_distances(points, p.vertices)[None] <= thresholds[:, None]``
+    but runs Wolfe only where it must.  ``facets`` is
+    ``_facet_inequalities(p)``; ``_bracket`` turns it into a lower and an
+    upper bound on each point's distance.  A point is decided when every
+    threshold lies at least the margin m outside its bracket; the margin
+    covers rounding in the bounds and in Wolfe's own result.  The other
+    points, and every ``_AUDIT_STRIDE``-th point as a check, go to
+    ``hull_distances``, whose answer is the one returned for them.  The
+    totals are added to ``trace.counters``.
+    """
+    pts = np.asarray(points, dtype=float)
+    t = np.asarray(thresholds, dtype=float)[:, None]
+    count = pts.shape[0]
+    out = np.zeros((t.shape[0], count), dtype=bool)
+    decided = np.zeros(count, dtype=bool)
+    if facets is not None:
+        m = facets[3]
+        lower, upper = np.empty(count), np.empty(count)
+        step = max(1, _FACET_BLOCK // max(facets[0].shape[0], p.n_vertices))
+        for lo in range(0, count, step):
+            block = slice(lo, lo + step)
+            lower[block], upper[block] = _bracket(p, facets, pts[block], t.max())
+        out[:] = t >= upper + m
+        decided = (out | (t <= lower - m)).all(axis=0)
+    audit = np.zeros(count, dtype=bool)
+    audit[::_AUDIT_STRIDE] = True
+    audit &= decided
+    sent = np.flatnonzero(~decided | audit)
+    mismatches = 0
+    if sent.size:
+        wolfe = hull_distances(pts[sent], p.vertices)[None] <= t
+        mismatches = int(np.count_nonzero((wolfe != out[:, sent]).any(axis=0) & audit[sent]))
+        out[:, sent] = wolfe
+    within_all = out.all(axis=0)
+    c = trace.counters
+    c["certified_inside"] += int(np.count_nonzero(decided & within_all))
+    c["certified_outside"] += int(np.count_nonzero(decided & ~within_all))
+    c["sent_to_wolfe"] += count - int(np.count_nonzero(decided))
+    c["audited"] += int(np.count_nonzero(audit))
+    c["audit_mismatches"] += mismatches
+    return out
+
+
+def _bracket(p: Polytope, facets, x: np.ndarray, t_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper bounds on dist(x, P) for each row x, from P's facets.
+
+    * lower: the largest facet violation viol_k = a_k.x - b_k, clamped at 0;
+    * upper: 0 if every violation is <= -m (x lies inside P).  Otherwise
+      |viol_k| if the projection y = x - viol_k a_k onto that facet's
+      hyperplane satisfies every other facet with violation <= -m (y then
+      lies in P, and no vertex is nearer), else the distance to the nearest
+      vertex.  The violations of y are viol - viol_k (A a_k), so y is never
+      formed.
+
+    The nearest vertex minimises |x|^2 - 2 x.v + |v|^2 (|x|^2 is left out),
+    which needs no (N, V, n) temporary; its distance is then taken as
+    |x - v|, which keeps full relative accuracy near a vertex.  Points beyond every
+    threshold by the lower bound alone (lower >= t_max + m) get upper = inf.
+    Arrays are laid out (facets or vertices, points), so that reductions run
+    along the long axis.
+    """
+    a, b, gram, m = facets
+    viol = a @ x.T - b[:, None]
+    top = viol.max(axis=0)
+    lower = np.maximum(top, 0.0)
+    upper = np.where(top <= -m, 0.0, np.inf)
+    need = np.flatnonzero((top > -m) & (lower - m < t_max))
+    if need.size:
+        viol, top = np.take(viol, need, axis=1), top[need]
+        k = np.argmax(viol == top, axis=0)
+        moved = viol - top * np.take(gram, k, axis=1)
+        moved[k, np.arange(need.size)] = -np.inf
+        bound = np.abs(top)
+        off_facet = np.flatnonzero((moved > -m).any(axis=0))  # projection leaves P
+        if off_facet.size:
+            v = p.vertices
+            xv = np.take(x, need[off_facet], axis=0).T
+            nearest = np.argmin(np.einsum("ij,ij->i", v, v)[:, None] - 2.0 * (v @ xv), axis=0)
+            diff = xv - np.take(v, nearest, axis=0).T
+            bound[off_facet] = np.sqrt(np.einsum("ij,ij->j", diff, diff))
+        upper[need] = bound
+    return lower, upper
 
 
 def _sobol_draw(engine, count: int) -> np.ndarray:
@@ -401,6 +530,12 @@ def mc_hull_volume(p: Polytope, n_samples: int, s: SeededSampler,
     ``method="mc"`` draws plain uniform points, so the returned standard
     error has the usual binomial meaning; ``method="qmc"`` uses a seeded
     scrambled Sobol net for a tighter estimate (stderr then conservative).
+
+    Each point is counted as ``contains_points`` would count it.  Most
+    points are decided by facet certificates (``_within``); the rest, and an
+    audit sample, go to Wolfe's kernel.  Qhull supplies only the facet
+    inequalities, once per call, never a volume, so the estimate stays
+    independent of Qhull volumes.
     """
     if method not in ("mc", "qmc"):
         raise ValueError(f"unknown method {method!r}")
@@ -414,6 +549,8 @@ def mc_hull_volume(p: Polytope, n_samples: int, s: SeededSampler,
         from scipy.stats import qmc
 
         engine = qmc.Sobol(d=p.ambient_dim, scramble=True, seed=s.substream(0).rng)
+    facets = _facet_inequalities(p)
+    threshold = np.array([_CONTAINS_TOL * _hull_scale(p)])
     hits = 0
     for _, c, sub in mc_chunks(n_samples, s):
         if engine is not None:
@@ -421,7 +558,7 @@ def mc_hull_volume(p: Polytope, n_samples: int, s: SeededSampler,
         else:
             u = sub.uniform(size=(c, p.ambient_dim))
         pts = lo + u * widths
-        hits += int(np.count_nonzero(contains_points(p, pts)))
+        hits += int(np.count_nonzero(_within(p, facets, pts, threshold)))
     frac = hits / n_samples
     stderr = box_vol * math.sqrt(max(frac * (1.0 - frac), 0.0) / n_samples)
     return Estimate(box_vol * frac, stderr)
@@ -644,6 +781,8 @@ def parallel_body_volumes(
     reproducible) serves the whole grid: the estimates are then monotone in
     eps, which stabilizes the polynomial fit.  The reported standard errors
     use the binomial formula and are conservative for scrambled nets.
+    Membership is decided as in ``mc_hull_volume``, by facet certificates
+    with an audited Wolfe fallback.
     """
     from scipy.stats import qmc
 
@@ -655,11 +794,11 @@ def parallel_body_volumes(
     widths = hi - lo
     box_vol = float(np.prod(widths))
     engine = qmc.Sobol(d=p.ambient_dim, scramble=True, seed=s.substream(0).rng)
+    facets = _facet_inequalities(p)
     counts = np.zeros(len(eps_grid), dtype=np.int64)
     for _, c, _ in mc_chunks(n_samples, s):
         pts = lo + _sobol_draw(engine, c) * widths
-        d = hull_distances(pts, p.vertices)
-        counts += (d[None, :] <= eps_grid[:, None]).sum(axis=1)
+        counts += _within(p, facets, pts, eps_grid).sum(axis=1)
     frac = counts / n_samples
     vols = box_vol * frac
     stderrs = box_vol * np.sqrt(np.maximum(frac * (1.0 - frac), 0.0) / n_samples)

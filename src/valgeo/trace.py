@@ -1,0 +1,26 @@
+"""Process-wide counters of the certified membership path in ``bodies``.
+
+Every membership count (``contains_points``, ``mc_hull_volume``,
+``parallel_body_volumes``) first tries to decide each point from P's facet
+inequalities and sends only the points it cannot decide to the Wolfe kernel.
+Each call adds its totals here, in points:
+
+* ``certified_inside``: decided without Wolfe, within every threshold;
+* ``certified_outside``: decided without Wolfe, beyond at least one threshold;
+* ``sent_to_wolfe``: not decidable, so measured by ``hull_distances``;
+* ``audited``: decided points measured by ``hull_distances`` as well, as a check;
+* ``audit_mismatches``: audited points where the certificate and Wolfe disagree.
+
+The counters never enter a report.  ``reset()`` sets them back to zero.
+"""
+
+COUNTERS = ("certified_inside", "certified_outside", "sent_to_wolfe", "audited",
+            "audit_mismatches")
+
+counters = dict.fromkeys(COUNTERS, 0)
+
+
+def reset() -> None:
+    """Set every counter to zero."""
+    for key in COUNTERS:
+        counters[key] = 0

@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.spatial import ConvexHull, QhullError
 
-from valgeo import bodies as B
-from valgeo.base import unit_ball_volume
+from valgeo import bodies as B, trace
+from valgeo.base import mc_chunks, unit_ball_volume
 from valgeo.errors import ConditioningWarning, DimensionError
 from valgeo.grassmann import (
     SeededSampler,
@@ -185,6 +185,109 @@ class TestVolumes:
     def test_interval(self):
         p = B.Polytope(1, [[0.0], [2.5]])
         assert B.hull_volume(p) == pytest.approx(2.5)
+
+
+def _wolfe_within(p, points, thresholds):
+    """The membership matrix the certificate must reproduce: Wolfe only."""
+    return B.hull_distances(points, p.vertices)[None] <= np.asarray(thresholds)[:, None]
+
+
+def _facet_points(p, rng, count):
+    """Random points of P's facets, each with its facet's outward unit normal."""
+    hull = ConvexHull(p.vertices)
+    facets = rng.integers(0, len(hull.simplices), size=count)
+    weights = rng.dirichlet(np.ones(p.ambient_dim), size=count)
+    on = np.einsum("ck,ckn->cn", weights, p.vertices[hull.simplices[facets]])
+    return on, hull.equations[facets, :-1]
+
+
+class TestCertifiedMembership:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 4),
+        m=st.integers(5, 20),
+        kind=st.sampled_from(["sphere", "gaussian", "anisotropic", "cube"]),
+    )
+    def test_equals_wolfe(self, seed, n, m, kind):
+        rng = np.random.default_rng(seed)
+        if kind == "cube":  # non-simplicial facets, rotated and shifted
+            q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            raw = B.make_cube(n).vertices @ q.T + rng.uniform(-3, 3, n)
+        else:
+            raw = rng.standard_normal((max(m, n + 1), n))
+            if kind == "sphere":
+                raw /= np.linalg.norm(raw, axis=1, keepdims=True)
+            elif kind == "anisotropic":
+                raw *= 10.0 ** rng.uniform(-2, 1, n)
+        p = B.Polytope(n, raw)
+        assume(p.affine_dim == n)
+        scale = B._hull_scale(p)
+        t = np.sort(np.concatenate([[1e-9 * scale], rng.uniform(0, 0.5, 3) * p.diameter()]))
+        on, normals = _facet_points(p, rng, 300)
+        offsets = [
+            rng.uniform(-1e-12, 1e-12, (300, 1)) * scale,     # within 1e-12 * scale of a facet
+            t[rng.integers(0, t.size, (300, 1))] + rng.choice([-1e-11, 1e-11], (300, 1)),
+            t[rng.integers(0, t.size, (300, 1))] * rng.uniform(0.5, 1.5, (300, 1)),
+        ]
+        lo, hi = p.bounding_box()
+        points = np.vstack([on + d * normals for d in offsets]
+                           + [p.vertices, lo - t[-1] + rng.random((500, n)) * (hi - lo + 2 * t[-1])])
+        got = B._within(p, B._facet_inequalities(p), points, t)
+        assert np.array_equal(got, _wolfe_within(p, points, t))
+        assert np.array_equal(B.contains_points(p, points), _wolfe_within(p, points, t[:1])[0])
+
+    def test_margin_sends_uncertain_points_to_wolfe(self):
+        p = B.make_cube(3)
+        t = np.array([1e-9 * B._hull_scale(p), 0.25])
+        points = np.array([
+            [0.5, 0.5, 1.0 + 1e-12],     # within the margin of the first threshold
+            [1.0, 1.0, 1.0],             # at a vertex: distance 0, known exactly
+            [0.5, 0.5, 1.25 - 1e-11],    # within the margin of the second threshold
+            [0.5, 0.5, 0.5],             # deep inside
+            [0.5, 0.5, 1.1],             # 0.1 above the top facet's interior
+            [3.0, 3.0, 3.0],             # far outside
+        ])
+        trace.reset()
+        got = B._within(p, B._facet_inequalities(p), points, t)
+        assert got.tolist() == [[True, True, False, True, False, False],
+                                [True, True, True, True, True, False]]
+        assert trace.counters == {"certified_inside": 2, "certified_outside": 2,
+                                  "sent_to_wolfe": 2, "audited": 0, "audit_mismatches": 0}
+
+    def test_coplanar_facets_merged(self):
+        q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((4, 4)))
+        for p, count in ((B.make_cube(3), 6), (B.make_cube(4), 8),
+                         (B.Polytope(4, B.make_cube(4).vertices @ q.T), 8)):
+            a, b, gram, margin = B._facet_inequalities(p)
+            assert a.shape == (count, p.ambient_dim) and b.shape == (count,)
+            assert np.allclose(gram, a @ a.T)
+            assert margin == 1e-9 * B._hull_scale(p)
+
+    @pytest.mark.parametrize("vertices", [
+        [[0.0, 0.0], [1.0, 0.7]],                                  # tilted segment in R^2
+        [[0.0, 0.0, 0.0], [1.0, 0.2, 0.3], [0.1, 0.9, -0.4]],       # triangle in R^3
+    ])
+    def test_flat_bodies_go_to_wolfe(self, vertices):
+        p = B.Polytope(len(vertices[0]), vertices)
+        assert p.affine_dim < p.ambient_dim and B._facet_inequalities(p) is None
+        n_samples = 3000
+        trace.reset()
+        est = B.mc_hull_volume(p, n_samples, SeededSampler(4))
+        assert trace.counters["sent_to_wolfe"] == n_samples
+        assert trace.counters["certified_inside"] + trace.counters["certified_outside"] == 0
+        lo, hi = p.bounding_box()
+        hits = 0
+        for _, c, sub in mc_chunks(n_samples, SeededSampler(4)):
+            pts = lo + sub.uniform(size=(c, p.ambient_dim)) * (hi - lo)
+            hits += int(np.count_nonzero(_wolfe_within(p, pts, [1e-9 * B._hull_scale(p)])))
+        box_vol = float(np.prod(hi - lo))
+        frac = hits / n_samples
+        assert box_vol > 0.0
+        assert est == (box_vol * frac, box_vol * math.sqrt(frac * (1.0 - frac) / n_samples))
+        # Points on the body itself are inside, through Wolfe.
+        on = np.random.default_rng(5).dirichlet(np.ones(len(vertices)), 50) @ p.vertices
+        assert B.contains_points(p, on).all()
 
 
 class TestMinkowskiSegment:

@@ -335,7 +335,8 @@ def run_suite_files(path, suite, samples, out, **env):
     return backend, {f.name: f.read_bytes() for f in sorted(out.iterdir())}
 
 
-@pytest.mark.parametrize("suite, samples", [("angles", 1024), ("hadwiger", 4096)])
+@pytest.mark.parametrize("suite, samples", [("angles", 1024), ("hadwiger", 4096),
+                                            ("steiner", 4096)])
 def test_reports_are_identical_under_both_backends(tmp_path, built_kernel_dir, suite, samples):
     if built_kernel_dir is None:
         pytest.skip("no C compiler on PATH")

@@ -1,0 +1,56 @@
+"""Counters of the certified membership path (``valgeo.trace``)."""
+
+import numpy as np
+import pytest
+
+from valgeo import bodies as B, trace
+from valgeo.grassmann import SeededSampler
+from valgeo.suites import RunConfig, run_suite
+
+
+def certified(counters):
+    return counters["certified_inside"] + counters["certified_outside"]
+
+
+@pytest.mark.parametrize("suite, samples", [("angles", 1024), ("hadwiger", 4096),
+                                            ("steiner", 4096)])
+def test_suites_certify_without_mismatches(suite, samples):
+    trace.reset()
+    run_suite(suite, RunConfig(seed=1234, samples=samples))
+    c = dict(trace.counters)
+    assert c["audit_mismatches"] == 0
+    assert c["audited"] > 0
+    if suite == "steiner":
+        # Points nearest an edge of an R^3 body still need Wolfe.
+        assert 0 < c["sent_to_wolfe"] < certified(c)
+    else:
+        assert c["sent_to_wolfe"] == 0
+
+
+def test_reset_zeroes_every_counter():
+    trace.counters["audited"] += 3
+    trace.reset()
+    assert trace.counters == dict.fromkeys(trace.COUNTERS, 0)
+
+
+def test_audit_counts_disagreement_with_wolfe(monkeypatch):
+    wolfe = B.hull_distances
+    monkeypatch.setattr(B, "hull_distances", lambda pts, verts: wolfe(pts, verts) + 1.0)
+    trace.reset()
+    n_samples = 4096
+    B.mc_hull_volume(B.make_cube(3, centered=True), n_samples, SeededSampler(6))
+    c = dict(trace.counters)
+    # The sampling box is the cube itself, so every point is certified
+    # inside, and every audited one is "outside" by the broken kernel.
+    assert c["sent_to_wolfe"] == 0
+    assert c["audit_mismatches"] == c["audited"] == n_samples // 64
+
+
+def test_counters_add_up_per_call():
+    p = B.make_simplex(3)
+    pts = np.random.default_rng(2).uniform(-0.5, 1.5, size=(1000, 3))
+    trace.reset()
+    B.contains_points(p, pts)
+    c = dict(trace.counters)
+    assert certified(c) + c["sent_to_wolfe"] == len(pts)
+    assert c["audited"] == len(range(0, len(pts), 64))
