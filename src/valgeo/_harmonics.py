@@ -100,17 +100,27 @@ class HarmonicBlock:
 
     def eval_points(self, x: np.ndarray) -> np.ndarray:
         """Evaluate the block at unit vectors; returns (npoints, size)."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        mono = np.ones((x.shape[0], len(self.exponents)))
-        dmax = int(self.exponents.max(initial=0))
-        powers = np.stack([x**p for p in range(dmax + 1)], axis=0)
-        for t, e in enumerate(self.exponents):
-            col = np.ones(x.shape[0])
-            for i, p in enumerate(e):
-                if p:
-                    col = col * powers[p, :, i]
-            mono[:, t] = col
-        return mono @ self.coefficients.T
+        return self._eval_powers(_power_table(x, self.degree))
+
+    def _eval_powers(self, powers: np.ndarray) -> np.ndarray:
+        """Evaluate the block from a ``_power_table`` of degree >= its own.
+
+        Row t of the monomial matrix is x^e_t, gathered from the table one
+        coordinate at a time and multiplied left to right over the
+        coordinates.
+        """
+        e = self.exponents
+        mono = powers[0, e[:, 0]]
+        for i in range(1, e.shape[1]):
+            mono = mono * powers[i, e[:, i]]
+        return mono.T @ self.coefficients.T
+
+
+def _power_table(x: np.ndarray, dmax: int) -> np.ndarray:
+    """(n, dmax + 1, npoints) table of the coordinate powers x_i^p, p <= dmax,
+    of a stack of points (npoints, n)."""
+    xt = np.ascontiguousarray(np.atleast_2d(np.asarray(x, dtype=float)).T)
+    return np.stack([xt**p for p in range(dmax + 1)], axis=1)
 
 
 @dataclass(frozen=True)
@@ -133,7 +143,10 @@ class HarmonicBasis:
         return [(b.degree, j) for b in self.blocks for j in range(b.size)]
 
     def eval_points(self, x: np.ndarray) -> np.ndarray:
-        return np.hstack([b.eval_points(x) for b in self.blocks])
+        """Every block at unit vectors, from one shared power table; returns
+        (npoints, size)."""
+        powers = _power_table(x, max(b.degree for b in self.blocks))
+        return np.hstack([b._eval_powers(powers) for b in self.blocks])
 
 
 def even_harmonic_blocks(n: int, d_max: int) -> HarmonicBasis:

@@ -115,6 +115,42 @@ class TestHarmonicBasis:
             assert abs(lap / h**2) < 1e-4
 
 
+class TestAdditionTheorem:
+    """The addition theorem pins every block independently of how it is
+    evaluated: for an orthonormal basis Y_d1, ..., Y_dN of the degree-d
+    harmonics, sum_j Y_dj(w) Y_dj(l) = N G_d(<w, l>), with G_d the Gegenbauer
+    polynomial normalized to 1 at 1."""
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_block_mean_is_gegenbauer(self, n):
+        rng = np.random.default_rng(11 + n)
+        w = rng.standard_normal((200, n))
+        w /= np.linalg.norm(w, axis=1, keepdims=True)
+        l = rng.standard_normal((200, n))
+        l /= np.linalg.norm(l, axis=1, keepdims=True)
+        # w = l and w = -l give <w, l> = +-1, the ends of the Gegenbauer range.
+        l[:10] = w[:10]
+        l[10:20] = -w[10:20]
+        basis = even_harmonic_blocks(n, 12)
+        assert [b.degree for b in basis.blocks] == list(range(0, 13, 2))
+        yw, yl = basis.eval_points(w), basis.eval_points(l)
+        t = np.einsum("ij,ij->i", w, l)
+        for block in basis.blocks:
+            idx = basis.degrees == block.degree
+            mean = (yw[:, idx] * yl[:, idx]).mean(axis=1)
+            err = np.abs(mean - gegenbauer_normalized(n, block.degree, t)).max()
+            assert err <= 1e-12, (block.degree, err)
+
+    def test_block_evaluation_matches_basis(self):
+        # One block alone and the whole basis read the same arithmetic.
+        basis = even_harmonic_blocks(4, 12)
+        x = np.random.default_rng(13).standard_normal((50, 4))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        whole = basis.eval_points(x)
+        for block in basis.blocks:
+            assert np.array_equal(block.eval_points(x), whole[:, basis.degrees == block.degree])
+
+
 class TestGegenbauer:
     def test_normalized_at_one(self):
         for n in (2, 3, 4, 6):
