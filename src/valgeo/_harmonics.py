@@ -118,9 +118,13 @@ class HarmonicBlock:
 
 def _power_table(x: np.ndarray, dmax: int) -> np.ndarray:
     """(n, dmax + 1, npoints) table of the coordinate powers x_i^p, p <= dmax,
-    of a stack of points (npoints, n)."""
-    xt = np.ascontiguousarray(np.atleast_2d(np.asarray(x, dtype=float)).T)
-    return np.stack([xt**p for p in range(dmax + 1)], axis=1)
+    of a stack of points (npoints, n), built by repeated multiplication."""
+    xt = np.atleast_2d(np.asarray(x, dtype=float)).T
+    powers = np.empty((xt.shape[0], dmax + 1, xt.shape[1]))
+    powers[:, 0] = 1.0
+    for p in range(1, dmax + 1):
+        powers[:, p] = powers[:, p - 1] * xt
+    return powers
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,8 @@ from . import trace
 from ._kernels import hull_distances
 from .base import Estimate, mc_chunks, mean_and_stderr, unit_ball_volume
 from .errors import ConditioningWarning, DimensionError
-from .grassmann import SeededSampler, Subspace, haar_bases_batch, haar_unit_vectors
+from .grassmann import (SeededSampler, Subspace, _transposed_products, haar_bases_batch,
+                        haar_unit_vectors)
 
 _DEDUP_TOL = 1e-9
 _AFFINE_TOL = 1e-9
@@ -705,7 +706,7 @@ def _kubota_samples_polytope(p: Polytope, k: int, n_samples: int, s: SeededSampl
             vals[rows] = cauchy_shadow_volumes(facets, haar_unit_vectors(n, c, sub))
         else:
             bases = haar_bases_batch(n, k, c, sub)
-            proj = np.einsum("vn,snk->svk", p.vertices, bases)
+            proj = p.vertices @ bases
             if k == 2:
                 vals[rows] = shadow_area_perimeter(proj)[0]
             else:
@@ -722,7 +723,7 @@ def _kubota_samples_ball(b: Ball, k: int, n_samples: int, s: SeededSampler) -> n
     vals = np.empty(n_samples)
     for rows, c, sub in mc_chunks(n_samples, s):
         bases = haar_bases_batch(n, k, c, sub)
-        m = np.einsum("snk,nl->skl", bases, b.subspace.basis)
+        m = _transposed_products(bases, b.subspace.basis)
         sv = np.linalg.svd(m, compute_uv=False)
         vals[rows] = kappa_k * np.prod(np.clip(sv, 0.0, 1.0), axis=1)
     return vals

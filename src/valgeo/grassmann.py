@@ -388,12 +388,30 @@ def unit_vectors_orthogonal_to(v: np.ndarray, s: SeededSampler) -> np.ndarray:
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
+def _transposed_products(bases: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """R_s^T m for every R_s of a (count, n, q) stack and one (n, j) matrix m:
+    a (count, q, j) stack computed as one (count q, n) @ (n, j) matmul."""
+    count, n, q = bases.shape
+    return (np.swapaxes(bases, 1, 2).reshape(count * q, n) @ m).reshape(count, q, m.shape[1])
+
+
+def _abs_det(m: np.ndarray) -> np.ndarray:
+    """|det| of each matrix of a (..., q, q) stack: |ad - bc| for q = 2,
+    LAPACK's LU for every other size."""
+    if m.shape[-2:] == (2, 2):
+        return np.abs(m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0])
+    return np.abs(np.linalg.det(m))
+
+
 def cos_angles_with_bases(l: Subspace, bases: np.ndarray) -> np.ndarray:
-    """cos_angle(L, R_s) for a stack of bases R_s of dimension >= dim L."""
-    k = l.dim
-    if k == 0:
+    """cos_angle(L, R_s) for a stack of bases R_s of dimension >= dim L.
+
+    A square product R_s^T Q_L gives the cosine as its |det|, a tall one by
+    its singular values.
+    """
+    if l.dim == 0:
         return np.ones(bases.shape[0])
-    m = np.einsum("snk,nj->skj", bases, l.basis)
+    m = _transposed_products(bases, l.basis)
     if m.shape[1] == m.shape[2]:
-        return np.abs(np.linalg.det(m))
+        return _abs_det(m)
     return cos_from_products(m)

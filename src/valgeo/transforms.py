@@ -36,6 +36,7 @@ from .errors import DimensionError, PrecisionError, ScopeError
 from .grassmann import (
     SeededSampler,
     Subspace,
+    _transposed_products,
     cos_from_products,
     haar_bases_batch,
     haar_unit_vectors,
@@ -111,7 +112,8 @@ def _containing_bases(h: Subspace, comp: np.ndarray, i: int, count: int,
     Gaussian stream.
     """
     n, k = h.ambient_dim, h.dim
-    lift = np.einsum("nm,smk->snk", comp, haar_bases_batch(n - k, i - k, count, s))
+    frames = haar_bases_batch(n - k, i - k, count, s)
+    lift = np.swapaxes(_transposed_products(frames, comp.T), 1, 2)
     return np.concatenate([np.broadcast_to(h.basis, (count, n, k)), lift], axis=2)
 
 

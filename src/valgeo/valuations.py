@@ -37,6 +37,7 @@ from .errors import DimensionError, PolynomialFitError, ScopeError
 from .grassmann import (
     SeededSampler,
     Subspace,
+    _abs_det,
     cos_angle,
     cos_angles_with_bases,
     haar_bases_batch,
@@ -204,7 +205,7 @@ def _crofton_eval(expr: CroftonVal, body: BodySpec, budget: int, s: SeededSample
         if isinstance(body, Ball):
             vols = _map_ball_volume(np.swapaxes(bases, 1, 2), body.subspace.basis, i)
         elif i == 2:
-            vols = shadow_area_perimeter(np.einsum("vn,snk->svk", body.vertices, bases))[0]
+            vols = shadow_area_perimeter(body.vertices @ bases)[0]
         else:
             vols = [_raw_volume(body.vertices @ b) for b in bases]
         vals[rows] = fvals * vols
@@ -369,8 +370,8 @@ def lemma22_direct(f: Subspace, k: int, l: Subspace, n_samples: int,
         stack = np.concatenate(
             [np.swapaxes(e_bases, 1, 2), np.broadcast_to(f.basis.T, (c, i, n))], axis=1
         )
-        m = stack @ l.basis
-        vals[rows] = kappa_q * np.abs(np.linalg.det(m))
+        m = (stack.reshape(c * q, n) @ l.basis).reshape(c, q, q)
+        vals[rows] = kappa_q * _abs_det(m)
     est = mean_and_stderr(vals)
     return Estimate(c_nk * est.value, c_nk * est.stderr)
 
@@ -433,7 +434,7 @@ def lemma24_direct(f: GFunction, i: int, k: int, l: Subspace, n_samples: int,
         stack = np.concatenate(
             [np.swapaxes(e_bases, 1, 2), np.swapaxes(f_bases, 1, 2)], axis=1
         )
-        dets = kappa_q * np.abs(np.linalg.det(stack @ l.basis))
+        dets = kappa_q * _abs_det((stack.reshape(c * q, n) @ l.basis).reshape(c, q, q))
         vals[rows] = dets * f.eval_bases(f_bases)
     est = mean_and_stderr(vals)
     return Estimate(c_nk * est.value, c_nk * est.stderr)
@@ -475,7 +476,7 @@ def _shadow_steiner_coeff_samples(
             coeffs[rows, 1] = 2.0
         elif k == 2:
             bases = haar_bases_batch(n, 2, c, sub)
-            proj = np.einsum("vn,snk->svk", body.vertices, bases)
+            proj = body.vertices @ bases
             coeffs[rows, 0], coeffs[rows, 1] = shadow_area_perimeter(proj)
             coeffs[rows, 2] = math.pi
         else:
@@ -531,7 +532,7 @@ def parallel_valuation_values(
         vals = np.zeros((budget, len(eps_grid)))
         for rows, c, sub in mc_chunks(budget, s):
             bases = haar_bases_batch(n, i, c, sub)
-            proj = np.einsum("vn,snk->svk", body.vertices, bases)
+            proj = body.vertices @ bases
             fvals = expr.f.eval_bases(bases)[:, None]
             if i == 1:
                 length = (proj[..., 0].max(axis=1) - proj[..., 0].min(axis=1))[:, None]
@@ -685,7 +686,7 @@ def v1_power(n: int, p: int) -> CustomVal:
             elif use_cauchy:
                 vals[rows] = cauchy_shadow_volumes(facets, np.cross(dirs[:, 0], dirs[:, 1]))
             else:
-                embedded = np.einsum("vn,spn->svp", body.vertices, dirs)
+                embedded = body.vertices @ np.swapaxes(dirs, 1, 2)
                 if p == 2:
                     vals[rows] = shadow_area_perimeter(embedded)[0]
                 else:

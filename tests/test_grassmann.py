@@ -10,6 +10,7 @@ from valgeo.errors import DimensionError, RankError
 from valgeo.grassmann import (
     SeededSampler,
     Subspace,
+    _abs_det,
     coordinate_subspace,
     cos_angle,
     cos_angle_batch,
@@ -322,6 +323,15 @@ class TestBatchHelpers:
                 cos_angle(l, Subspace(5, bases[t])), abs=1e-11
             )
 
+    @pytest.mark.parametrize("n, k", [(4, 2), (5, 3)])
+    def test_cos_angles_with_bases_square_matches_scalar(self, sampler, n, k):
+        # dim L = dim R: the cosine is |det| of the square product.
+        l = haar_subspace(n, k, sampler)
+        bases = haar_bases_batch(n, k, 64, sampler)
+        batch = cos_angles_with_bases(l, bases)
+        reference = [cos_angle(l, Subspace(n, b)) for b in bases]
+        np.testing.assert_allclose(batch, reference, rtol=0, atol=1e-12)
+
     def test_orthogonal_unit_vectors(self, sampler):
         v = haar_unit_vectors(4, 128, sampler)
         w = unit_vectors_orthogonal_to(v, sampler)
@@ -533,3 +543,48 @@ class TestHaarFrames:
         h = haar_subspace(5, 2, SeededSampler(13))
         inside = h.basis @ haar_frames(SeededSampler(14).standard_normal((1, 2, 1)))[0]
         assert np.array_equal(sample_within(h, 1, SeededSampler(14)).basis, inside)
+
+
+class TestAbsDet:
+    """``_abs_det`` is |ad - bc| on 2 x 2 stacks and LAPACK's |det| otherwise."""
+
+    @staticmethod
+    def _check_against_lapack(m):
+        ad = m[..., 0, 0] * m[..., 1, 1]
+        bc = m[..., 0, 1] * m[..., 1, 0]
+        bound = 4.0 * np.finfo(float).eps * (np.abs(ad) + np.abs(bc))
+        assert np.all(np.abs(_abs_det(m) - np.abs(np.linalg.det(m))) <= bound)
+
+    def test_random_stack(self, rng):
+        self._check_against_lapack(rng.standard_normal((5000, 2, 2)))
+
+    def test_near_singular_stack(self, rng):
+        u, v = rng.standard_normal((2, 5000, 2))
+        m = u[:, :, None] * v[:, None, :] + 1e-10 * rng.standard_normal((5000, 2, 2))
+        self._check_against_lapack(m)
+
+    def test_integer_stack_is_exact(self, rng):
+        # Products of integers below 2^26 are exact in double precision, so
+        # ad - bc is the exact determinant.  LAPACK's is not: NumPy forms it
+        # as sign * exp(log|det|) from the LU factors, which on these stacks
+        # is off by up to 8.5 eps (|ad| + |bc|).  So the reference here is
+        # integer arithmetic, not np.linalg.det.
+        m = rng.integers(-1000, 1001, size=(5000, 2, 2))
+        exact = np.abs(m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0])
+        assert np.array_equal(_abs_det(m.astype(float)), exact.astype(float))
+
+    def test_stacked_batch_shape(self, rng):
+        m = rng.standard_normal((3, 4, 2, 2))
+        assert _abs_det(m).shape == (3, 4)
+
+    @pytest.mark.parametrize("q", [1, 3])
+    def test_other_sizes_take_lapack(self, monkeypatch, rng, q):
+        m = rng.standard_normal((50, q, q))
+        expected = np.abs(np.linalg.det(m))
+        calls = []
+        lapack = np.linalg.det
+        monkeypatch.setattr(np.linalg, "det", lambda a: (calls.append(a.shape), lapack(a))[1])
+        assert np.array_equal(_abs_det(m), expected)
+        assert calls == [(50, q, q)]
+        _abs_det(rng.standard_normal((50, 2, 2)))
+        assert calls == [(50, q, q)]
