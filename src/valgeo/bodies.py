@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
+from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from . import trace
 from ._kernels import hull_distances
@@ -146,15 +146,22 @@ class IntrinsicVolumeVector:
 
 
 def _dedupe(points: np.ndarray) -> np.ndarray:
-    """Keep each point farther than the tolerance from every earlier kept one."""
+    """Keep each point farther than the tolerance from every earlier kept one.
+
+    A k-d tree finds the pairs within twice the tolerance; each is then put
+    to the exact test ``norm(p_i - p_j) <= tol`` and settled greedily in
+    input order, so the kept points are those of the point-by-point scan.
+    """
     tol = _DEDUP_TOL * (1.0 + float(np.abs(points).max(initial=0.0)))
-    kept = np.empty_like(points)
-    count = 0
-    for p in points:
-        if count == 0 or np.all(np.linalg.norm(kept[:count] - p, axis=1) > tol):
-            kept[count] = p
-            count += 1
-    return kept[:count].copy()
+    pairs = cKDTree(points).query_pairs(2.0 * tol, output_type="ndarray")
+    keep = np.ones(len(points), dtype=bool)
+    if len(pairs):
+        pairs = pairs[np.lexsort((pairs[:, 0], pairs[:, 1]))]  # by later point, then earlier
+        close = np.linalg.norm(points[pairs[:, 0]] - points[pairs[:, 1]], axis=1) <= tol
+        for i, j in pairs[close].tolist():
+            if keep[i]:
+                keep[j] = False
+    return points[keep]
 
 
 def _extreme_points(points: np.ndarray) -> tuple[np.ndarray, int]:

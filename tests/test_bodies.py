@@ -77,6 +77,42 @@ class TestDedupe:
         assert np.array_equal(kept, self._pairwise_loop(cloud))
         assert len(kept) == 70
 
+    @staticmethod
+    def _scan_loop(points):
+        # The point-by-point scan that the k-d tree version replaced, kept as
+        # the bit-for-bit reference.
+        tol = B._DEDUP_TOL * (1.0 + float(np.abs(points).max(initial=0.0)))
+        kept = np.empty_like(points)
+        count = 0
+        for p in points:
+            if count == 0 or np.all(np.linalg.norm(kept[:count] - p, axis=1) > tol):
+                kept[count] = p
+                count += 1
+        return kept[:count].copy()
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_equals_scan_loop_with_planted_near_duplicates(self, rng, n):
+        base = rng.standard_normal((300, n))
+        # Offsets from far inside to just outside the tolerance (about 4e-9
+        # here), and chains p, p + d, p + 2d whose middle point decides
+        # whether the last one survives.
+        offsets = np.geomspace(1e-12, 3e-9, 40)
+        dirs = rng.standard_normal((40, n))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        planted = base[:40] + offsets[:, None] * dirs
+        chained = base[40:80] + 2.0 * offsets[:, None] * dirs
+        cloud = np.vstack([base, planted, chained, base[::7], planted[::3]])
+        cloud = cloud[rng.permutation(len(cloud))]
+        kept = B._dedupe(cloud)
+        assert np.array_equal(kept, self._scan_loop(cloud))
+        assert kept.flags.c_contiguous
+        assert len(set(map(tuple, cloud))) > len(kept) > len(base) - 40
+
+    def test_no_pairs_keeps_every_point(self, rng):
+        cloud = rng.standard_normal((1000, 3))
+        assert np.array_equal(B._dedupe(cloud), cloud)
+        assert np.array_equal(B._dedupe(cloud[:1]), cloud[:1])
+
 
 def _reference_area_perimeter(cloud):
     """Qhull area and perimeter; a cloud Qhull finds flat gives (0, 2 * length)."""
