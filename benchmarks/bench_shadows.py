@@ -6,7 +6,9 @@ formula ``cauchy_shadow_volumes``, and prints the largest relative
 disagreement with Qhull.  A final sweep over sphere clouds of growing size
 locates the hull size above which gift wrapping loses to Qhull.  Cauchy's
 formula stays an order of magnitude ahead of both at every size, which is why
-``v1_power`` takes it for full-dimensional R^3 bodies.  Run:
+``v1_power`` takes it for full-dimensional R^3 bodies.  The script exits with
+an error if either batched path disagrees with Qhull by more than 1e-12
+relative.  Run:
 
     python benchmarks/bench_shadows.py [--samples N] [--seed S]
 """
@@ -26,6 +28,8 @@ from valgeo.bodies import (
     shadow_area_perimeter,
 )
 from valgeo.grassmann import SeededSampler, haar_bases_batch, haar_unit_vectors
+
+TOL = 1e-12
 
 
 def sphere_cloud(rng: np.random.Generator, m: int) -> np.ndarray:
@@ -67,6 +71,8 @@ def measure(body: Polytope, shadows: np.ndarray, normals: np.ndarray | None):
             lambda: cauchy_shadow_volumes(_facet_decomposition(body), normals)
         )
         gap = max(gap, float(np.abs(cauchy / ref - 1.0).max()))
+    if gap > TOL:
+        raise SystemExit(f"bench_shadows: disagreement {gap:.1e} with Qhull exceeds {TOL:.0e}")
     return t_qhull, t_batched, t_cauchy, gap
 
 
