@@ -38,6 +38,7 @@ from .grassmann import (
     SeededSampler,
     Subspace,
     _abs_det,
+    _transposed_products,
     cos_angle,
     cos_angles_with_bases,
     haar_bases_batch,
@@ -367,11 +368,8 @@ def lemma22_direct(f: Subspace, k: int, l: Subspace, n_samples: int,
     vals = np.empty(n_samples)
     for rows, c, sub in mc_chunks(n_samples, s):
         e_bases = haar_bases_batch(n, k, c, sub)
-        stack = np.concatenate(
-            [np.swapaxes(e_bases, 1, 2), np.broadcast_to(f.basis.T, (c, i, n))], axis=1
-        )
-        m = (stack.reshape(c * q, n) @ l.basis).reshape(c, q, q)
-        vals[rows] = kappa_q * _abs_det(m)
+        bases = np.concatenate([e_bases, np.broadcast_to(f.basis, (c, n, i))], axis=2)
+        vals[rows] = kappa_q * _abs_det(_transposed_products(bases, l.basis))
     est = mean_and_stderr(vals)
     return Estimate(c_nk * est.value, c_nk * est.stderr)
 
@@ -431,10 +429,8 @@ def lemma24_direct(f: GFunction, i: int, k: int, l: Subspace, n_samples: int,
     for rows, c, sub in mc_chunks(n_samples, s):
         e_bases = haar_bases_batch(n, k, c, sub)
         f_bases = haar_bases_batch(n, i, c, sub)
-        stack = np.concatenate(
-            [np.swapaxes(e_bases, 1, 2), np.swapaxes(f_bases, 1, 2)], axis=1
-        )
-        dets = kappa_q * _abs_det((stack.reshape(c * q, n) @ l.basis).reshape(c, q, q))
+        bases = np.concatenate([e_bases, f_bases], axis=2)
+        dets = kappa_q * _abs_det(_transposed_products(bases, l.basis))
         vals[rows] = dets * f.eval_bases(f_bases)
     est = mean_and_stderr(vals)
     return Estimate(c_nk * est.value, c_nk * est.stderr)
