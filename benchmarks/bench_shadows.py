@@ -8,9 +8,18 @@ locates the hull size above which gift wrapping loses to Qhull.  Cauchy's
 formula stays an order of magnitude ahead of both at every size, which is why
 ``v1_power`` takes it for full-dimensional R^3 bodies.  The script exits with
 an error if either batched path disagrees with Qhull by more than 1e-12
-relative.  Run:
+relative.
 
-    python benchmarks/bench_shadows.py [--samples N] [--seed S]
+A last table times Cauchy's formula itself on the three clouds of the
+``large-bodies`` workload (1000 Gaussian points, 150 on the sphere, 300
+anisotropic, drawn from ``--seed``): the one-piece expression
+``0.5 * (np.abs(dirs @ normals.T) @ areas)`` against ``cauchy_shadow_volumes``,
+which evaluates it in cache-sized row blocks.  The script exits with an
+error unless the two are bit-identical.  That holds under one BLAS thread;
+with more, the one-piece product may be split between threads off the
+8-row grid and move by an ulp, so run it with ``OPENBLAS_NUM_THREADS=1``:
+
+    OPENBLAS_NUM_THREADS=1 python benchmarks/bench_shadows.py [--samples N] [--seed S]
 """
 
 import argparse
@@ -30,6 +39,7 @@ from valgeo.bodies import (
 from valgeo.grassmann import SeededSampler, haar_bases_batch, haar_unit_vectors
 
 TOL = 1e-12
+REPEATS = 5  # Cauchy timings are the best of this many runs
 
 
 def sphere_cloud(rng: np.random.Generator, m: int) -> np.ndarray:
@@ -58,6 +68,30 @@ def timed(fn):
     t0 = time.perf_counter()
     out = fn()
     return out, time.perf_counter() - t0
+
+
+def best_of(fn):
+    """(result, best seconds) over ``REPEATS`` runs."""
+    runs = [timed(fn) for _ in range(REPEATS)]
+    return runs[0][0], min(t for _, t in runs)
+
+
+def cauchy_blocks(c: int, seed: int) -> None:
+    """Time the one-piece and the row-blocked Cauchy formula on the large-bodies
+    clouds; exit with an error unless they agree bit for bit."""
+    s = SeededSampler(seed, 2)
+    print(f"\nCauchy's formula on {c} directions: one piece against row blocks (ms)")
+    print(f"{'cloud':<12} {'facets':>6} {'one piece':>10} {'blocked':>9} {'speedup':>8}")
+    for j, (name, pts) in enumerate(clouds(seed).items()):
+        normals, areas = facets = _facet_decomposition(Polytope(3, pts))
+        dirs = haar_unit_vectors(3, c, s.substream(j))
+        ref, t_ref = best_of(lambda: 0.5 * (np.abs(dirs @ normals.T) @ areas))
+        blocked, t_blocked = best_of(lambda: cauchy_shadow_volumes(facets, dirs))
+        print(f"{name:<12} {len(areas):>6} {1e3 * t_ref:>10.2f} {1e3 * t_blocked:>9.2f} "
+              f"{t_ref / t_blocked:>7.1f}x")
+        if not np.array_equal(blocked, ref):
+            raise SystemExit(f"bench_shadows: row-blocked Cauchy differs from the one-piece "
+                             f"expression on {name} (is BLAS running one thread?)")
 
 
 def measure(body: Polytope, shadows: np.ndarray, normals: np.ndarray | None):
@@ -112,6 +146,7 @@ def run(c: int, seed: int) -> None:
         print("gift wrapping beat Qhull at every size")
     else:
         print(f"gift wrapping first loses to Qhull at {crossover} hull vertices")
+    cauchy_blocks(c, seed)
 
 
 if __name__ == "__main__":

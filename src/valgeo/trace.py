@@ -1,4 +1,4 @@
-"""Process-wide counters of the certified membership path in ``bodies``.
+"""Process-wide counters of the membership and planar-shadow paths in ``bodies``.
 
 Every membership count (``contains_points``, ``mc_hull_volume``,
 ``parallel_body_volumes``) first tries to decide each point from P's facet
@@ -11,11 +11,19 @@ Each call adds its totals here, in points:
 * ``audited``: decided points measured by ``hull_distances`` as well, as a check;
 * ``audit_mismatches``: audited points where the certificate and Wolfe disagree.
 
+Planar shadow volumes are measured one of two ways, and each call adds its
+row count to one of:
+
+* ``shadow_rows_cauchy``: directions through Cauchy's projection formula
+  (``cauchy_shadow_volumes``);
+* ``shadow_rows_gift_wrapped``: planar clouds through batched gift wrapping
+  (``shadow_area_perimeter``).
+
 The counters never enter a report.  ``reset()`` sets them back to zero.
 """
 
 COUNTERS = ("certified_inside", "certified_outside", "sent_to_wolfe", "audited",
-            "audit_mismatches")
+            "audit_mismatches", "shadow_rows_cauchy", "shadow_rows_gift_wrapped")
 
 counters = dict.fromkeys(COUNTERS, 0)
 

@@ -44,8 +44,9 @@ def test_mc_chunks_layout(n):
     assert start == n
 
 
-def _old_lemma24_direct(f, i, k, l, n_samples, s):
-    """The hand-written chunk loop that ``lemma24_direct`` used to carry."""
+def _old_lemma24_direct(f, i, k, l, n_samples, s, det=np.linalg.det):
+    """The hand-written chunk loop that ``lemma24_direct`` used to carry:
+    (estimate, per-sample values), with ``det`` taking the 2x2 determinants."""
     n = f.ambient_dim
     kappa_q = unit_ball_volume(k + i)
     c_nk = B.kubota_coefficient(n, k)
@@ -60,12 +61,17 @@ def _old_lemma24_direct(f, i, k, l, n_samples, s):
         stack = np.concatenate(
             [np.swapaxes(e_bases, 1, 2), np.swapaxes(f_bases, 1, 2)], axis=1
         )
-        dets = kappa_q * np.abs(np.linalg.det(stack @ l.basis))
+        dets = kappa_q * np.abs(det(stack @ l.basis))
         vals[done : done + c] = dets * f.eval_bases(f_bases)
         done += c
         chunk_idx += 1
     est = mean_and_stderr(vals)
-    return Estimate(c_nk * est.value, c_nk * est.stderr)
+    return Estimate(c_nk * est.value, c_nk * est.stderr), vals
+
+
+def _det_ad_bc(m):
+    """2x2 determinants as ad - bc, the arithmetic ``lemma24_direct`` uses."""
+    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
 
 
 def _old_kubota_cube4_v2(n_samples, s):
@@ -90,17 +96,26 @@ def _old_kubota_cube4_v2(n_samples, s):
     return Estimate(coeff * est.value, coeff * est.stderr), shadows, vals
 
 
-def test_batched_estimator_matches_old_loop():
+def test_batched_estimator_matches_old_loop(monkeypatch):
     f = T.zonal_harmonic(4, 2, [1.0, 0.5, -0.25, 0.7])
     l = haar_subspace(4, 2, SeededSampler(71))
     new = V.lemma24_direct(f, 1, 1, l, BUDGET, SeededSampler(171))
-    assert new == _old_lemma24_direct(f, 1, 1, l, BUDGET, SeededSampler(171))
+    assert new == _old_lemma24_direct(f, 1, 1, l, BUDGET, SeededSampler(171))[0]
+    # The mean and stderr absorb 1-ulp changes in single samples; the
+    # per-sample values pin the arithmetic bit for bit.
+    samples = _samples(monkeypatch, V,
+                       lambda: V.lemma24_direct(f, 1, 1, l, BUDGET, SeededSampler(171)))
+    old = _old_lemma24_direct(f, 1, 1, l, BUDGET, SeededSampler(171), det=_det_ad_bc)[1]
+    assert np.array_equal(samples, old)
 
 
-def test_per_sample_estimator_matches_old_loop():
+def test_per_sample_estimator_matches_old_loop(monkeypatch):
     new = B.kubota_estimate(B.make_cube(4), 2, BUDGET, SeededSampler(42))
     old, shadows, areas = _old_kubota_cube4_v2(BUDGET, SeededSampler(42))
     assert new == old
+    samples = _samples(monkeypatch, B,
+                       lambda: B.kubota_estimate(B.make_cube(4), 2, BUDGET, SeededSampler(42)))
+    assert np.array_equal(samples, areas)
     # Every planar-shadow area agrees with Qhull's per sample.
     qhull = np.array([ConvexHull(x).volume for x in shadows])
     assert np.abs(areas / qhull - 1.0).max() <= 1e-12

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -184,6 +188,88 @@ class TestShadowAreaPerimeter:
         assert perimeter.tolist() == [pytest.approx(10.0, rel=1e-15), 0.0]
 
 
+def _large_body_clouds(seed):
+    """The three R^3 clouds of the benchmark's large-bodies workload."""
+    rng = np.random.default_rng([seed, 7])
+    gauss = rng.standard_normal((1000, 3))
+    sphere = rng.standard_normal((150, 3))
+    sphere /= np.linalg.norm(sphere, axis=1, keepdims=True)
+    aniso = rng.standard_normal((300, 3)) * np.array([3.0, 1.0, 0.3])
+    return {"gaussian": gauss, "sphere": sphere, "anisotropic": aniso}
+
+
+def _old_facet_decomposition(p):
+    """The per-simplex loop that ``_facet_decomposition`` replaced."""
+    hull = ConvexHull(p.vertices, qhull_options="Qt")
+    n = p.ambient_dim
+    areas = np.empty(len(hull.simplices))
+    for i, simplex in enumerate(hull.simplices):
+        pts = p.vertices[simplex]
+        edges = pts[1:] - pts[0]
+        det = np.linalg.det(edges @ edges.T)
+        areas[i] = math.sqrt(max(det, 0.0)) / math.factorial(n - 1)
+    return hull.equations[:, :n], areas
+
+
+def _cauchy_bodies():
+    """Full-dimensional R^3 bodies of 4 to 296 facets."""
+    clouds = _large_body_clouds(1234)
+    return {"simplex3": B.make_simplex(3), "cube3": B.make_cube(3),
+            **{name: B.Polytope(3, pts) for name, pts in clouds.items()}}
+
+
+CAUCHY_ROWS = (1, 7, 333, 4308, 8192)
+
+
+def _cauchy_mismatches():
+    """The (body, rows) cases where ``cauchy_shadow_volumes`` differs from the
+    one-piece expression it evaluates in row blocks."""
+    out = []
+    for name, p in _cauchy_bodies().items():
+        normals, areas = facets = B._facet_decomposition(p)
+        for rows in CAUCHY_ROWS:
+            dirs = haar_unit_vectors(3, rows, SeededSampler(rows))
+            if not np.array_equal(B.cauchy_shadow_volumes(facets, dirs),
+                                  0.5 * (np.abs(dirs @ normals.T) @ areas)):
+                out.append(f"{name}/{rows}")
+    return out
+
+
+class TestCauchyShadows:
+    @pytest.mark.parametrize("p", [
+        B.make_simplex(3), B.make_cube(3), B.make_crosspolytope(3),
+        B.Polytope(3, _large_body_clouds(1234)["gaussian"]),
+        B.Polytope(3, _large_body_clouds(1234)["sphere"]),
+        B.make_simplex(4), B.make_cube(4), B.make_crosspolytope(4),
+        B.Polytope(4, np.random.default_rng(8).standard_normal((60, 4))),
+    ], ids=repr)
+    def test_facet_decomposition_matches_per_simplex_loop(self, p):
+        normals, areas = B._facet_decomposition(p)
+        old_normals, old_areas = _old_facet_decomposition(p)
+        assert np.array_equal(normals, old_normals)
+        assert np.array_equal(areas, old_areas)
+
+    def test_blocks_match_one_piece_expression(self):
+        # The one-piece expression is reproducible only under one BLAS
+        # thread: with two, OpenBLAS splits a 4308-row product between the
+        # threads off the 8-row grid and the sphere's values move by an ulp.
+        # So the comparison runs in a child process with one thread.
+        facets = [len(B._facet_decomposition(p)[1]) for p in _cauchy_bodies().values()]
+        # From one block per chunk (4 facets) to 448-row blocks (296 facets).
+        assert min(facets) == 4 and max(facets) == 296
+        tests = Path(__file__).resolve().parent
+        src = str(tests.parent / "src")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1", VALGEO_PURE_PYTHON="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import test_bodies; print(test_bodies._cauchy_mismatches())"],
+            cwd=tests, env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+
 class TestProjection:
     def test_full_space_identity(self, sampler):
         p = B.make_random_polytope(3, 12, sampler)
@@ -289,7 +375,8 @@ class TestCertifiedMembership:
         assert got.tolist() == [[True, True, False, True, False, False],
                                 [True, True, True, True, True, False]]
         assert trace.counters == {"certified_inside": 2, "certified_outside": 2,
-                                  "sent_to_wolfe": 2, "audited": 0, "audit_mismatches": 0}
+                                  "sent_to_wolfe": 2, "audited": 0, "audit_mismatches": 0,
+                                  "shadow_rows_cauchy": 0, "shadow_rows_gift_wrapped": 0}
 
     def test_coplanar_facets_merged(self):
         q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((4, 4)))
@@ -360,6 +447,21 @@ class TestDistance:
             assert d <= np.linalg.norm(p.vertices - x, axis=1).min() + 1e-10
 
 
+def _random_body(seed, m, kind):
+    """A full-dimensional R^3 polytope from m random points."""
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal((m, 3))
+    if kind == "sphere":
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    elif kind == "anisotropic":
+        pts *= [1.0, 10.0 ** rng.uniform(-2, 0), 10.0 ** rng.uniform(-2, 0)]
+    return B.Polytope(3, pts)
+
+
+_BODIES = dict(seed=st.integers(0, 2**32 - 1), m=st.integers(4, 80),
+               kind=st.sampled_from(["gaussian", "anisotropic", "sphere"]))
+
+
 class TestOracles:
     def test_unit_cube_intrinsic(self):
         assert np.allclose(B.box_intrinsic_volumes([1, 1, 1]).values, [1, 3, 3, 1])
@@ -396,6 +498,32 @@ class TestOracles:
     def test_surface_area_cube(self):
         assert B.surface_area(B.make_cube(3)) == pytest.approx(6.0, rel=1e-10)
 
+    # Random clouds have simplicial facets.  Where two triangles of one
+    # facet meet, V_1's acos of a cosine near 1 carries ~1e-9 of rounding,
+    # so boxes would need a looser bound.  Over 400 random bodies the
+    # largest relative change under a motion (reflections included) was 6e-13.
+    @settings(max_examples=40, deadline=None)
+    @given(**_BODIES, motion_seed=st.integers(0, 2**32 - 1))
+    def test_exact_oracles_rigid_motion_invariant(self, seed, m, kind, motion_seed):
+        p = _random_body(seed, m, kind)
+        assume(p.affine_dim == 3)
+        rng = np.random.default_rng(motion_seed)
+        q, r = np.linalg.qr(rng.standard_normal((3, 3)))
+        moved = B.Polytope(3, p.vertices @ (q * np.sign(np.diag(r))).T + rng.uniform(-5, 5, 3))
+        assert B.polytope_intrinsic_volumes(moved).values == pytest.approx(
+            B.polytope_intrinsic_volumes(p).values, rel=1e-10)
+        assert B.surface_area(moved) == pytest.approx(B.surface_area(p), rel=1e-10)
+
+    @settings(max_examples=40, deadline=None)
+    @given(**_BODIES, lam=st.floats(0.1, 10.0))
+    def test_exact_oracles_homogeneous(self, seed, m, kind, lam):
+        p = _random_body(seed, m, kind)
+        assume(p.affine_dim == 3)
+        scaled = B.scale(p, lam)
+        assert B.polytope_intrinsic_volumes(scaled).values == pytest.approx(
+            lam ** np.arange(4) * B.polytope_intrinsic_volumes(p).values, rel=1e-10)
+        assert B.surface_area(scaled) == pytest.approx(lam**2 * B.surface_area(p), rel=1e-10)
+
 
 class TestKubota:
     def test_top_degree_exact(self, sampler):
@@ -410,6 +538,18 @@ class TestKubota:
     def test_cube_v1(self):
         est = B.kubota_estimate(B.make_cube(3), 1, 50_000, SeededSampler(12))
         assert est.value == pytest.approx(3.0, rel=0.02)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("body", ["cube3", "random"])
+    def test_within_four_stderr_of_exact(self, body, k):
+        p = B.make_cube(3) if body == "cube3" else B.make_random_polytope(3, 30, SeededSampler(60))
+        n_samples = 20_000
+        trace.reset()
+        est = B.kubota_estimate(p, k, n_samples, SeededSampler(61 + k))
+        assert 0.0 < est.stderr < 0.01 * est.value
+        assert abs(est.value - B.polytope_intrinsic_volumes(p)[k]) <= 4.0 * est.stderr
+        # k = n - 1 = 2 goes through Cauchy's formula, one row per sample.
+        assert trace.counters["shadow_rows_cauchy"] == (n_samples if k == 2 else 0)
 
     def test_ball_all_degrees(self):
         oracle = B.ball_intrinsic_volumes(4)
@@ -511,6 +651,16 @@ class TestSteinerFit:
         a = B.steiner_fit(p, grid, 8192, SeededSampler(55)).coefficients
         b = B.steiner_fit(p, grid, 8192, SeededSampler(55)).coefficients
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("body", ["cube3", "random"])
+    def test_volumes_within_four_stderr_of_steiner_polynomial(self, body):
+        p = B.make_cube(3) if body == "cube3" else B.make_random_polytope(3, 30, SeededSampler(60))
+        iv = B.polytope_intrinsic_volumes(p).values
+        grid = B.default_epsilon_grid(p, 6)
+        sp = B.steiner_fit(p, grid, 1 << 14, SeededSampler(59))
+        exact = sum(unit_ball_volume(m) * iv[3 - m] * grid**m for m in range(4))
+        assert np.all(sp.volume_stderrs > 0)
+        assert np.all(np.abs(sp.volumes - exact) <= 4.0 * sp.volume_stderrs)
 
     def test_agrees_with_kubota(self):
         # The two independent intrinsic-volume routes agree on a test body.
