@@ -1,20 +1,20 @@
-"""Benchmark hull membership on one Monte-Carlo chunk: Wolfe only against
-facet certificates with a Wolfe fallback.
+"""Benchmark hull membership on one Monte-Carlo chunk: Wolfe on every point
+against the certified helper.
 
 For each body whose membership the suites count, it draws one chunk of points
 from the box the suite samples and decides dist(x, P) <= t for the suite's
-thresholds twice: with ``hull_distances`` on every point, and with the
-certified helper ``bodies._within``, which sends only the points its facet
-bounds cannot decide to ``hull_distances``.  It prints the best time of a few
-repeats for each, the speedup and the certified fraction, and exits with an
-error if the two membership matrices differ anywhere.  The kernel backend is
-whichever ``import valgeo`` selects (``VALGEO_PURE_PYTHON=1`` forces the
-pure-NumPy one).  Run:
+thresholds twice: with ``hull_distances`` (the pure-NumPy Wolfe kernel) on
+every point, and with ``bodies._within``, which brackets each distance from
+P's facets (exactly, from facets and edges, in R^2 and R^3) and sends only
+the points it cannot decide, plus a 1-in-64 audit sample, to
+``hull_distances``.  It prints the best time of a few repeats for each, the
+speedup and the certified fraction, and exits with an error if the two
+membership matrices differ anywhere.  Run:
 
     python benchmarks/bench_membership.py [--samples N] [--seed S] [--repeats R] [--json FILE]
 
-``--json FILE`` stores the results under the backend's name in FILE, with the
-git revision and the machine, keeping the other backend's entry.
+``--json FILE`` writes the results to FILE, with the git revision and the
+machine.
 """
 
 import argparse
@@ -30,7 +30,6 @@ import numpy as np
 from scipy.stats import qmc
 
 from valgeo import bodies as B, trace
-from valgeo._kernels import BACKEND
 from valgeo.base import MC_CHUNK
 from valgeo.grassmann import SeededSampler, orthonormal_basis, coordinate_subspace
 
@@ -61,7 +60,8 @@ def cases(seed: int):
     for name, p in contains:
         lo, hi = p.bounding_box()
         yield name, p, np.array([1e-9 * B._hull_scale(p)]), lo, hi - lo
-    parallel = [("steiner cube3", B.make_cube(3)), ("steiner simplex3", B.make_simplex(3)),
+    parallel = [("steiner square", B.make_cube(2)), ("steiner simplex2", B.make_simplex(2)),
+                ("steiner cube3", B.make_cube(3)), ("steiner simplex3", B.make_simplex(3)),
                 ("steiner random3", B.make_random_polytope(3, 14, SeededSampler(seed, 31)))]
     for name, p in parallel:
         grid = steiner_grid(p)
@@ -79,10 +79,9 @@ def best_time(fn, repeats: int) -> float:
 
 
 def run(c: int, seed: int, repeats: int) -> dict:
-    print(f"{c} points per body, kernel backend {BACKEND}; best of {repeats}, "
-          f"milliseconds per chunk")
-    print(f"{'body':<18} {'facets':>6} {'wolfe':>9} {'certified':>9} {'speedup':>7} "
-          f"{'certified share':>15}")
+    print(f"{c} points per body; best of {repeats}, milliseconds per chunk")
+    print(f"{'body':<18} {'facets':>6} {'edges':>5} {'wolfe':>9} {'certified':>9} "
+          f"{'speedup':>7} {'certified share':>15}")
     rows, disagreements = [], 0
     for j, (name, p, t, lo, widths) in enumerate(cases(seed)):
         engine = qmc.Sobol(d=p.ambient_dim, scramble=True, seed=SeededSampler(seed, j).rng)
@@ -96,9 +95,10 @@ def run(c: int, seed: int, repeats: int) -> dict:
         t_wolfe = best_time(lambda: B.hull_distances(pts, p.vertices)[None] <= t[:, None],
                             repeats)
         t_cert = best_time(lambda: B._within(p, facets, pts, t), repeats)
-        print(f"{name:<18} {facets[0].shape[0]:>6} {t_wolfe * 1e3:>9.2f} {t_cert * 1e3:>9.2f} "
-              f"{t_wolfe / t_cert:>6.1f}x {share:>15.3f}")
-        rows.append({"body": name, "facets": int(facets[0].shape[0]),
+        edges = 0 if facets[4] is None else facets[4][0].shape[1]
+        print(f"{name:<18} {facets[0].shape[0]:>6} {edges:>5} {t_wolfe * 1e3:>9.2f} "
+              f"{t_cert * 1e3:>9.2f} {t_wolfe / t_cert:>6.1f}x {share:>15.3f}")
+        rows.append({"body": name, "facets": int(facets[0].shape[0]), "edges": edges,
                      "thresholds": int(t.size), "wolfe_ms": round(t_wolfe * 1e3, 3),
                      "certified_ms": round(t_cert * 1e3, 3),
                      "certified_share": round(share, 4)})
@@ -130,6 +130,4 @@ if __name__ == "__main__":
     args = parser.parse_args()
     result = run(args.samples, args.seed, args.repeats)
     if args.json:
-        record = json.loads(args.json.read_text()) if args.json.exists() else {"runs": {}}
-        record["runs"][BACKEND] = {**machine(), **result}
-        args.json.write_text(json.dumps(record, indent=2) + "\n")
+        args.json.write_text(json.dumps({**machine(), **result}, indent=2) + "\n")

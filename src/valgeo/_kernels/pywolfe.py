@@ -1,9 +1,5 @@
 """Pure-NumPy min-norm-point kernel (Wolfe's algorithm).
 
-Same algorithm as the compiled kernel in ``_mnp.c``; this module is the
-fallback selected at import when that kernel is unavailable, and the
-reference it is tested against.
-
 ``dist(x, conv(V))`` is the norm of the minimum-norm point of ``conv(V - x)``.
 Wolfe's algorithm maintains a "corral" of affinely independent vertices whose
 affine minimizer has positive barycentric coordinates; it terminates after
@@ -147,29 +143,20 @@ def min_norm_point(vertices: np.ndarray, max_iter: int = 1000) -> np.ndarray:
     return _min_norm_points(w[None], max_iter)[0]
 
 
-def check_inputs(points, vertices) -> tuple[np.ndarray, np.ndarray]:
-    """C-contiguous float64 ``(npts, n)`` points and ``(m, n)`` vertices, m >= 1.
-
-    Both backends call this first, so they reject the same inputs.
-    """
-    pts = np.ascontiguousarray(np.atleast_2d(np.asarray(points, dtype=np.float64)))
-    verts = np.ascontiguousarray(np.asarray(vertices, dtype=np.float64))
-    if pts.ndim != 2 or verts.ndim != 2:
-        raise ValueError("points and vertices must be 2-D arrays")
-    if pts.shape[1] != verts.shape[1]:
-        raise ValueError("points and vertices have different dimensions")
-    if verts.shape[0] == 0:
-        raise ValueError("empty vertex set")
-    return pts, verts
-
-
 def hull_distances(points: np.ndarray, vertices: np.ndarray, max_iter: int = 1000) -> np.ndarray:
     """Euclidean distance from each row of ``points`` to conv(vertices).
 
     Points are processed in blocks of about ``BLOCK_FLOATS`` translated
     vertex coordinates, so memory stays flat for any number of points.
     """
-    pts, v = check_inputs(points, vertices)
+    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    v = np.asarray(vertices, dtype=np.float64)
+    if pts.ndim != 2 or v.ndim != 2:
+        raise ValueError("points and vertices must be 2-D arrays")
+    if pts.shape[1] != v.shape[1]:
+        raise ValueError("points and vertices have different dimensions")
+    if v.shape[0] == 0:
+        raise ValueError("empty vertex set")
     out = np.empty(pts.shape[0])
     block = max(1, BLOCK_FLOATS // v.size)
     for start in range(0, pts.shape[0], block):

@@ -3,8 +3,9 @@
 Polytopes are stored by their extreme points.  Exact volumes go through
 Qhull (intended range n <= 6), except planar shadows, which are measured a
 whole Monte-Carlo chunk at a time; Minkowski-ball volumes vol(K + eps D) are
-estimated by Monte-Carlo membership, decided by facet certificates where
-they are conclusive and by the min-norm-point kernel elsewhere; the
+estimated by Monte-Carlo membership, decided exactly from facets and edges
+in R^2 and R^3, by facet and vertex bounds where they are conclusive in
+higher dimensions, and by the min-norm-point kernel elsewhere; the
 Cauchy-Kubota estimator is calibrated to be exact on the unit ball.
 """
 
@@ -31,9 +32,10 @@ _SHADOW_BLOCK = 1 << 14
 _CAUCHY_BLOCK = 1 << 17  # cauchy_shadow_volumes: direction-facet products per row block
 _CONTAINS_TOL = 1e-9   # contains_points: dist <= tol * (1 + max|v|)
 _MARGIN = 1e-9         # _within decides a point only this far (times 1 + max|v|) from a threshold
-_COPLANAR_TOL = 1e-12  # facet rows merged by _facet_inequalities
+_COPLANAR_TOL = 1e-12  # facet rows merged by _face_structure
 _AUDIT_STRIDE = 64     # _within also sends every 64th decided point to Wolfe
 _FACET_BLOCK = 1 << 17  # _within brackets points in blocks of this many point-facet pairs
+_SEGMENT_BLOCK = 1 << 14  # _nearest_segment_distances: point-edge pairs per block
 
 
 # ---------------------------------------------------------------------------
@@ -406,14 +408,50 @@ def contains_points(p: Polytope, points: np.ndarray, tol: float = _CONTAINS_TOL)
     return _within(p, _facet_inequalities(p), points, thresholds)[0]
 
 
-def _facet_inequalities(p: Polytope) -> tuple[np.ndarray, np.ndarray, np.ndarray, float] | None:
-    """P's H-representation (A, b, A A^T, m) with P = {x : A x <= b}, or None.
+def _face_structure(p: Polytope):
+    """P's facets and edges from one Qhull call: (A, b, edges, angles).
 
-    The rows of A are unit facet normals from Qhull.  Qhull triangulates
-    non-simplicial facets, and the pieces of one facet share its hyperplane,
-    so rows that agree to 1e-12 (offsets relative to the scale 1 + max|v|)
-    are merged into one.  m = 1e-9 * (1 + max|v|) is the decision margin of
-    ``_within``.  None means there is no certificate and every point goes to
+    P = {x : A x <= b}, with unit facet normals from Qhull as the rows of A.
+    Qhull triangulates non-simplicial facets, and the pieces of one facet
+    share its hyperplane, so rows that agree to 1e-12 (offsets relative to
+    the scale 1 + max|v|) are merged into the first of them.  ``edges`` holds
+    vertex index pairs, one row per edge: in R^2 the facets themselves, in
+    R^3 the sides that neighbouring triangles in different merged facets
+    share.  ``angles`` is the exterior angle at each R^3 edge,
+    atan2(|n_i x n_j|, n_i . n_j) for the normals of its two triangles.  Both
+    are None where they are not defined (``angles`` in R^2, both for n >= 4).
+    Raises ``QhullError`` if Qhull fails.
+    """
+    hull = ConvexHull(p.vertices)
+    eq = hull.equations
+    gap = np.zeros((eq.shape[0], eq.shape[0]))
+    for col in np.hstack([eq[:, :-1], eq[:, -1:] / _hull_scale(p)]).T:
+        np.maximum(gap, np.abs(col[:, None] - col[None, :]), out=gap)
+    label = np.argmax(gap <= _COPLANAR_TOL, axis=1)  # first row of each merged facet
+    first = label == np.arange(eq.shape[0])
+    a, b = eq[first, :-1], -eq[first, -1]
+    edges = angles = None
+    if p.ambient_dim == 2:
+        edges = hull.simplices
+    elif p.ambient_dim == 3:
+        nbr = hull.neighbors
+        across = (np.arange(nbr.shape[0])[:, None] < nbr) & (label[:, None] != label[nbr])
+        tri, slot = np.nonzero(across)  # each edge once, seen from its lower-numbered triangle
+        edges = hull.simplices[tri[:, None], (slot[:, None] + [1, 2]) % 3]
+        u, w = eq[tri, :3], eq[nbr[tri, slot], :3]
+        angles = np.arctan2(np.linalg.norm(np.cross(u, w), axis=1), np.einsum("ij,ij->i", u, w))
+    return a, b, edges, angles
+
+
+def _facet_inequalities(p: Polytope) -> tuple | None:
+    """P's certificate data (A, b, A A^T, m, segments), or None.
+
+    A and b are ``_face_structure(p)``'s merged facets, P = {x : A x <= b}.
+    m = 1e-9 * (1 + max|v|) is the decision margin of ``_within``.
+    ``segments`` holds P's edges in R^2 and R^3 as (origins, steps,
+    steps / |step|^2), each laid out (n, E); an edge is origin + s step for
+    s in [0, 1].  It is None for n >= 4.  None in place
+    of the whole tuple means there is no certificate and every point goes to
     Wolfe: for flat bodies, which have no facets in their ambient space, and
     when Qhull fails or a vertex breaks a facet inequality by more than
     rounding.
@@ -421,19 +459,19 @@ def _facet_inequalities(p: Polytope) -> tuple[np.ndarray, np.ndarray, np.ndarray
     if p.affine_dim < p.ambient_dim or p.ambient_dim < 2:
         return None
     try:
-        eq = ConvexHull(p.vertices).equations
+        a, b, edges, _ = _face_structure(p)
     except QhullError:
         return None
-    scale_ = _hull_scale(p)
-    gap = np.zeros((eq.shape[0], eq.shape[0]))
-    for col in np.hstack([eq[:, :-1], eq[:, -1:] / scale_]).T:
-        np.maximum(gap, np.abs(col[:, None] - col[None, :]), out=gap)
-    merged = np.tril(gap <= _COPLANAR_TOL, -1).any(axis=1)
-    a, b = eq[~merged, :-1], -eq[~merged, -1]
-    margin = _MARGIN * scale_
+    margin = _MARGIN * _hull_scale(p)
     if (p.vertices @ a.T - b).max() > 1e-3 * margin:
         return None
-    return a, b, a @ a.T, margin
+    segments = None
+    if edges is not None:
+        origin = p.vertices[edges[:, 0]]
+        step = p.vertices[edges[:, 1]] - origin
+        projector = step / np.einsum("ij,ij->i", step, step)[:, None]
+        segments = tuple(np.ascontiguousarray(w.T) for w in (origin, step, projector))
+    return a, b, a @ a.T, margin, segments
 
 
 def _within(p: Polytope, facets, points: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
@@ -442,7 +480,8 @@ def _within(p: Polytope, facets, points: np.ndarray, thresholds: np.ndarray) -> 
     It equals ``hull_distances(points, p.vertices)[None] <= thresholds[:, None]``
     but runs Wolfe only where it must.  ``facets`` is
     ``_facet_inequalities(p)``; ``_bracket`` turns it into a lower and an
-    upper bound on each point's distance.  A point is decided when every
+    upper bound on each point's distance, which are equal outside bodies in
+    R^2 and R^3.  A point is decided when every
     threshold lies at least the margin m outside its bracket; the margin
     covers rounding in the bounds and in Wolfe's own result.  The other
     points, and every ``_AUDIT_STRIDE``-th point as a check, go to
@@ -488,19 +527,21 @@ def _bracket(p: Polytope, facets, x: np.ndarray, t_max: float) -> tuple[np.ndarr
     * lower: the largest facet violation viol_k = a_k.x - b_k, clamped at 0;
     * upper: 0 if every violation is <= -m (x lies inside P).  Otherwise
       |viol_k| if the projection y = x - viol_k a_k onto that facet's
-      hyperplane satisfies every other facet with violation <= -m (y then
-      lies in P, and no vertex is nearer), else the distance to the nearest
-      vertex.  The violations of y are viol - viol_k (A a_k), so y is never
-      formed.
+      hyperplane satisfies every other facet (y then lies in P), else the
+      distance to the nearest edge segment in R^2 and R^3, and to the
+      nearest vertex for n >= 4.  The violations of y are
+      viol - viol_k (A a_k), so y is never formed.  Their test has no
+      margin: a y that rounding moves across another facet lies within
+      rounding of an edge, where the two distances agree.
 
-    The nearest vertex minimises |x|^2 - 2 x.v + |v|^2 (|x|^2 is left out),
-    which needs no (N, V, n) temporary; its distance is then taken as
-    |x - v|, which keeps full relative accuracy near a vertex.  Points beyond every
-    threshold by the lower bound alone (lower >= t_max + m) get upper = inf.
-    Arrays are laid out (facets or vertices, points), so that reductions run
-    along the long axis.
+    In R^2 and R^3 the nearest point of P to an outside x lies in the
+    relative interior of a facet, and then y is that point, or on an edge
+    (Ericson 2004, ch. 5), so the upper bound is the distance and lower is
+    raised to it.  Points beyond every threshold by the lower bound alone
+    (lower >= t_max + m) get upper = inf.  Arrays are laid out (facets,
+    edges or vertices, points), so that reductions run along the long axis.
     """
-    a, b, gram, m = facets
+    a, b, gram, m, segments = facets
     viol = a @ x.T - b[:, None]
     top = viol.max(axis=0)
     lower = np.maximum(top, 0.0)
@@ -508,19 +549,59 @@ def _bracket(p: Polytope, facets, x: np.ndarray, t_max: float) -> tuple[np.ndarr
     need = np.flatnonzero((top > -m) & (lower - m < t_max))
     if need.size:
         viol, top = np.take(viol, need, axis=1), top[need]
-        k = np.argmax(viol == top, axis=0)
+        k = np.argmax(viol, axis=0)
         moved = viol - top * np.take(gram, k, axis=1)
         moved[k, np.arange(need.size)] = -np.inf
         bound = np.abs(top)
-        off_facet = np.flatnonzero((moved > -m).any(axis=0))  # projection leaves P
+        off_facet = np.flatnonzero((moved > 0.0).any(axis=0))  # projection leaves P
         if off_facet.size:
-            v = p.vertices
-            xv = np.take(x, need[off_facet], axis=0).T
-            nearest = np.argmin(np.einsum("ij,ij->i", v, v)[:, None] - 2.0 * (v @ xv), axis=0)
-            diff = xv - np.take(v, nearest, axis=0).T
-            bound[off_facet] = np.sqrt(np.einsum("ij,ij->j", diff, diff))
+            xo = np.take(x, need[off_facet], axis=0).T
+            bound[off_facet] = (_nearest_vertex_distances(p.vertices, xo) if segments is None
+                                else _nearest_segment_distances(segments, xo))
         upper[need] = bound
+        if segments is not None:
+            lower[need] = np.where(top > 0.0, bound, 0.0)
     return lower, upper
+
+
+def _nearest_vertex_distances(v: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """min_j |x - v_j| for each column of the (n, N) array x.
+
+    The nearest vertex minimises |v|^2 - 2 x.v (|x|^2 is left out), which
+    needs no (V, N, n) temporary; its distance is then taken as |x - v|,
+    which keeps full relative accuracy near a vertex.
+    """
+    nearest = np.argmin(np.einsum("ij,ij->i", v, v)[:, None] - 2.0 * (v @ x), axis=0)
+    diff = x - np.take(v, nearest, axis=0).T
+    return np.sqrt(np.einsum("ij,ij->j", diff, diff))
+
+
+def _nearest_segment_distances(segments, x: np.ndarray) -> np.ndarray:
+    """Distance from each column of the (n, N) array x to the nearest segment.
+
+    ``segments`` is ``_facet_inequalities``' (origins, steps, projectors).
+    The foot of x on a segment is origin + s step, with s = (x - origin) .
+    step / |step|^2 clamped to [0, 1].  The (E, N) arrays are formed one
+    coordinate at a time and updated in place, in blocks of about
+    ``_SEGMENT_BLOCK`` point-edge pairs, which keeps them in cache.
+    """
+    origins, steps, projectors = segments
+    out = np.empty(x.shape[1])
+    width = max(1, _SEGMENT_BLOCK // origins.shape[1])
+    for lo in range(0, x.shape[1], width):
+        diff = [xc[lo:lo + width] - oc[:, None] for xc, oc in zip(x, origins)]
+        s = diff[0] * projectors[0][:, None]
+        for dc, pc in zip(diff[1:], projectors[1:]):
+            s += dc * pc[:, None]
+        np.clip(s, 0.0, 1.0, out=s)
+        for dc, sc in zip(diff, steps):
+            dc -= s * sc[:, None]
+            dc *= dc
+        dist2 = diff[0]
+        for dc in diff[1:]:
+            dist2 += dc
+        out[lo:lo + width] = dist2.min(axis=0)
+    return np.sqrt(out)
 
 
 def _sobol_draw(engine, count: int) -> np.ndarray:

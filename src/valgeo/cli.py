@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from ._kernels import BACKEND
 from .suites import SUITE_NAMES, check_config, config_from_sources, load_config_file, run_suite
 
 
@@ -55,7 +54,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     report = run_suite(args.suite, cfg)
     n_pass = sum(r["pass"] for r in report.records)
-    print(f"suite {report.suite}  seed {report.seed}  kernel backend {BACKEND}")
+    print(f"suite {report.suite}  seed {report.seed}")
     for r in report.records:
         status = "PASS" if r["pass"] else "FAIL"
         print(

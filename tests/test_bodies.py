@@ -260,7 +260,7 @@ class TestCauchyShadows:
         tests = Path(__file__).resolve().parent
         src = str(tests.parent / "src")
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-                   MKL_NUM_THREADS="1", VALGEO_PURE_PYTHON="1",
+                   MKL_NUM_THREADS="1",
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
             [sys.executable, "-c", "import test_bodies; print(test_bodies._cauchy_mismatches())"],
@@ -359,6 +359,55 @@ class TestCertifiedMembership:
         assert np.array_equal(got, _wolfe_within(p, points, t))
         assert np.array_equal(B.contains_points(p, points), _wolfe_within(p, points, t[:1])[0])
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 3),
+        m=st.integers(4, 30),
+        kind=st.sampled_from(["sphere", "gaussian", "anisotropic", "cube"]),
+    )
+    def test_bracket_is_the_distance_in_r2_r3(self, seed, n, m, kind):
+        # Points x = z + d u with z on P's boundary (a vertex, or a point
+        # between two vertices: on an edge, inside a facet, or inside P) and
+        # u a unit vector of the normal cone at z, so dist(x, P) = d exactly.
+        # u = a facet normal puts x on the boundary between that facet's
+        # Voronoi region and z's; other u go deep into z's region.
+        rng = np.random.default_rng(seed)
+        if kind == "cube":
+            q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            raw = B.make_cube(n).vertices @ q.T + rng.uniform(-3, 3, n)
+        else:
+            raw = rng.standard_normal((max(m, n + 1), n))
+            if kind == "sphere":
+                raw /= np.linalg.norm(raw, axis=1, keepdims=True)
+            elif kind == "anisotropic":
+                raw *= 10.0 ** rng.uniform(-2, 1, n)
+        p = B.Polytope(n, raw)
+        assume(p.affine_dim == n)
+        facets = B._facet_inequalities(p)
+        a, b, scale = facets[0], facets[1], B._hull_scale(p)
+        v = p.vertices
+        i, j = rng.integers(0, len(v), (2, 400))
+        lam = rng.choice([0.0, 0.5, 1.0, rng.random()], (400, 1))
+        z = np.vstack([v, v[i] + lam * (v[j] - v[i])])
+        active = np.abs(z @ a.T - b) <= 1e-12 * scale
+        weights = rng.exponential(size=active.shape) * active
+        weights *= rng.random(active.shape) < rng.uniform(0.2, 1.0)  # some region boundaries
+        lone = weights.sum(axis=1) == 0
+        weights[lone] = active[lone]
+        u = weights @ a
+        norm = np.linalg.norm(u, axis=1, keepdims=True)
+        u = np.divide(u, norm, out=np.zeros_like(u), where=norm > 0)
+        d = np.where(norm[:, 0] > 0, scale * 10.0 ** rng.uniform(-9, 0.5, len(z)), 0.0)
+        x = z + d[:, None] * u
+        lower, upper = B._bracket(p, facets, x, np.inf)
+        wolfe = B.hull_distances(x, v)
+        out = d > 0
+        assert np.array_equal(lower[out], upper[out])
+        assert np.abs(upper[out] - d[out]).max() <= 1e-12 * scale
+        assert np.abs(upper[out] - wolfe[out]).max() <= 1e-12 * scale
+        assert (lower[~out] == 0.0).all() and upper[~out].max(initial=0.0) <= 1e-12 * scale
+
     def test_margin_sends_uncertain_points_to_wolfe(self):
         p = B.make_cube(3)
         t = np.array([1e-9 * B._hull_scale(p), 0.25])
@@ -382,7 +431,7 @@ class TestCertifiedMembership:
         q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((4, 4)))
         for p, count in ((B.make_cube(3), 6), (B.make_cube(4), 8),
                          (B.Polytope(4, B.make_cube(4).vertices @ q.T), 8)):
-            a, b, gram, margin = B._facet_inequalities(p)
+            a, b, gram, margin, _ = B._facet_inequalities(p)
             assert a.shape == (count, p.ambient_dim) and b.shape == (count,)
             assert np.allclose(gram, a @ a.T)
             assert margin == 1e-9 * B._hull_scale(p)
