@@ -699,8 +699,8 @@ def polytope_intrinsic_volumes(p: Polytope) -> IntrinsicVolumeVector:
 
     Classical closed forms: V_{n-1} is half the surface measure, and in R^3
     the mean-width term is the edge sum V_1 = sum_e len(e) theta(e) / (2 pi)
-    with theta the exterior (normal) angle.  Triangulation diagonals have
-    angle 0, so the formula is safe on Qhull's simplicial facets.
+    with theta the exterior (normal) angle, over ``_face_structure``'s
+    edges, so the diagonals inside Qhull's triangulated facets are left out.
     """
     n = p.ambient_dim
     if p.affine_dim < n:
@@ -712,17 +712,9 @@ def polytope_intrinsic_volumes(p: Polytope) -> IntrinsicVolumeVector:
         )
     if n != 3:
         raise DimensionError("exact polytope intrinsic volumes implemented for n = 2, 3")
-    hull = ConvexHull(p.vertices, qhull_options="Qt")
-    normals = hull.equations[:, :3]
-    v1 = 0.0
-    for fi, simplex in enumerate(hull.simplices):
-        for local, fj in enumerate(hull.neighbors[fi]):
-            if fj <= fi:
-                continue
-            shared = [v for li, v in enumerate(simplex) if li != local]
-            length = float(np.linalg.norm(p.vertices[shared[0]] - p.vertices[shared[1]]))
-            cosang = float(np.clip(normals[fi] @ normals[fj], -1.0, 1.0))
-            v1 += length * math.acos(cosang) / (2.0 * math.pi)
+    _, _, edges, angles = _face_structure(p)
+    lengths = np.linalg.norm(p.vertices[edges[:, 1]] - p.vertices[edges[:, 0]], axis=1)
+    v1 = float(lengths @ angles) / (2.0 * math.pi)
     return IntrinsicVolumeVector(
         values=np.array([1.0, v1, surface_area(p) / 2.0, hull_volume(p)])
     )

@@ -547,10 +547,18 @@ class TestOracles:
     def test_surface_area_cube(self):
         assert B.surface_area(B.make_cube(3)) == pytest.approx(6.0, rel=1e-10)
 
-    # Random clouds have simplicial facets.  Where two triangles of one
-    # facet meet, V_1's acos of a cosine near 1 carries ~1e-9 of rounding,
-    # so boxes would need a looser bound.  Over 400 random bodies the
-    # largest relative change under a motion (reflections included) was 6e-13.
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rotated_box(self, seed):
+        # The triangles of one box face meet at a diagonal with exterior
+        # angle 0, which V_1 leaves out; every edge angle is pi/2 to rounding.
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        p = B.Polytope(3, B.make_box([1.0, 2.0, 3.0]).vertices @ q.T + rng.uniform(-5, 5, 3))
+        assert B.polytope_intrinsic_volumes(p).values == pytest.approx([1.0, 6.0, 11.0, 6.0],
+                                                                         rel=1e-12)
+
+    # Over 400 random bodies the largest relative change under a motion
+    # (reflections included) was 6e-13.
     @settings(max_examples=40, deadline=None)
     @given(**_BODIES, motion_seed=st.integers(0, 2**32 - 1))
     def test_exact_oracles_rigid_motion_invariant(self, seed, m, kind, motion_seed):
