@@ -95,7 +95,7 @@ def run(c: int, seed: int, repeats: int) -> dict:
         t_wolfe = best_time(lambda: B.hull_distances(pts, p.vertices)[None] <= t[:, None],
                             repeats)
         t_cert = best_time(lambda: B._within(p, facets, pts, t), repeats)
-        edges = 0 if facets[4] is None else facets[4][0].shape[1]
+        edges = 0 if facets[4] is None else facets[4][0].shape[0]
         print(f"{name:<18} {facets[0].shape[0]:>6} {edges:>5} {t_wolfe * 1e3:>9.2f} "
               f"{t_cert * 1e3:>9.2f} {t_wolfe / t_cert:>6.1f}x {share:>15.3f}")
         rows.append({"body": name, "facets": int(facets[0].shape[0]), "edges": edges,

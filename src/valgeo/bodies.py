@@ -448,9 +448,10 @@ def _facet_inequalities(p: Polytope) -> tuple | None:
 
     A and b are ``_face_structure(p)``'s merged facets, P = {x : A x <= b}.
     m = 1e-9 * (1 + max|v|) is the decision margin of ``_within``.
-    ``segments`` holds P's edges in R^2 and R^3 as (origins, steps,
-    steps / |step|^2), each laid out (n, E); an edge is origin + s step for
-    s in [0, 1].  It is None for n >= 4.  None in place
+    ``segments`` holds P's E edges in R^2 and R^3, each origin + s step for
+    s in [0, 1], as (projectors, offsets, origins, steps): the rows
+    step / |step|^2 (E, n), their products with the origins (E, 1), and
+    the origins and steps laid out (n, E).  It is None for n >= 4.  None in place
     of the whole tuple means there is no certificate and every point goes to
     Wolfe: for flat bodies, which have no facets in their ambient space, and
     when Qhull fails or a vertex breaks a facet inequality by more than
@@ -470,7 +471,8 @@ def _facet_inequalities(p: Polytope) -> tuple | None:
         origin = p.vertices[edges[:, 0]]
         step = p.vertices[edges[:, 1]] - origin
         projector = step / np.einsum("ij,ij->i", step, step)[:, None]
-        segments = tuple(np.ascontiguousarray(w.T) for w in (origin, step, projector))
+        offset = np.einsum("ij,ij->i", projector, origin)[:, None]
+        segments = (projector, offset, origin.T.copy(), step.T.copy())
     return a, b, a @ a.T, margin, segments
 
 
@@ -579,27 +581,28 @@ def _nearest_vertex_distances(v: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _nearest_segment_distances(segments, x: np.ndarray) -> np.ndarray:
     """Distance from each column of the (n, N) array x to the nearest segment.
 
-    ``segments`` is ``_facet_inequalities``' (origins, steps, projectors).
-    The foot of x on a segment is origin + s step, with s = (x - origin) .
-    step / |step|^2 clamped to [0, 1].  The (E, N) arrays are formed one
+    ``segments`` is ``_facet_inequalities``' (projectors, offsets, origins,
+    steps).  The foot of x on a segment is origin + s step, where
+    s = projector . x - offset, the projection of x - origin onto the
+    segment, is clamped to [0, 1].  The (E, N) residuals are formed one
     coordinate at a time and updated in place, in blocks of about
     ``_SEGMENT_BLOCK`` point-edge pairs, which keeps them in cache.
     """
-    origins, steps, projectors = segments
+    projectors, offsets, origins, steps = segments
     out = np.empty(x.shape[1])
     width = max(1, _SEGMENT_BLOCK // origins.shape[1])
     for lo in range(0, x.shape[1], width):
-        diff = [xc[lo:lo + width] - oc[:, None] for xc, oc in zip(x, origins)]
-        s = diff[0] * projectors[0][:, None]
-        for dc, pc in zip(diff[1:], projectors[1:]):
-            s += dc * pc[:, None]
+        xb = x[:, lo:lo + width]
+        s = projectors @ xb
+        s -= offsets
         np.clip(s, 0.0, 1.0, out=s)
-        for dc, sc in zip(diff, steps):
-            dc -= s * sc[:, None]
-            dc *= dc
-        dist2 = diff[0]
-        for dc in diff[1:]:
-            dist2 += dc
+        dist2 = np.zeros_like(s)
+        for xc, oc, sc in zip(xb, origins, steps):
+            r = s * sc[:, None]
+            r += oc[:, None]
+            r -= xc
+            r *= r
+            dist2 += r
         out[lo:lo + width] = dist2.min(axis=0)
     return np.sqrt(out)
 
