@@ -551,7 +551,7 @@ def _bracket(p: Polytope, facets, x: np.ndarray, t_max: float) -> tuple[np.ndarr
     need = np.flatnonzero((top > -m) & (lower - m < t_max))
     if need.size:
         viol, top = np.take(viol, need, axis=1), top[need]
-        k = np.argmax(viol, axis=0)
+        k = np.argmax(viol == top, axis=0)
         moved = viol - top * np.take(gram, k, axis=1)
         moved[k, np.arange(need.size)] = -np.inf
         bound = np.abs(top)
