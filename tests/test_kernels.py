@@ -1,4 +1,5 @@
-"""Correctness of the pure-NumPy min-norm-point distance kernel."""
+"""Correctness of the pure-NumPy min-norm-point distance kernel, and suite
+reports that do not change when every membership point goes to it."""
 
 import math
 
@@ -6,7 +7,9 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from valgeo import bodies, trace
 from valgeo._kernels import BACKEND, hull_distances, pywolfe
+from valgeo.suites import RunConfig, run_suite
 
 
 def slsqp_distance(x, vertices):
@@ -159,3 +162,21 @@ class TestBackends:
     def test_backend_name(self):
         assert BACKEND == "python"
         assert hull_distances is pywolfe.hull_distances
+
+
+def suite_report(suite, samples):
+    """(report JSON, sent_to_wolfe) of ``suite`` at seed 1234 and ``samples``."""
+    trace.reset()
+    report = run_suite(suite, RunConfig(seed=1234, samples=samples)).to_json()
+    return report, trace.counters["sent_to_wolfe"]
+
+
+@pytest.mark.parametrize("suite, samples", [("angles", 1024), ("hadwiger", 4096),
+                                            ("steiner", 4096)])
+def test_reports_are_identical_with_wolfe_on_every_point(monkeypatch, suite, samples):
+    certified, certified_sent = suite_report(suite, samples)
+    # Without facet data, _within sends every point to hull_distances.
+    monkeypatch.setattr(bodies, "_facet_inequalities", lambda p: None)
+    wolfe, wolfe_sent = suite_report(suite, samples)
+    assert certified_sent < wolfe_sent
+    assert certified == wolfe
