@@ -5,7 +5,8 @@ For each body whose membership the suites count, it draws one chunk of points
 from the box the suite samples and decides dist(x, P) <= t for the suite's
 thresholds twice: with ``hull_distances`` (the pure-NumPy Wolfe kernel) on
 every point, and with ``bodies._within``, which brackets each distance from
-P's facets (exactly, from facets and edges, in R^2 and R^3) and sends only
+P's face record ``p.faces`` (exactly, from facets and edges, in R^2 and R^3)
+and sends only
 the points it cannot decide, plus a 1-in-64 audit sample, to
 ``hull_distances``.  It prints the best time of a few repeats for each, the
 speedup and the certified fraction, and exits with an error if the two
@@ -86,19 +87,19 @@ def run(c: int, seed: int, repeats: int) -> dict:
     for j, (name, p, t, lo, widths) in enumerate(cases(seed)):
         engine = qmc.Sobol(d=p.ambient_dim, scramble=True, seed=SeededSampler(seed, j).rng)
         pts = lo + engine.random(c) * widths
-        facets = B._facet_inequalities(p)
+        faces = p.faces
         wolfe = B.hull_distances(pts, p.vertices)[None] <= t[:, None]
         trace.reset()
-        certified = B._within(p, facets, pts, t)
+        certified = B._within(p, pts, t)
         share = 1.0 - trace.counters["sent_to_wolfe"] / c
         disagreements += int(np.count_nonzero(certified != wolfe))
         t_wolfe = best_time(lambda: B.hull_distances(pts, p.vertices)[None] <= t[:, None],
                             repeats)
-        t_cert = best_time(lambda: B._within(p, facets, pts, t), repeats)
-        edges = 0 if facets[4] is None else facets[4][0].shape[0]
-        print(f"{name:<18} {facets[0].shape[0]:>6} {edges:>5} {t_wolfe * 1e3:>9.2f} "
+        t_cert = best_time(lambda: B._within(p, pts, t), repeats)
+        edges = 0 if faces.edges is None else faces.edges.shape[0]
+        print(f"{name:<18} {faces.a.shape[0]:>6} {edges:>5} {t_wolfe * 1e3:>9.2f} "
               f"{t_cert * 1e3:>9.2f} {t_wolfe / t_cert:>6.1f}x {share:>15.3f}")
-        rows.append({"body": name, "facets": int(facets[0].shape[0]), "edges": edges,
+        rows.append({"body": name, "facets": int(faces.a.shape[0]), "edges": edges,
                      "thresholds": int(t.size), "wolfe_ms": round(t_wolfe * 1e3, 3),
                      "certified_ms": round(t_cert * 1e3, 3),
                      "certified_share": round(share, 4)})

@@ -31,7 +31,6 @@ from scipy.spatial import ConvexHull
 from valgeo.base import MC_CHUNK
 from valgeo.bodies import (
     Polytope,
-    _facet_decomposition,
     cauchy_shadow_volumes,
     make_cube,
     shadow_area_perimeter,
@@ -83,10 +82,11 @@ def cauchy_blocks(c: int, seed: int) -> None:
     print(f"\nCauchy's formula on {c} directions: one piece against row blocks (ms)")
     print(f"{'cloud':<12} {'facets':>6} {'one piece':>10} {'blocked':>9} {'speedup':>8}")
     for j, (name, pts) in enumerate(clouds(seed).items()):
-        normals, areas = facets = _facet_decomposition(Polytope(3, pts))
+        body = Polytope(3, pts)
+        normals, areas = body.faces.normals, body.faces.areas
         dirs = haar_unit_vectors(3, c, s.substream(j))
         ref, t_ref = best_of(lambda: 0.5 * (np.abs(dirs @ normals.T) @ areas))
-        blocked, t_blocked = best_of(lambda: cauchy_shadow_volumes(facets, dirs))
+        blocked, t_blocked = best_of(lambda: cauchy_shadow_volumes(body, dirs))
         print(f"{name:<12} {len(areas):>6} {1e3 * t_ref:>10.2f} {1e3 * t_blocked:>9.2f} "
               f"{t_ref / t_blocked:>7.1f}x")
         if not np.array_equal(blocked, ref):
@@ -101,9 +101,8 @@ def measure(body: Polytope, shadows: np.ndarray, normals: np.ndarray | None):
     gap = float(np.abs(batched / ref - 1.0).max())
     t_cauchy = None
     if normals is not None:
-        cauchy, t_cauchy = timed(
-            lambda: cauchy_shadow_volumes(_facet_decomposition(body), normals)
-        )
+        # The first call on a body includes the Qhull call that builds its faces.
+        cauchy, t_cauchy = timed(lambda: cauchy_shadow_volumes(body, normals))
         gap = max(gap, float(np.abs(cauchy / ref - 1.0).max()))
     if gap > TOL:
         raise SystemExit(f"bench_shadows: disagreement {gap:.1e} with Qhull exceeds {TOL:.0e}")

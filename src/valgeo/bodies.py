@@ -1,12 +1,13 @@
 """Polytope geometry: projections, exact volumes, Steiner fits, Kubota MC.
 
-Polytopes are stored by their extreme points.  Exact volumes go through
-Qhull (intended range n <= 6), except planar shadows, which are measured a
-whole Monte-Carlo chunk at a time; Minkowski-ball volumes vol(K + eps D) are
-estimated by Monte-Carlo membership, decided exactly from facets and edges
-in R^2 and R^3, by facet and vertex bounds where they are conclusive in
-higher dimensions, and by the min-norm-point kernel elsewhere; the
-Cauchy-Kubota estimator is calibrated to be exact on the unit ball.
+Polytopes are stored by their extreme points.  Exact volumes, areas, edges
+and facets come from one Qhull call per polytope, kept as ``Polytope.faces``
+(intended range n <= 6); planar shadows are measured a whole Monte-Carlo
+chunk at a time; Minkowski-ball volumes vol(K + eps D) are estimated by
+Monte-Carlo membership, decided exactly from facets and edges in R^2 and
+R^3, by facet and vertex bounds where they are conclusive in higher
+dimensions, and by the min-norm-point kernel elsewhere; the Cauchy-Kubota
+estimator is calibrated to be exact on the unit ball.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -32,7 +34,7 @@ _SHADOW_BLOCK = 1 << 14
 _CAUCHY_BLOCK = 1 << 17  # cauchy_shadow_volumes: direction-facet products per row block
 _CONTAINS_TOL = 1e-9   # contains_points: dist <= tol * (1 + max|v|)
 _MARGIN = 1e-9         # _within decides a point only this far (times 1 + max|v|) from a threshold
-_COPLANAR_TOL = 1e-12  # facet rows merged by _face_structure
+_COPLANAR_TOL = 1e-12  # facet rows merged by _face_record
 _AUDIT_STRIDE = 64     # _within also sends every 64th decided point to Wolfe
 _FACET_BLOCK = 1 << 17  # _within brackets points in blocks of this many point-facet pairs
 _SEGMENT_BLOCK = 1 << 14  # _nearest_segment_distances: point-edge pairs per block
@@ -83,11 +85,50 @@ class Polytope:
         d2 = np.sum((v[:, None, :] - v[None, :, :]) ** 2, axis=-1)
         return float(np.sqrt(d2.max()))
 
+    @cached_property
+    def faces(self) -> "FaceRecord | None":
+        """P's ``FaceRecord``, built on first use; None for flat P and n < 2."""
+        if self.affine_dim < self.ambient_dim or self.ambient_dim < 2:
+            return None
+        return _face_record(self)
+
     def __repr__(self) -> str:
         return (
             f"Polytope(ambient_dim={self.ambient_dim}, "
             f"n_vertices={self.n_vertices}, affine_dim={self.affine_dim})"
         )
+
+
+@dataclass(frozen=True, eq=False)
+class FaceRecord:
+    """The faces of a full-dimensional P in R^n from one Qhull call; arrays read-only.
+
+    Qhull triangulates non-simplicial facets: a and b merge the rows that
+    agree to 1e-12 (offsets relative to 1 + max|v|) into the first of them,
+    while normals and areas keep every simplex.  The edge fields are None
+    where undefined (angles in R^2, all of them for n >= 4).
+    """
+
+    a: np.ndarray          # P = {x : a x <= b}; rows are unit facet normals
+    b: np.ndarray
+    gram: np.ndarray       # a a^T
+    margin: float          # _within's decision margin, 1e-9 (1 + max|v|)
+    certifies: bool        # no vertex breaks a x <= b by more than rounding
+    edges: np.ndarray | None   # vertex index pairs: R^2 facets, R^3 sides between merged facets
+    angles: np.ndarray | None  # exterior angle at each R^3 edge, atan2(|n_i x n_j|, n_i . n_j)
+    projectors: np.ndarray | None  # (E, n) rows step / |step|^2
+    offsets: np.ndarray | None     # (E, 1) projectors . origins
+    origins: np.ndarray | None     # (n, E): edge e is origins[:, e] + s steps[:, e], s in [0, 1]
+    steps: np.ndarray | None
+    normals: np.ndarray    # unit normals and (n-1)-areas of Qhull's simplices (Cauchy's formula)
+    areas: np.ndarray
+    volume: float          # Qhull's volume and surface area
+    area: float
+
+    def __post_init__(self):
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -167,6 +208,11 @@ def _dedupe(points: np.ndarray) -> np.ndarray:
     return points[keep]
 
 
+def _affine_rank(sv: np.ndarray) -> int:
+    """The number of singular values of a centred cloud above 1e-9 max(1, sv[0])."""
+    return int(np.sum(sv > _AFFINE_TOL * max(1.0, sv[0])))
+
+
 def _extreme_points(points: np.ndarray) -> tuple[np.ndarray, int]:
     """Hull-reduce a point cloud; returns (extreme points, affine dimension)."""
     n = points.shape[1]
@@ -178,8 +224,7 @@ def _extreme_points(points: np.ndarray) -> tuple[np.ndarray, int]:
     center = pts.mean(axis=0)
     centered = pts - center
     u, sv, vt = np.linalg.svd(centered, full_matrices=False)
-    scale = max(1.0, sv[0])
-    adim = int(np.sum(sv > _AFFINE_TOL * scale))
+    adim = _affine_rank(sv)
     if adim == 0:
         return pts[:1].copy(), 0
     coords = centered @ vt[:adim].T
@@ -278,20 +323,29 @@ def hull_volume(p: Polytope) -> float:
         return 0.0
     if n == 1:
         return float(p.vertices.max() - p.vertices.min())
-    return float(ConvexHull(p.vertices).volume)
+    return p.faces.volume
 
 
 def _raw_volume(points: np.ndarray) -> float:
-    """Hull volume of a raw point cloud; 0 if degenerate.  Internal fast path."""
+    """Hull volume of a raw (m, k) point cloud, k >= 1: 0 without Qhull if its
+    affine rank (``_affine_rank``) is below k, else Qhull's, whose errors propagate."""
     k = points.shape[1]
-    if k == 0:
-        return 1.0
     if k == 1:
         return float(points.max() - points.min())
-    try:
-        return float(ConvexHull(points).volume)
-    except QhullError:
+    if _affine_rank(np.linalg.svd(points - points.mean(axis=0), compute_uv=False)) < k:
         return 0.0
+    return float(ConvexHull(points).volume)
+
+
+def _projection_volumes(proj: np.ndarray) -> np.ndarray:
+    """vol_k of the hull of each cloud in a (c, m, k) stack, k >= 1: max - min,
+    ``shadow_area_perimeter`` on the whole stack, or ``_raw_volume`` per cloud."""
+    k = proj.shape[2]
+    if k == 1:
+        return proj[..., 0].max(axis=1) - proj[..., 0].min(axis=1)
+    if k == 2:
+        return shadow_area_perimeter(proj)[0]
+    return np.array([_raw_volume(x) for x in proj])
 
 
 def shadow_area_perimeter(points) -> tuple[np.ndarray, np.ndarray]:
@@ -404,25 +458,13 @@ def _hull_scale(p: Polytope) -> float:
 
 def contains_points(p: Polytope, points: np.ndarray, tol: float = _CONTAINS_TOL) -> np.ndarray:
     """dist(x, P) <= tol * (1 + max|v|) for each row x of ``points``."""
-    thresholds = np.array([tol * _hull_scale(p)])
-    return _within(p, _facet_inequalities(p), points, thresholds)[0]
+    return _within(p, points, np.array([tol * _hull_scale(p)]))[0]
 
 
-def _face_structure(p: Polytope):
-    """P's facets and edges from one Qhull call: (A, b, edges, angles).
-
-    P = {x : A x <= b}, with unit facet normals from Qhull as the rows of A.
-    Qhull triangulates non-simplicial facets, and the pieces of one facet
-    share its hyperplane, so rows that agree to 1e-12 (offsets relative to
-    the scale 1 + max|v|) are merged into the first of them.  ``edges`` holds
-    vertex index pairs, one row per edge: in R^2 the facets themselves, in
-    R^3 the sides that neighbouring triangles in different merged facets
-    share.  ``angles`` is the exterior angle at each R^3 edge,
-    atan2(|n_i x n_j|, n_i . n_j) for the normals of its two triangles.  Both
-    are None where they are not defined (``angles`` in R^2, both for n >= 4).
-    Raises ``QhullError`` if Qhull fails.
-    """
+def _face_record(p: Polytope) -> FaceRecord:
+    """Build ``p.faces`` from one Qhull call; see ``FaceRecord``."""
     hull = ConvexHull(p.vertices)
+    n = p.ambient_dim
     eq = hull.equations
     gap = np.zeros((eq.shape[0], eq.shape[0]))
     for col in np.hstack([eq[:, :-1], eq[:, -1:] / _hull_scale(p)]).T:
@@ -430,60 +472,56 @@ def _face_structure(p: Polytope):
     label = np.argmax(gap <= _COPLANAR_TOL, axis=1)  # first row of each merged facet
     first = label == np.arange(eq.shape[0])
     a, b = eq[first, :-1], -eq[first, -1]
-    edges = angles = None
-    if p.ambient_dim == 2:
+    margin = _MARGIN * _hull_scale(p)
+    edges = angles = projectors = offsets = origins = steps = None
+    if n == 2:
         edges = hull.simplices
-    elif p.ambient_dim == 3:
+    elif n == 3:
         nbr = hull.neighbors
         across = (np.arange(nbr.shape[0])[:, None] < nbr) & (label[:, None] != label[nbr])
         tri, slot = np.nonzero(across)  # each edge once, seen from its lower-numbered triangle
         edges = hull.simplices[tri[:, None], (slot[:, None] + [1, 2]) % 3]
         u, w = eq[tri, :3], eq[nbr[tri, slot], :3]
         angles = np.arctan2(np.linalg.norm(np.cross(u, w), axis=1), np.einsum("ij,ij->i", u, w))
-    return a, b, edges, angles
-
-
-def _facet_inequalities(p: Polytope) -> tuple | None:
-    """P's certificate data (A, b, A A^T, m, segments), or None.
-
-    A and b are ``_face_structure(p)``'s merged facets, P = {x : A x <= b}.
-    m = 1e-9 * (1 + max|v|) is the decision margin of ``_within``.
-    ``segments`` holds P's E edges in R^2 and R^3, each origin + s step for
-    s in [0, 1], as (projectors, offsets, origins, steps): the rows
-    step / |step|^2 (E, n), their products with the origins (E, 1), and
-    the origins and steps laid out (n, E).  It is None for n >= 4.  None in place
-    of the whole tuple means there is no certificate and every point goes to
-    Wolfe: for flat bodies, which have no facets in their ambient space, and
-    when Qhull fails or a vertex breaks a facet inequality by more than
-    rounding.
-    """
-    if p.affine_dim < p.ambient_dim or p.ambient_dim < 2:
-        return None
-    try:
-        a, b, edges, _ = _face_structure(p)
-    except QhullError:
-        return None
-    margin = _MARGIN * _hull_scale(p)
-    if (p.vertices @ a.T - b).max() > 1e-3 * margin:
-        return None
-    segments = None
     if edges is not None:
         origin = p.vertices[edges[:, 0]]
         step = p.vertices[edges[:, 1]] - origin
-        projector = step / np.einsum("ij,ij->i", step, step)[:, None]
-        offset = np.einsum("ij,ij->i", projector, origin)[:, None]
-        segments = (projector, offset, origin.T.copy(), step.T.copy())
-    return a, b, a @ a.T, margin, segments
+        projectors = step / np.einsum("ij,ij->i", step, step)[:, None]
+        offsets = np.einsum("ij,ij->i", projectors, origin)[:, None]
+        origins, steps = origin.T.copy(), step.T.copy()
+    # A simplicial facet's area is sqrt(det G) / (n-1)! for the Gram matrix G
+    # of its edge vectors from its first vertex; one stack holds all of them.
+    corners = p.vertices[hull.simplices]
+    sides = corners[:, 1:] - corners[:, :1]
+    dets = np.linalg.det(sides @ np.swapaxes(sides, 1, 2))
+    return FaceRecord(
+        a=a, b=b, gram=a @ a.T, margin=margin,
+        certifies=bool((p.vertices @ a.T - b).max() <= 1e-3 * margin),
+        edges=edges, angles=angles,
+        projectors=projectors, offsets=offsets, origins=origins, steps=steps,
+        normals=eq[:, :n], areas=np.sqrt(np.maximum(dets, 0.0)) / math.factorial(n - 1),
+        volume=float(hull.volume), area=float(hull.area),
+    )
 
 
-def _within(p: Polytope, facets, points: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+def _certificate(p: Polytope) -> FaceRecord | None:
+    """``p.faces`` if it certifies membership, else None, which sends every
+    point of ``_within`` to Wolfe: for flat P, when Qhull fails, and when a
+    vertex breaks a facet inequality by more than rounding."""
+    try:
+        faces = p.faces
+    except QhullError:
+        return None
+    return faces if faces is not None and faces.certifies else None
+
+
+def _within(p: Polytope, points: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     """The (T, N) boolean matrix dist(points[i], P) <= thresholds[j].
 
     It equals ``hull_distances(points, p.vertices)[None] <= thresholds[:, None]``
-    but runs Wolfe only where it must.  ``facets`` is
-    ``_facet_inequalities(p)``; ``_bracket`` turns it into a lower and an
-    upper bound on each point's distance, which are equal outside bodies in
-    R^2 and R^3.  A point is decided when every
+    but runs Wolfe only where it must.  Given ``_certificate(p)``,
+    ``_bracket`` bounds each point's distance from below and above, with
+    equal bounds outside bodies in R^2 and R^3.  A point is decided when every
     threshold lies at least the margin m outside its bracket; the margin
     covers rounding in the bounds and in Wolfe's own result.  The other
     points, and every ``_AUDIT_STRIDE``-th point as a check, go to
@@ -495,13 +533,14 @@ def _within(p: Polytope, facets, points: np.ndarray, thresholds: np.ndarray) -> 
     count = pts.shape[0]
     out = np.zeros((t.shape[0], count), dtype=bool)
     decided = np.zeros(count, dtype=bool)
-    if facets is not None:
-        m = facets[3]
+    faces = _certificate(p)
+    if faces is not None:
+        m = faces.margin
         lower, upper = np.empty(count), np.empty(count)
-        step = max(1, _FACET_BLOCK // max(facets[0].shape[0], p.n_vertices))
+        step = max(1, _FACET_BLOCK // max(faces.a.shape[0], p.n_vertices))
         for lo in range(0, count, step):
             block = slice(lo, lo + step)
-            lower[block], upper[block] = _bracket(p, facets, pts[block], t.max())
+            lower[block], upper[block] = _bracket(p, pts[block], t.max())
         out[:] = t >= upper + m
         decided = (out | (t <= lower - m)).all(axis=0)
     audit = np.zeros(count, dtype=bool)
@@ -523,8 +562,8 @@ def _within(p: Polytope, facets, points: np.ndarray, thresholds: np.ndarray) -> 
     return out
 
 
-def _bracket(p: Polytope, facets, x: np.ndarray, t_max: float) -> tuple[np.ndarray, np.ndarray]:
-    """Lower and upper bounds on dist(x, P) for each row x, from P's facets.
+def _bracket(p: Polytope, x: np.ndarray, t_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper bounds on dist(x, P) for each row x, from ``p.faces``.
 
     * lower: the largest facet violation viol_k = a_k.x - b_k, clamped at 0;
     * upper: 0 if every violation is <= -m (x lies inside P).  Otherwise
@@ -543,8 +582,9 @@ def _bracket(p: Polytope, facets, x: np.ndarray, t_max: float) -> tuple[np.ndarr
     (lower >= t_max + m) get upper = inf.  Arrays are laid out (facets,
     edges or vertices, points), so that reductions run along the long axis.
     """
-    a, b, gram, m, segments = facets
-    viol = a @ x.T - b[:, None]
+    f = p.faces
+    a, m = f.a, f.margin
+    viol = a @ x.T - f.b[:, None]
     top = viol.max(axis=0)
     lower = np.maximum(top, 0.0)
     upper = np.where(top <= -m, 0.0, np.inf)
@@ -552,16 +592,16 @@ def _bracket(p: Polytope, facets, x: np.ndarray, t_max: float) -> tuple[np.ndarr
     if need.size:
         viol, top = np.take(viol, need, axis=1), top[need]
         k = np.argmax(viol == top, axis=0)
-        moved = viol - top * np.take(gram, k, axis=1)
+        moved = viol - top * np.take(f.gram, k, axis=1)
         moved[k, np.arange(need.size)] = -np.inf
         bound = np.abs(top)
         off_facet = np.flatnonzero((moved > 0.0).any(axis=0))  # projection leaves P
         if off_facet.size:
             xo = np.take(x, need[off_facet], axis=0).T
-            bound[off_facet] = (_nearest_vertex_distances(p.vertices, xo) if segments is None
-                                else _nearest_segment_distances(segments, xo))
+            bound[off_facet] = (_nearest_vertex_distances(p.vertices, xo) if f.edges is None
+                                else _nearest_segment_distances(f, xo))
         upper[need] = bound
-        if segments is not None:
+        if f.edges is not None:
             lower[need] = np.where(top > 0.0, bound, 0.0)
     return lower, upper
 
@@ -578,26 +618,24 @@ def _nearest_vertex_distances(v: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->j", diff, diff))
 
 
-def _nearest_segment_distances(segments, x: np.ndarray) -> np.ndarray:
-    """Distance from each column of the (n, N) array x to the nearest segment.
+def _nearest_segment_distances(f: FaceRecord, x: np.ndarray) -> np.ndarray:
+    """Distance from each column of the (n, N) array x to P's nearest edge.
 
-    ``segments`` is ``_facet_inequalities``' (projectors, offsets, origins,
-    steps).  The foot of x on a segment is origin + s step, where
-    s = projector . x - offset, the projection of x - origin onto the
-    segment, is clamped to [0, 1].  The (E, N) residuals are formed one
-    coordinate at a time and updated in place, in blocks of about
-    ``_SEGMENT_BLOCK`` point-edge pairs, which keeps them in cache.
+    The segments are the face record f's.  The foot of x on a segment is
+    origin + s step, where s = projector . x - offset, the projection of
+    x - origin onto the segment, is clamped to [0, 1].  The (E, N) residuals
+    are formed one coordinate at a time and updated in place, in blocks of
+    about ``_SEGMENT_BLOCK`` point-edge pairs, which keeps them in cache.
     """
-    projectors, offsets, origins, steps = segments
     out = np.empty(x.shape[1])
-    width = max(1, _SEGMENT_BLOCK // origins.shape[1])
+    width = max(1, _SEGMENT_BLOCK // f.origins.shape[1])
     for lo in range(0, x.shape[1], width):
         xb = x[:, lo:lo + width]
-        s = projectors @ xb
-        s -= offsets
+        s = f.projectors @ xb
+        s -= f.offsets
         np.clip(s, 0.0, 1.0, out=s)
         dist2 = np.zeros_like(s)
-        for xc, oc, sc in zip(xb, origins, steps):
+        for xc, oc, sc in zip(xb, f.origins, f.steps):
             r = s * sc[:, None]
             r += oc[:, None]
             r -= xc
@@ -628,8 +666,8 @@ def mc_hull_volume(p: Polytope, n_samples: int, s: SeededSampler,
 
     Each point is counted as ``contains_points`` would count it.  Most
     points are decided by facet certificates (``_within``); the rest, and an
-    audit sample, go to Wolfe's kernel.  Qhull supplies only the facet
-    inequalities, once per call, never a volume, so the estimate stays
+    audit sample, go to Wolfe's kernel.  Only the facet inequalities and
+    edges of ``p.faces`` are read, never its volume, so the estimate stays
     independent of Qhull volumes.
     """
     if method not in ("mc", "qmc"):
@@ -644,7 +682,6 @@ def mc_hull_volume(p: Polytope, n_samples: int, s: SeededSampler,
         from scipy.stats import qmc
 
         engine = qmc.Sobol(d=p.ambient_dim, scramble=True, seed=s.substream(0).rng)
-    facets = _facet_inequalities(p)
     threshold = np.array([_CONTAINS_TOL * _hull_scale(p)])
     hits = 0
     for _, c, sub in mc_chunks(n_samples, s):
@@ -653,7 +690,7 @@ def mc_hull_volume(p: Polytope, n_samples: int, s: SeededSampler,
         else:
             u = sub.uniform(size=(c, p.ambient_dim))
         pts = lo + u * widths
-        hits += int(np.count_nonzero(_within(p, facets, pts, threshold)))
+        hits += int(np.count_nonzero(_within(p, pts, threshold)))
     frac = hits / n_samples
     stderr = box_vol * math.sqrt(max(frac * (1.0 - frac), 0.0) / n_samples)
     return Estimate(box_vol * frac, stderr)
@@ -691,10 +728,9 @@ def ball_intrinsic_volumes(n: int, r: float = 1.0) -> IntrinsicVolumeVector:
 
 def surface_area(p: Polytope) -> float:
     """Total (n-1)-measure of the boundary of a full-dimensional polytope."""
-    if p.affine_dim < p.ambient_dim:
-        raise DimensionError("surface area needs a full-dimensional polytope")
-    _, areas = _facet_decomposition(p)
-    return float(areas.sum())
+    if p.faces is None:
+        raise DimensionError("surface area needs a full-dimensional polytope in R^n, n >= 2")
+    return float(p.faces.areas.sum())
 
 
 def polytope_intrinsic_volumes(p: Polytope) -> IntrinsicVolumeVector:
@@ -702,24 +738,21 @@ def polytope_intrinsic_volumes(p: Polytope) -> IntrinsicVolumeVector:
 
     Classical closed forms: V_{n-1} is half the surface measure, and in R^3
     the mean-width term is the edge sum V_1 = sum_e len(e) theta(e) / (2 pi)
-    with theta the exterior (normal) angle, over ``_face_structure``'s
-    edges, so the diagonals inside Qhull's triangulated facets are left out.
+    with theta the exterior (normal) angle, over ``p.faces``' merged edges,
+    so the diagonals inside Qhull's triangulated facets are left out.
     """
     n = p.ambient_dim
     if p.affine_dim < n:
         raise DimensionError("full-dimensional polytope required")
-    if n == 2:
-        hull = ConvexHull(p.vertices)
-        return IntrinsicVolumeVector(
-            values=np.array([1.0, hull.area / 2.0, hull.volume])
-        )
-    if n != 3:
+    if n not in (2, 3):
         raise DimensionError("exact polytope intrinsic volumes implemented for n = 2, 3")
-    _, _, edges, angles = _face_structure(p)
-    lengths = np.linalg.norm(p.vertices[edges[:, 1]] - p.vertices[edges[:, 0]], axis=1)
-    v1 = float(lengths @ angles) / (2.0 * math.pi)
+    f = p.faces
+    if n == 2:
+        return IntrinsicVolumeVector(values=np.array([1.0, f.area / 2.0, f.volume]))
+    lengths = np.linalg.norm(p.vertices[f.edges[:, 1]] - p.vertices[f.edges[:, 0]], axis=1)
+    v1 = float(lengths @ f.angles) / (2.0 * math.pi)
     return IntrinsicVolumeVector(
-        values=np.array([1.0, v1, surface_area(p) / 2.0, hull_volume(p)])
+        values=np.array([1.0, v1, surface_area(p) / 2.0, f.volume])
     )
 
 
@@ -741,38 +774,21 @@ def kubota_coefficient(n: int, k: int) -> float:
     )
 
 
-def _facet_decomposition(p: Polytope) -> tuple[np.ndarray, np.ndarray]:
-    """(unit normals, (n-1)-areas) of the simplicial facets of a full-dim polytope.
-
-    Each area is sqrt(det G) / (n-1)! for the Gram matrix G of the facet's
-    edge vectors from its first vertex; all facets go through one stacked
-    product and one stacked determinant.
-    """
-    hull = ConvexHull(p.vertices, qhull_options="Qt")
-    n = p.ambient_dim
-    corners = hull.points[hull.simplices]
-    edges = corners[:, 1:] - corners[:, :1]
-    gram = edges @ np.swapaxes(edges, 1, 2)
-    areas = np.sqrt(np.maximum(np.linalg.det(gram), 0.0)) / math.factorial(n - 1)
-    return hull.equations[:, :n], areas
-
-
 def shadow_volume(p: Polytope, direction: np.ndarray) -> float:
     """vol_{n-1} of the projection of a full-dimensional P along a unit direction.
 
     Cauchy's projection formula: half the sum over facets of area times
     |<normal, direction>|.
     """
-    u = np.asarray(direction, dtype=float)
-    return float(cauchy_shadow_volumes(_facet_decomposition(p), u[None, :])[0])
+    return float(cauchy_shadow_volumes(p, np.asarray(direction, dtype=float)[None, :])[0])
 
 
-def cauchy_shadow_volumes(facets: tuple[np.ndarray, np.ndarray], dirs: np.ndarray) -> np.ndarray:
+def cauchy_shadow_volumes(p: Polytope, dirs: np.ndarray) -> np.ndarray:
     """Cauchy's projection formula for each row of ``dirs`` at once.
 
-    ``facets`` is ``_facet_decomposition(p)`` of a full-dimensional P.  Row t
-    is half the sum over facets of area times |<normal, dirs[t]>|: the shadow
-    volume along dirs[t] for a unit row, and |dirs[t]| times it otherwise.
+    Row t is half the sum over the simplicial facets of ``p.faces`` (P full
+    dimensional) of area times |<normal, dirs[t]>|: the shadow volume along
+    dirs[t] for a unit row, and |dirs[t]| times it otherwise.
 
     Rows go through in blocks of about ``_CAUCHY_BLOCK`` direction-facet
     products (at least 64 rows), so that each block's (rows, facets)
@@ -783,7 +799,7 @@ def cauchy_shadow_volumes(facets: tuple[np.ndarray, np.ndarray], dirs: np.ndarra
     thread, where blocks of 442 rows, off that grid, moved some rows by an
     ulp.  The row count is added to ``trace.counters``.
     """
-    normals, areas = facets
+    normals, areas = p.faces.normals, p.faces.areas
     count = dirs.shape[0]
     step = max(64, 64 * round(_CAUCHY_BLOCK / (64 * normals.shape[0])))
     out = np.empty(count)
@@ -800,21 +816,14 @@ def _kubota_samples_polytope(p: Polytope, k: int, n_samples: int, s: SeededSampl
     n = p.ambient_dim
     vals = np.empty(n_samples)
     use_cauchy = k == n - 1 and k >= 2 and p.affine_dim == n
-    facets = _facet_decomposition(p) if use_cauchy else None
     for rows, c, sub in mc_chunks(n_samples, s):
         if k == 1:
-            dirs = haar_unit_vectors(n, c, sub)
-            supports = p.vertices @ dirs.T
-            vals[rows] = supports.max(axis=0) - supports.min(axis=0)
+            supports = p.vertices @ haar_unit_vectors(n, c, sub).T
+            vals[rows] = _projection_volumes(supports.T[..., None])
         elif use_cauchy:
-            vals[rows] = cauchy_shadow_volumes(facets, haar_unit_vectors(n, c, sub))
+            vals[rows] = cauchy_shadow_volumes(p, haar_unit_vectors(n, c, sub))
         else:
-            bases = haar_bases_batch(n, k, c, sub)
-            proj = p.vertices @ bases
-            if k == 2:
-                vals[rows] = shadow_area_perimeter(proj)[0]
-            else:
-                vals[rows] = [_raw_volume(proj[i]) for i in range(c)]
+            vals[rows] = _projection_volumes(p.vertices @ haar_bases_batch(n, k, c, sub))
     return vals
 
 
@@ -899,11 +908,10 @@ def parallel_body_volumes(
     widths = hi - lo
     box_vol = float(np.prod(widths))
     engine = qmc.Sobol(d=p.ambient_dim, scramble=True, seed=s.substream(0).rng)
-    facets = _facet_inequalities(p)
     counts = np.zeros(len(eps_grid), dtype=np.int64)
     for _, c, _ in mc_chunks(n_samples, s):
         pts = lo + _sobol_draw(engine, c) * widths
-        counts += _within(p, facets, pts, eps_grid).sum(axis=1)
+        counts += _within(p, pts, eps_grid).sum(axis=1)
     frac = counts / n_samples
     vols = box_vol * frac
     stderrs = box_vol * np.sqrt(np.maximum(frac * (1.0 - frac), 0.0) / n_samples)

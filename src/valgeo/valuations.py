@@ -21,8 +21,7 @@ from .base import Estimate, mc_chunks, mean_and_stderr, unit_ball_volume
 from .bodies import (
     Ball,
     Polytope,
-    _facet_decomposition,
-    _raw_volume,
+    _projection_volumes,
     ball_intrinsic_volumes,
     cauchy_shadow_volumes,
     fit_polynomial,
@@ -205,10 +204,8 @@ def _crofton_eval(expr: CroftonVal, body: BodySpec, budget: int, s: SeededSample
         fvals = expr.f.eval_bases(bases)
         if isinstance(body, Ball):
             vols = _map_ball_volume(np.swapaxes(bases, 1, 2), body.subspace.basis, i)
-        elif i == 2:
-            vols = shadow_area_perimeter(body.vertices @ bases)[0]
         else:
-            vols = [_raw_volume(body.vertices @ b) for b in bases]
+            vols = _projection_volumes(body.vertices @ bases)
         vals[rows] = fvals * vols
     return mean_and_stderr(vals)
 
@@ -230,10 +227,6 @@ def evaluate(expr: ValuationExpr, body: BodySpec, budget: int, s: SeededSampler)
             if k > ldim:
                 return Estimate(0.0, 0.0)
             return Estimate(ball_intrinsic_volumes(ldim)[k], 0.0)
-        if k == 0:
-            return Estimate(1.0, 0.0)
-        if k == n:
-            return Estimate(hull_volume(body), 0.0)
         return kubota_estimate(body, k, budget, s)
     if isinstance(expr, ProjectionVal):
         f = expr.subspace
@@ -466,9 +459,8 @@ def _shadow_steiner_coeff_samples(
     coeffs = np.zeros((n_samples, k + 1))
     for rows, c, sub in mc_chunks(n_samples, s):
         if k == 1:
-            dirs = haar_unit_vectors(n, c, sub)
-            supports = body.vertices @ dirs.T
-            coeffs[rows, 0] = supports.max(axis=0) - supports.min(axis=0)
+            supports = body.vertices @ haar_unit_vectors(n, c, sub).T
+            coeffs[rows, 0] = _projection_volumes(supports.T[..., None])
             coeffs[rows, 1] = 2.0
         elif k == 2:
             bases = haar_bases_batch(n, 2, c, sub)
@@ -531,8 +523,7 @@ def parallel_valuation_values(
             proj = body.vertices @ bases
             fvals = expr.f.eval_bases(bases)[:, None]
             if i == 1:
-                length = (proj[..., 0].max(axis=1) - proj[..., 0].min(axis=1))[:, None]
-                vals[rows] = fvals * (length + 2.0 * eps_grid)
+                vals[rows] = fvals * (_projection_volumes(proj)[:, None] + 2.0 * eps_grid)
             else:
                 area, per = shadow_area_perimeter(proj)
                 vals[rows] = fvals * (
@@ -673,20 +664,15 @@ def v1_power(n: int, p: int) -> CustomVal:
         # 1/2 sum_f A_f |n_f . (u1 x u2)|: Cauchy's formula along u1 x u2.
         use_cauchy = (n == 3 and p == 2 and isinstance(body, Polytope)
                       and body.affine_dim == n)
-        facets = _facet_decomposition(body) if use_cauchy else None
         vals = np.empty(budget)
         for rows, c, sub in mc_chunks(budget, s):
             dirs = haar_unit_vectors(n, c * p, sub).reshape(c, p, n)
             if isinstance(body, Ball):
                 vals[rows] = _map_ball_volume(dirs, body.subspace.basis, p)
             elif use_cauchy:
-                vals[rows] = cauchy_shadow_volumes(facets, np.cross(dirs[:, 0], dirs[:, 1]))
+                vals[rows] = cauchy_shadow_volumes(body, np.cross(dirs[:, 0], dirs[:, 1]))
             else:
-                embedded = body.vertices @ np.swapaxes(dirs, 1, 2)
-                if p == 2:
-                    vals[rows] = shadow_area_perimeter(embedded)[0]
-                else:
-                    vals[rows] = [_raw_volume(embedded[t]) for t in range(c)]
+                vals[rows] = _projection_volumes(body.vertices @ np.swapaxes(dirs, 1, 2))
         est = mean_and_stderr(vals)
         return Estimate(c1p * est.value, c1p * est.stderr)
 

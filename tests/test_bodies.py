@@ -15,6 +15,7 @@ from valgeo.errors import ConditioningWarning, DimensionError
 from valgeo.grassmann import (
     SeededSampler,
     coordinate_subspace,
+    haar_bases_batch,
     haar_subspace,
     haar_unit_vectors,
     orthocomplement,
@@ -199,7 +200,7 @@ def _large_body_clouds(seed):
 
 
 def _old_facet_decomposition(p):
-    """The per-simplex loop that ``_facet_decomposition`` replaced."""
+    """The per-simplex loop that the face record's stacked areas replaced."""
     hull = ConvexHull(p.vertices, qhull_options="Qt")
     n = p.ambient_dim
     areas = np.empty(len(hull.simplices))
@@ -226,10 +227,10 @@ def _cauchy_mismatches():
     one-piece expression it evaluates in row blocks."""
     out = []
     for name, p in _cauchy_bodies().items():
-        normals, areas = facets = B._facet_decomposition(p)
+        normals, areas = p.faces.normals, p.faces.areas
         for rows in CAUCHY_ROWS:
             dirs = haar_unit_vectors(3, rows, SeededSampler(rows))
-            if not np.array_equal(B.cauchy_shadow_volumes(facets, dirs),
+            if not np.array_equal(B.cauchy_shadow_volumes(p, dirs),
                                   0.5 * (np.abs(dirs @ normals.T) @ areas)):
                 out.append(f"{name}/{rows}")
     return out
@@ -243,18 +244,17 @@ class TestCauchyShadows:
         B.make_simplex(4), B.make_cube(4), B.make_crosspolytope(4),
         B.Polytope(4, np.random.default_rng(8).standard_normal((60, 4))),
     ], ids=repr)
-    def test_facet_decomposition_matches_per_simplex_loop(self, p):
-        normals, areas = B._facet_decomposition(p)
+    def test_face_record_facets_match_per_simplex_loop(self, p):
         old_normals, old_areas = _old_facet_decomposition(p)
-        assert np.array_equal(normals, old_normals)
-        assert np.array_equal(areas, old_areas)
+        assert np.array_equal(p.faces.normals, old_normals)
+        assert np.array_equal(p.faces.areas, old_areas)
 
     def test_blocks_match_one_piece_expression(self):
         # The one-piece expression is reproducible only under one BLAS
         # thread: with two, OpenBLAS splits a 4308-row product between the
         # threads off the 8-row grid and the sphere's values move by an ulp.
         # So the comparison runs in a child process with one thread.
-        facets = [len(B._facet_decomposition(p)[1]) for p in _cauchy_bodies().values()]
+        facets = [len(p.faces.areas) for p in _cauchy_bodies().values()]
         # From one block per chunk (4 facets) to 448-row blocks (296 facets).
         assert min(facets) == 4 and max(facets) == 296
         tests = Path(__file__).resolve().parent
@@ -355,7 +355,7 @@ class TestCertifiedMembership:
         lo, hi = p.bounding_box()
         points = np.vstack([on + d * normals for d in offsets]
                            + [p.vertices, lo - t[-1] + rng.random((500, n)) * (hi - lo + 2 * t[-1])])
-        got = B._within(p, B._facet_inequalities(p), points, t)
+        got = B._within(p, points, t)
         assert np.array_equal(got, _wolfe_within(p, points, t))
         assert np.array_equal(B.contains_points(p, points), _wolfe_within(p, points, t[:1])[0])
 
@@ -384,8 +384,7 @@ class TestCertifiedMembership:
                 raw *= 10.0 ** rng.uniform(-2, 1, n)
         p = B.Polytope(n, raw)
         assume(p.affine_dim == n)
-        facets = B._facet_inequalities(p)
-        a, b, scale = facets[0], facets[1], B._hull_scale(p)
+        a, b, scale = p.faces.a, p.faces.b, B._hull_scale(p)
         v = p.vertices
         i, j = rng.integers(0, len(v), (2, 400))
         lam = rng.choice([0.0, 0.5, 1.0, rng.random()], (400, 1))
@@ -400,7 +399,7 @@ class TestCertifiedMembership:
         u = np.divide(u, norm, out=np.zeros_like(u), where=norm > 0)
         d = np.where(norm[:, 0] > 0, scale * 10.0 ** rng.uniform(-9, 0.5, len(z)), 0.0)
         x = z + d[:, None] * u
-        lower, upper = B._bracket(p, facets, x, np.inf)
+        lower, upper = B._bracket(p, x, np.inf)
         out = d > 0
         assert np.array_equal(lower[out], upper[out])
         assert np.abs(upper[out] - d[out]).max() <= 1e-12 * scale
@@ -424,7 +423,7 @@ class TestCertifiedMembership:
             [3.0, 3.0, 3.0],             # far outside
         ])
         trace.reset()
-        got = B._within(p, B._facet_inequalities(p), points, t)
+        got = B._within(p, points, t)
         assert got.tolist() == [[True, True, False, True, False, False],
                                 [True, True, True, True, True, False]]
         assert trace.counters == {"certified_inside": 2, "certified_outside": 2,
@@ -435,10 +434,10 @@ class TestCertifiedMembership:
         q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((4, 4)))
         for p, count in ((B.make_cube(3), 6), (B.make_cube(4), 8),
                          (B.Polytope(4, B.make_cube(4).vertices @ q.T), 8)):
-            a, b, gram, margin, _ = B._facet_inequalities(p)
-            assert a.shape == (count, p.ambient_dim) and b.shape == (count,)
-            assert np.allclose(gram, a @ a.T)
-            assert margin == 1e-9 * B._hull_scale(p)
+            f = p.faces
+            assert f.a.shape == (count, p.ambient_dim) and f.b.shape == (count,)
+            assert np.allclose(f.gram, f.a @ f.a.T)
+            assert f.margin == 1e-9 * B._hull_scale(p) and f.certifies
 
     @pytest.mark.parametrize("vertices", [
         [[0.0, 0.0], [1.0, 0.7]],                                  # tilted segment in R^2
@@ -446,7 +445,7 @@ class TestCertifiedMembership:
     ])
     def test_flat_bodies_go_to_wolfe(self, vertices):
         p = B.Polytope(len(vertices[0]), vertices)
-        assert p.affine_dim < p.ambient_dim and B._facet_inequalities(p) is None
+        assert p.affine_dim < p.ambient_dim and p.faces is None
         n_samples = 3000
         trace.reset()
         est = B.mc_hull_volume(p, n_samples, SeededSampler(4))
@@ -584,6 +583,99 @@ class TestOracles:
         assert B.polytope_intrinsic_volumes(scaled).values == pytest.approx(
             lam ** np.arange(4) * B.polytope_intrinsic_volumes(p).values, rel=1e-10)
         assert B.surface_area(scaled) == pytest.approx(lam**2 * B.surface_area(p), rel=1e-10)
+
+
+def _counting_qhull(monkeypatch):
+    """Count ``bodies.ConvexHull`` calls from here on; returns the call list."""
+    calls, real = [], B.ConvexHull
+    monkeypatch.setattr(B, "ConvexHull", lambda *a, **k: (calls.append(a[0].shape), real(*a, **k))[1])
+    return calls
+
+
+class TestFaceRecord:
+    def test_one_qhull_call_per_body(self, monkeypatch):
+        p = B.Polytope(3, np.random.default_rng(7).standard_normal((40, 3)))
+        calls = _counting_qhull(monkeypatch)
+        B.hull_volume(p)
+        B.surface_area(p)
+        B.polytope_intrinsic_volumes(p)
+        B.shadow_volume(p, [0.0, 0.6, 0.8])
+        B.contains_points(p, np.random.default_rng(8).standard_normal((50, 3)))
+        B.mc_hull_volume(p, 512, SeededSampler(9))
+        assert calls == [p.vertices.shape]
+
+    def test_record_is_read_only(self):
+        f = B.make_cube(3).faces
+        for array in (f.a, f.gram, f.edges, f.steps, f.normals, f.areas):
+            assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            f.a[0, 0] = 2.0
+
+    @pytest.mark.parametrize("p", [B.make_cube(2), B.make_simplex(2), B.make_cube(3),
+                                   B.make_crosspolytope(3), B.make_cube(4)], ids=repr)
+    def test_fields_agree_with_qhull(self, p):
+        hull, f = ConvexHull(p.vertices), p.faces
+        assert (f.volume, f.area) == (hull.volume, hull.area)
+        assert f.areas.sum() == pytest.approx(hull.area, rel=1e-12)
+        n = p.ambient_dim
+        assert (f.edges is None, f.angles is None) == (n >= 4, n != 3)
+        if f.edges is not None:
+            v = p.vertices
+            assert np.array_equal(f.origins, v[f.edges[:, 0]].T)
+            assert np.allclose(f.origins + f.steps, v[f.edges[:, 1]].T, rtol=0, atol=1e-15)
+
+    def test_flat_and_low_dimensional_bodies_have_none(self):
+        assert B.Polytope(3, [[0.0, 0, 0], [1, 0, 0], [0, 1, 0]]).faces is None
+        assert B.Polytope(1, [[0.0], [2.0]]).faces is None
+        with pytest.raises(DimensionError):
+            B.surface_area(B.Polytope(1, [[0.0], [2.0]]))
+
+    # V_1 is Minkowski additive and V_1 of a segment is its length.  The prism's
+    # side faces are parallelograms that Qhull splits into coplanar triangles.
+    @settings(max_examples=40, deadline=None)
+    @given(**_BODIES, u_seed=st.integers(0, 2**32 - 1), lam=st.floats(0.01, 10.0))
+    def test_v1_minkowski_segment_additive(self, seed, m, kind, u_seed, lam):
+        p = _random_body(seed, m, kind)
+        assume(p.affine_dim == 3)
+        u = np.random.default_rng(u_seed).standard_normal(3)
+        prism = B.minkowski_segment(p, u, lam)
+        assert B.polytope_intrinsic_volumes(prism)[1] == pytest.approx(
+            B.polytope_intrinsic_volumes(p)[1] + lam * np.linalg.norm(u), rel=1e-10)
+
+
+class TestRawVolume:
+    @pytest.mark.parametrize("cloud", [
+        [[1.0, 2.0, 3.0]],                                                 # one point
+        [[0.0, 0, 0], [1, 1, 1], [2, 2, 2], [3, 3, 3]],                    # collinear
+        [[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0], [0.3, 0.4, 0]],     # coplanar
+        [[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0.5, 0.5, 1e-12]],            # coplanar to 1e-12
+        [[0.0, 0], [1, 0], [2, 0]],                                        # collinear in R^2
+    ])
+    def test_degenerate_clouds_are_zero_without_qhull(self, monkeypatch, cloud):
+        monkeypatch.setattr(B, "ConvexHull", lambda *a, **k: pytest.fail("Qhull called"))
+        assert B._raw_volume(np.asarray(cloud)) == 0.0
+
+    def test_qhull_error_on_full_rank_cloud_propagates(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise QhullError("QH6271 qhull precision error")
+
+        monkeypatch.setattr(B, "ConvexHull", fail)
+        with pytest.raises(QhullError):
+            B._raw_volume(B.make_simplex(3).vertices)
+
+    def test_full_rank_cloud(self):
+        assert B._raw_volume(B.make_simplex(3).vertices) == pytest.approx(1 / 6, rel=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_projection_volumes_match_per_sample_loop(self, k):
+        p = B.make_random_polytope(4, 12, SeededSampler(70))
+        proj = p.vertices @ haar_bases_batch(4, k, 64, SeededSampler(71))
+        got = B._projection_volumes(proj)
+        loop = np.array([B._raw_volume(x) for x in proj])
+        if k == 2:  # gift wrapping against Qhull
+            np.testing.assert_allclose(got, loop, rtol=1e-12, atol=0)
+        else:
+            assert np.array_equal(got, loop)
 
 
 class TestKubota:

@@ -176,7 +176,7 @@ def suite_report(suite, samples):
 def test_reports_are_identical_with_wolfe_on_every_point(monkeypatch, suite, samples):
     certified, certified_sent = suite_report(suite, samples)
     # Without facet data, _within sends every point to hull_distances.
-    monkeypatch.setattr(bodies, "_facet_inequalities", lambda p: None)
+    monkeypatch.setattr(bodies, "_certificate", lambda p: None)
     wolfe, wolfe_sent = suite_report(suite, samples)
     assert certified_sent < wolfe_sent
     assert certified == wolfe

@@ -84,6 +84,15 @@ class TestEvaluate:
         c = B.kubota_coefficient(3, 1)
         assert abs(c * est.value - kub.value) < 4 * c * math.hypot(est.stderr, kub.stderr)
 
+    @pytest.mark.parametrize("i", [1, 2])
+    def test_crofton_lines_and_planes_have_no_per_sample_loop(self, monkeypatch, i):
+        for module in (B, V):
+            monkeypatch.setattr(module, "_raw_volume", lambda x: pytest.fail("per-sample loop"),
+                                raising=False)
+        est = V.evaluate(V.CroftonVal(T.constant_gfunction(3, i), i), B.make_cube(3),
+                         4096, SeededSampler(3))
+        assert est.value > 0.0
+
     def test_translation_invariance(self):
         cube = B.make_cube(3)
         moved = B.translate(cube, [0.3, -1.2, 0.7])
@@ -360,9 +369,10 @@ class TestProportionality:
         seen, used = [], []
         mean = V.mean_and_stderr
         monkeypatch.setattr(V, "mean_and_stderr", lambda vals: (seen.append(vals.copy()), mean(vals))[1])
-        for name in ("cauchy_shadow_volumes", "shadow_area_perimeter"):
-            fn = getattr(V, name)
-            monkeypatch.setattr(V, name, lambda *a, _fn=fn, _name=name: (used.append(_name), _fn(*a))[1])
+        for module, name in ((V, "cauchy_shadow_volumes"), (B, "shadow_area_perimeter")):
+            fn = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *a, _fn=fn, _name=name: (used.append(_name), _fn(*a))[1])
         budget, s = 2048, SeededSampler(85)
         V.v1_power(3, 2).evaluator(body, budget, s)
         dirs = haar_unit_vectors(3, 2 * budget, s.substream(0)).reshape(budget, 2, 3)
