@@ -1,6 +1,6 @@
 """Benchmark the spectral layer on one Monte-Carlo chunk: LAPACK and einsum
 against closed forms and BLAS matmuls, and the harmonic monomial loop against
-the shared power table.
+the shared power table; and claim23's random trials, per trial against stacked.
 
 For each shape the lemma22, lemma24, kubota, lambda and lefschetz suites use,
 it times one chunk three ways:
@@ -12,9 +12,14 @@ it times one chunk three ways:
 * ``HarmonicBasis.eval_points`` by the old per-monomial loop over ``x**p``
   (kept here as the reference) and by the library's power-table gather.
 
+It also times the claim23 suite's 200 default trials (100 for each of n = 5
+and 6) two ways: the per-trial loop of ``haar_subspace`` draws and scalar
+angle functions (kept here as the reference), and the suite's grouped draw
+through ``valuations.claim23_sides``.  Every trial's gap must agree exactly.
+
 It prints the best time of a few repeats for each path and the largest
 relative disagreement between the two, and exits with an error if any
-exceeds 1e-12.  Run:
+exceeds 1e-12, or 0 for claim23.  Run:
 
     python benchmarks/bench_spectral.py [--samples N] [--seed S] [--repeats R] [--json FILE]
 
@@ -33,17 +38,22 @@ from pathlib import Path
 import numpy as np
 
 from valgeo._harmonics import even_harmonic_blocks
-from valgeo.base import MC_CHUNK
+from valgeo.base import MC_CHUNK, unit_ball_volume
 from valgeo.bodies import make_cube
 from valgeo.grassmann import (
     SeededSampler,
     _abs_det,
     _transposed_products,
+    cos_angle,
     cos_angles_with_bases,
     haar_bases_batch,
     haar_subspace,
     haar_unit_vectors,
+    sin_angle,
+    span_sum,
 )
+from valgeo.suites import _claim23_gaps
+from valgeo.valuations import _map_ball_volume
 
 TOL = 1e-12
 
@@ -78,8 +88,24 @@ def loop_eval_points(basis, x: np.ndarray) -> np.ndarray:
     return np.hstack(out)
 
 
+def loop_claim23_gaps(n: int, trials: int, s: SeededSampler) -> np.ndarray:
+    """The claim23 suite's gaps |lhs - rhs| / kappa_q as a per-trial loop:
+    three ``haar_subspace`` draws and both sides by the scalar functions."""
+    gaps = np.empty(trials)
+    for t in range(trials):
+        i1 = 1 + t % 2
+        i2 = 1 + (t // 2) % min(2, n - i1 - 1)
+        e = haar_subspace(n, i1, s)
+        f = haar_subspace(n, i2, s)
+        l = haar_subspace(n, i1 + i2, s)
+        lhs = float(_map_ball_volume(np.vstack([e.basis.T, f.basis.T]), l.basis, l.dim))
+        rhs = unit_ball_volume(l.dim) * cos_angle(l, span_sum(e, f)) * sin_angle(e, f)
+        gaps[t] = abs(lhs - rhs) / unit_ball_volume(i1 + i2)
+    return gaps
+
+
 def det_cases(c: int, s: SeededSampler):
-    """(name, old, new, scale) for the 2 x 2 products of lemma22 and lemma24:
+    """(name, old, new, scale, tol) for the 2 x 2 products of lemma22 and lemma24:
     [E; F]^T L in R^4, with Haar lines E, F and a Haar plane L.  A row's
     disagreement is relative to its |ad| + |bc|."""
     l = haar_subspace(4, 2, s.substream(0)).basis
@@ -87,28 +113,28 @@ def det_cases(c: int, s: SeededSampler):
                             for j in (1, 2)], axis=1)
     m = (stack.reshape(2 * c, 4) @ l).reshape(c, 2, 2)
     scale = np.abs(m[:, 0, 0] * m[:, 1, 1]) + np.abs(m[:, 0, 1] * m[:, 1, 0])
-    yield "2x2 |det|, R^4", lambda: lapack_abs_det(m), lambda: _abs_det(m), scale
+    yield "2x2 |det|, R^4", lambda: lapack_abs_det(m), lambda: _abs_det(m), scale, TOL
 
 
 def contraction_cases(c: int, s: SeededSampler):
-    """(name, einsum path, matmul path, scale) per contraction; None scales by
-    the largest reference entry."""
+    """(name, einsum path, matmul path, scale, tol) per contraction; None
+    scales by the largest reference entry."""
     l = haar_subspace(4, 2, s.substream(3))
     r = haar_bases_batch(4, 2, c, s.substream(4))
     yield ("cos_angles_with_bases 2|2, R^4",
            lambda: np.abs(np.linalg.det(np.einsum("snk,nj->skj", r, l.basis))),
-           lambda: cos_angles_with_bases(l, r), None)
+           lambda: cos_angles_with_bases(l, r), None, TOL)
     for name, cube, k, sub in (("cube4 2-planes", make_cube(4), 2, 5),
                                ("cube3 2-planes", make_cube(3), 2, 6)):
         bases = haar_bases_batch(cube.ambient_dim, k, c, s.substream(sub))
         yield (f"vertices @ bases, {name}",
                lambda v=cube.vertices, b=bases: np.einsum("vn,snk->svk", v, b),
-               lambda v=cube.vertices, b=bases: v @ b, None)
+               lambda v=cube.vertices, b=bases: v @ b, None, TOL)
     comp = haar_bases_batch(4, 3, 1, s.substream(7))[0]
     frames = haar_bases_batch(3, 1, c, s.substream(8))
     yield ("containing lift (4, 3) @ (3, 1)",
            lambda: np.einsum("nm,smk->snk", comp, frames),
-           lambda: np.swapaxes(_transposed_products(frames, comp.T), 1, 2), None)
+           lambda: np.swapaxes(_transposed_products(frames, comp.T), 1, 2), None, TOL)
 
 
 def harmonic_cases(c: int, s: SeededSampler):
@@ -117,16 +143,28 @@ def harmonic_cases(c: int, s: SeededSampler):
         x = haar_unit_vectors(n, c, s.substream(10 + j))
         yield (f"harmonics n={n} d_max={d_max} ({basis.size})",
                lambda b=basis, x=x: loop_eval_points(b, x),
-               lambda b=basis, x=x: b.eval_points(x), None)
+               lambda b=basis, x=x: b.eval_points(x), None, TOL)
+
+
+def claim23_cases(seed: int):
+    """The claim23 suite's default trials, per trial and stacked, at tolerance 0."""
+    def gaps(path):
+        return np.concatenate([path(n, 100, SeededSampler(seed, stream_id=50 + n))
+                               for n in (5, 6)])
+
+    yield ("claim23 200 trials, n = 5, 6", lambda: gaps(loop_claim23_gaps),
+           lambda: gaps(_claim23_gaps), None, 0.0)
 
 
 def run(c: int, seed: int, repeats: int) -> dict:
     s = SeededSampler(seed, 1)
-    print(f"{c} rows per chunk; best of {repeats}, milliseconds per chunk")
+    print(f"{c} rows per chunk; best of {repeats}, milliseconds per chunk "
+          "(per 200 trials for claim23)")
     print(f"{'case':<40} {'old':>9} {'new':>9} {'old/new':>8} {'max rel':>9}")
-    rows, worst = [], 0.0
-    cases = [*det_cases(c, s), *contraction_cases(c, s), *harmonic_cases(c, s)]
-    for name, old, new, scale in cases:
+    rows, failed = [], []
+    cases = [*det_cases(c, s), *contraction_cases(c, s), *harmonic_cases(c, s),
+             *claim23_cases(seed)]
+    for name, old, new, scale, tol in cases:
         ref, out = old(), new()
         gap = float(np.max(np.abs(out - ref) / (np.abs(ref).max() if scale is None else scale)))
         t_old, t_new = best_time(old, repeats), best_time(new, repeats)
@@ -134,9 +172,10 @@ def run(c: int, seed: int, repeats: int) -> dict:
               f"{gap:>9.1e}")
         rows.append({"case": name, "old_ms": round(t_old * 1e3, 3),
                      "new_ms": round(t_new * 1e3, 3), "max_rel": float(f"{gap:.2e}")})
-        worst = max(worst, gap)
-    if worst > TOL:
-        raise SystemExit(f"bench_spectral: disagreement {worst:.1e} exceeds {TOL:.0e}")
+        if not gap <= tol:
+            failed.append(f"{name}: {gap:.1e} > {tol:.0e}")
+    if failed:
+        raise SystemExit("bench_spectral: disagreement " + "; ".join(failed))
     return {"rows_per_chunk": c, "seed": seed, "repeats": repeats, "cases": rows}
 
 

@@ -236,6 +236,7 @@ def _extreme_points(points: np.ndarray) -> tuple[np.ndarray, int]:
     try:
         hull = ConvexHull(coords)
     except QhullError:
+        trace.counters["qhull_joggled"] += 1
         hull = ConvexHull(coords, qhull_options="QJ")
     idx = sorted(int(i) for i in hull.vertices)
     return pts[idx], adim

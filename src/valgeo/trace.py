@@ -1,4 +1,5 @@
-"""Process-wide counters of the membership and planar-shadow paths in ``bodies``.
+"""Process-wide counters of the paths and numerical fallbacks of ``bodies``
+and ``valuations``.
 
 Every membership count (``contains_points``, ``mc_hull_volume``,
 ``parallel_body_volumes``) first tries to decide each point from P's facets,
@@ -21,11 +22,19 @@ row count to one of:
 * ``shadow_rows_gift_wrapped``: planar clouds through batched gift wrapping
   (``shadow_area_perimeter``).
 
+Two fallbacks that return a number by a second route count each firing:
+
+* ``qhull_joggled``: point clouds that ``Polytope`` hull-reduces with Qhull's
+  joggled input (option ``QJ``) after the plain call raised ``QhullError``;
+* ``claim23_scalar_rows``: rows of ``valuations.claim23_sides`` whose E + F
+  has lower dimension than L, evaluated one at a time through ``span_sum``.
+
 The counters never enter a report.  ``reset()`` sets them back to zero.
 """
 
 COUNTERS = ("certified_inside", "certified_outside", "sent_to_wolfe", "audited",
-            "audit_mismatches", "shadow_rows_cauchy", "shadow_rows_gift_wrapped")
+            "audit_mismatches", "shadow_rows_cauchy", "shadow_rows_gift_wrapped",
+            "qhull_joggled", "claim23_scalar_rows")
 
 counters = dict.fromkeys(COUNTERS, 0)
 

@@ -17,6 +17,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import trace
 from .base import Estimate, mc_chunks, mean_and_stderr, unit_ball_volume
 from .bodies import (
     Ball,
@@ -34,9 +35,14 @@ from .bodies import (
 )
 from .errors import DimensionError, PolynomialFitError, ScopeError
 from .grassmann import (
+    RANK_TOL,
     SeededSampler,
     Subspace,
     _abs_det,
+    _check_orthonormal,
+    _complement,
+    _cos,
+    _stack,
     _transposed_products,
     cos_angle,
     cos_angles_with_bases,
@@ -298,19 +304,48 @@ def klain_function(expr: ValuationExpr, budget: int = 4096,
 # ---------------------------------------------------------------------------
 
 
-def claim23_check(e: Subspace, f: Subspace, l: Subspace) -> tuple[float, float]:
-    """Both sides of the stacked-projection ball-volume identity.
+def claim23_sides(e: np.ndarray, f: np.ndarray, l: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of the stacked-projection ball-volume identity on stacks of
+    orthonormal bases E (count, n, i1), F (count, n, i2) and L (count, n,
+    i1 + i2); row t is the identity for (E_t, F_t, L_t).
 
     lhs: exact volume of (Pr_E (+) Pr_F)(D_L) by singular values;
-    rhs: kappa_{dim L} |cos(L, E+F)| |sin(E, F)|.
-    Degenerate configurations (E meets F) give 0 = 0.
+    rhs: kappa_{dim L} |cos(L, E+F)| |sin(E, F)|, with E + F spanned by the
+    left singular vectors of [E F] under ``span_sum``'s rank test.
+    Degenerate configurations (E meets F) give 0 = 0.  Their rows, where
+    E + F has lower dimension than L, have measure zero under Haar draws;
+    they go one at a time through ``span_sum``, and each adds one to
+    ``trace.counters["claim23_scalar_rows"]``.
     """
-    if l.dim != e.dim + f.dim:
+    e, f, l = _stack(e), _stack(f), _stack(l)
+    count, n, q = l.shape
+    if e.shape[:2] != (count, n) or f.shape[:2] != (count, n):
+        raise DimensionError(f"stacks of shapes {e.shape}, {f.shape} and {l.shape} do not pair up")
+    if q != e.shape[2] + f.shape[2]:
         raise DimensionError("need dim L = dim E + dim F")
-    m = np.vstack([e.basis.T, f.basis.T])
-    lhs = float(_map_ball_volume(m, l.basis, l.dim))
-    rhs = unit_ball_volume(l.dim) * cos_angle(l, span_sum(e, f)) * sin_angle(e, f)
+    for b in (e, f, l):
+        _check_orthonormal(b)
+    m = np.concatenate([np.swapaxes(e, 1, 2), np.swapaxes(f, 1, 2)], axis=1)
+    lhs = _map_ball_volume(m, l, q)
+    u, sv, _ = np.linalg.svd(np.concatenate([e, f], axis=2), full_matrices=False)
+    full = np.sum(sv > RANK_TOL * np.maximum(1.0, sv[:, :1]), axis=1) == q
+    span, comp = u[full], _complement(f[full])
+    _check_orthonormal(span)
+    _check_orthonormal(comp)
+    rhs = np.empty(count)
+    rhs[full] = unit_ball_volume(q) * _cos(l[full], span) * _cos(e[full], comp)
+    for t in np.flatnonzero(~full):
+        trace.counters["claim23_scalar_rows"] += 1
+        et, ft = Subspace(n, e[t]), Subspace(n, f[t])
+        rhs[t] = (unit_ball_volume(q) * cos_angle(Subspace(n, l[t]), span_sum(et, ft))
+                  * sin_angle(et, ft))
     return lhs, rhs
+
+
+def claim23_check(e: Subspace, f: Subspace, l: Subspace) -> tuple[float, float]:
+    """``claim23_sides`` for one triple (E, F, L)."""
+    lhs, rhs = claim23_sides(e.basis[None], f.basis[None], l.basis[None])
+    return float(lhs[0]), float(rhs[0])
 
 
 # ---------------------------------------------------------------------------

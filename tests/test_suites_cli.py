@@ -70,6 +70,23 @@ class TestSuites:
         assert report.suite == "claim23"
         assert report.seed == 5
 
+    def test_steiner_builds_each_r3_body_once(self, monkeypatch):
+        # make_cube(3) and make_simplex(3) serve all three of steiner's case
+        # lists, so each is hull-reduced once and its face record built once.
+        made, built = [], []
+        for name in ("make_cube", "make_simplex"):
+            def make(n, *args, real=getattr(B, name), **kwargs):
+                p = real(n, *args, **kwargs)
+                if n == 3:
+                    made.append(p)
+                return p
+            monkeypatch.setattr(B, name, make)
+        record = B._face_record
+        monkeypatch.setattr(B, "_face_record", lambda p: (built.append(p), record(p))[1])
+        run_suite("steiner", RunConfig(seed=1234, samples=2048))
+        assert len(made) == 2
+        assert [sum(q is p for q in built) for p in made] == [1, 1]
+
     def test_reports_byte_identical(self):
         cfg = RunConfig(seed=3, samples=2000, dimensions=[3])
         a = run_suite("angles", cfg).to_json()

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.spatial import QhullError
 
 from valgeo import bodies as B, trace
 from valgeo.grassmann import SeededSampler
@@ -72,3 +73,25 @@ def test_shadow_rows_by_path(suite, gift_wrapped):
     # nonzero counters, writes the same bytes.
     assert run_suite(suite, cfg).to_json() == report
     assert trace.counters["shadow_rows_cauchy"] == 2 * c["shadow_rows_cauchy"]
+
+
+def test_qhull_joggle_is_counted(monkeypatch):
+    real, calls = B.ConvexHull, []
+
+    def fail_once(points, **kwargs):
+        calls.append(kwargs.get("qhull_options"))
+        if len(calls) == 1:
+            raise QhullError("QH6154 qhull precision error")
+        return real(points, **kwargs)
+
+    monkeypatch.setattr(B, "ConvexHull", fail_once)
+    cloud = np.random.default_rng(4).standard_normal((30, 3))
+    trace.reset()
+    joggled = B.Polytope(3, cloud)
+    assert calls == [None, "QJ"]
+    assert trace.counters["qhull_joggled"] == 1
+    # The plain call succeeds from now on: nothing more is counted, and the
+    # joggled hull kept the same extreme points.
+    assert np.array_equal(B.Polytope(3, cloud).vertices, joggled.vertices)
+    assert calls == [None, "QJ", None]
+    assert trace.counters["qhull_joggled"] == 1

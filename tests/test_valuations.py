@@ -5,22 +5,25 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
-from valgeo import bodies as B
+from valgeo import bodies as B, trace
 from valgeo import transforms as T
 from valgeo import valuations as V
 from valgeo.base import unit_ball_volume
 from valgeo.errors import DimensionError, PolynomialFitError, ScopeError
 from valgeo.grassmann import (
     SeededSampler,
+    Subspace,
     coordinate_subspace,
     cos_angle,
     haar_bases_batch,
     haar_subspace,
     haar_unit_vectors,
     orthonormal_basis,
+    sin_angle,
     span_sum,
     zero_subspace,
 )
+from valgeo.suites import _claim23_gaps
 
 
 class TestExpressionTypes:
@@ -183,7 +186,75 @@ class TestKlain:
         assert kf(l) == kf(l)
 
 
+def reference_claim23(e, f, l):
+    """Claim 2.3's two sides for one triple by the scalar functions: the
+    per-trial arithmetic that ``claim23_sides`` stacks."""
+    m = np.vstack([e.basis.T, f.basis.T])
+    lhs = float(V._map_ball_volume(m, l.basis, l.dim))
+    return lhs, unit_ball_volume(l.dim) * cos_angle(l, span_sum(e, f)) * sin_angle(e, f)
+
+
+def reference_claim23_gaps(n, trials, s):
+    """The claim23 suite's per-trial gaps |lhs - rhs| / kappa_q as a loop of
+    ``haar_subspace`` draws and ``reference_claim23``."""
+    gaps = []
+    for t in range(trials):
+        i1 = 1 + t % 2
+        i2 = 1 + (t // 2) % min(2, n - i1 - 1)
+        e = haar_subspace(n, i1, s)
+        f = haar_subspace(n, i2, s)
+        l = haar_subspace(n, i1 + i2, s)
+        lhs, rhs = reference_claim23(e, f, l)
+        gaps.append(abs(lhs - rhs) / unit_ball_volume(i1 + i2))
+    return gaps
+
+
 class TestClaim23:
+    @pytest.mark.parametrize("seed", [1234, 3456993387, 2906882619])
+    def test_grouped_gaps_equal_per_trial_loop(self, seed):
+        for n in range(4, 8):
+            for trials in (100, 40, 7):
+                grouped = _claim23_gaps(n, trials, SeededSampler(seed, stream_id=50 + n))
+                loop = reference_claim23_gaps(n, trials, SeededSampler(seed, stream_id=50 + n))
+                assert grouped.tolist() == loop
+
+    @pytest.mark.parametrize("i1, i2", [(1, 2), (2, 2), (2, 1)])
+    def test_sides_equal_one_row_calls_on_degenerate_rows(self, i1, i2):
+        # Haar rows mixed with coordinate rows: E and F nested (E = F when
+        # i1 = i2), where E + F is too small for L, and E orthogonal to F.
+        n, q = 6, i1 + i2
+        s = SeededSampler(i1 + 10 * i2)
+        e, f, l = (list(haar_bases_batch(n, k, 3, s)) for k in (i1, i2, q))
+        nested = coordinate_subspace(n, range(i2)).basis
+        apart = coordinate_subspace(n, range(i1, q)).basis
+        coords = coordinate_subspace(n, range(q)).basis
+        for ft, lt in ((nested, l[0]), (nested, coords), (apart, coords), (apart, l[1])):
+            e.append(coordinate_subspace(n, range(i1)).basis)
+            f.append(ft)
+            l.append(lt)
+        trace.reset()
+        lhs, rhs = V.claim23_sides(np.stack(e), np.stack(f), np.stack(l))
+        assert trace.counters["claim23_scalar_rows"] == 2
+        for t in range(len(e)):
+            triple = [Subspace(n, b[t]) for b in (e, f, l)]
+            assert (lhs[t], rhs[t]) == V.claim23_check(*triple)
+            assert (lhs[t], rhs[t]) == reference_claim23(*triple)
+        assert rhs[3] == rhs[4] == 0.0
+        assert lhs[5] == rhs[5] == pytest.approx(unit_ball_volume(q), rel=1e-12)
+
+    def test_non_orthonormal_stack_raises(self):
+        s = SeededSampler(8)
+        stacks = [haar_bases_batch(5, k, 4, s) for k in (1, 2, 3)]
+        V.claim23_sides(*stacks)
+        for j in range(3):
+            bad = list(stacks)
+            bad[j] = stacks[j].copy()
+            bad[j][2, :, -1] *= 1.001
+            with pytest.raises(ValueError):
+                V.claim23_sides(*bad)
+        with pytest.raises(DimensionError):
+            V.claim23_sides(stacks[0][:3], *stacks[1:])
+
     @pytest.mark.parametrize("n", [5, 6])
     def test_random_triples(self, n):
         s = SeededSampler(20 + n)
