@@ -135,14 +135,6 @@ def _min_norm_points(w: np.ndarray, max_iter: int = 1000) -> np.ndarray:
     return x
 
 
-def min_norm_point(vertices: np.ndarray, max_iter: int = 1000) -> np.ndarray:
-    """Minimum-norm point of the convex hull of the rows of ``vertices``."""
-    w = np.asarray(vertices, dtype=float)
-    if not w.shape[0]:
-        return np.zeros(w.shape[1])
-    return _min_norm_points(w[None], max_iter)[0]
-
-
 def hull_distances(points: np.ndarray, vertices: np.ndarray, max_iter: int = 1000) -> np.ndarray:
     """Euclidean distance from each row of ``points`` to conv(vertices).
 

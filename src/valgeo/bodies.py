@@ -2,8 +2,12 @@
 
 Polytopes are stored by their extreme points.  Exact volumes, areas, edges
 and facets come from one Qhull call per polytope, kept as ``Polytope.faces``
-(intended range n <= 6); planar shadows are measured a whole Monte-Carlo
-chunk at a time; Minkowski-ball volumes vol(K + eps D) are estimated by
+(intended range n <= 6).  ``shadow_measures`` chooses how a Monte-Carlo
+chunk of shadows vol_k(P M_t) is measured: widths for k = 1; Cauchy's
+formula for k = 2 when n = 3, P is full dimensional and no perimeter is
+wanted; batched gift wrapping for every other k = 2; Qhull per image for
+k >= 3.  The one caller that bypasses it is Kubota for k = n - 1, which
+draws unit normals for Cauchy's formula.  Minkowski-ball volumes vol(K + eps D) are estimated by
 Monte-Carlo membership, decided exactly from facets and edges in R^2 and
 R^3, by facet and vertex bounds where they are conclusive in higher
 dimensions, and by the min-norm-point kernel elsewhere; the Cauchy-Kubota
@@ -24,7 +28,7 @@ from scipy.spatial import ConvexHull, QhullError, cKDTree
 from . import trace
 from ._kernels import hull_distances
 from .base import Estimate, mc_chunks, mean_and_stderr, unit_ball_volume
-from .errors import ConditioningWarning, DimensionError
+from .errors import ConditioningWarning, DimensionError, ScopeError
 from .grassmann import (SeededSampler, Subspace, _transposed_products, haar_bases_batch,
                         haar_unit_vectors)
 
@@ -338,15 +342,41 @@ def _raw_volume(points: np.ndarray) -> float:
     return float(ConvexHull(points).volume)
 
 
-def _projection_volumes(proj: np.ndarray) -> np.ndarray:
-    """vol_k of the hull of each cloud in a (c, m, k) stack, k >= 1: max - min,
-    ``shadow_area_perimeter`` on the whole stack, or ``_raw_volume`` per cloud."""
-    k = proj.shape[2]
+def shadow_measures(p: Polytope, maps: np.ndarray, steiner: bool = False) -> np.ndarray:
+    """vol_k of P's image under each map of a (c, n, k) stack, x -> x @ maps[t].
+
+    Every Monte-Carlo shadow is measured here but Kubota's for k = n - 1,
+    which calls ``cauchy_shadow_volumes`` with one unit normal a sample:
+
+    * k = 1: the width, from one (m, c) product of P's vertices with the maps;
+    * k = 2, n = 3, P full dimensional, no perimeter wanted: Cauchy's formula
+      along m_1 x m_2, which is |m_1 x m_2| times the shadow along its unit
+      vector (``cauchy_shadow_volumes``);
+    * other k = 2: batched gift wrapping (``shadow_area_perimeter``);
+    * k >= 3: Qhull per image (``_raw_volume``).
+
+    With ``steiner`` (k <= 2) it returns, as a (c, k + 1) array, the
+    coefficients of each image's planar Steiner polynomial in eps:
+    (width, 2) or (area, perimeter, pi).  Each path adds its row count to
+    ``trace.counters``, except the widths.
+    """
+    c, n, k = maps.shape
+    if n != p.ambient_dim:
+        raise DimensionError("ambient dimensions differ")
+    if steiner and k > 2:
+        raise ScopeError("exact shadow Steiner supports k <= 2")
     if k == 1:
-        return proj[..., 0].max(axis=1) - proj[..., 0].min(axis=1)
+        supports = p.vertices @ maps[..., 0].T
+        width = supports.max(axis=0) - supports.min(axis=0)
+        return np.column_stack([width, np.full(c, 2.0)]) if steiner else width
     if k == 2:
-        return shadow_area_perimeter(proj)[0]
-    return np.array([_raw_volume(x) for x in proj])
+        if not steiner and n == 3 and p.affine_dim == 3:
+            return cauchy_shadow_volumes(p, np.cross(maps[..., 0], maps[..., 1]))
+        area, perimeter = shadow_area_perimeter(p.vertices @ maps)
+        return np.column_stack([area, perimeter, np.full(c, math.pi)]) if steiner else area
+    vols = np.array([_raw_volume(x) for x in p.vertices @ maps])
+    trace.counters["shadow_rows_qhull"] += c
+    return vols
 
 
 def shadow_area_perimeter(points) -> tuple[np.ndarray, np.ndarray]:
@@ -818,13 +848,12 @@ def _kubota_samples_polytope(p: Polytope, k: int, n_samples: int, s: SeededSampl
     vals = np.empty(n_samples)
     use_cauchy = k == n - 1 and k >= 2 and p.affine_dim == n
     for rows, c, sub in mc_chunks(n_samples, s):
-        if k == 1:
-            supports = p.vertices @ haar_unit_vectors(n, c, sub).T
-            vals[rows] = _projection_volumes(supports.T[..., None])
-        elif use_cauchy:
+        if use_cauchy:  # one unit normal per sample is cheaper to draw than an (n-1)-frame
             vals[rows] = cauchy_shadow_volumes(p, haar_unit_vectors(n, c, sub))
+        elif k == 1:
+            vals[rows] = shadow_measures(p, haar_unit_vectors(n, c, sub)[..., None])
         else:
-            vals[rows] = _projection_volumes(p.vertices @ haar_bases_batch(n, k, c, sub))
+            vals[rows] = shadow_measures(p, haar_bases_batch(n, k, c, sub))
     return vals
 
 

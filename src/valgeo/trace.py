@@ -14,13 +14,22 @@ decide to the Wolfe kernel.  Each call adds its totals here, in points:
 * ``audited``: decided points measured by ``hull_distances`` as well, as a check;
 * ``audit_mismatches``: audited points where the certificate and Wolfe disagree.
 
-Planar shadow volumes are measured one of two ways, and each call adds its
-row count to one of:
+``bodies.shadow_measures`` chooses how a Monte-Carlo shadow, vol_k of P's
+image under a (c, n, k) stack of maps, is measured: the width for k = 1;
+Cauchy's formula for k = 2 when n = 3, P is full dimensional and no
+perimeter is wanted; batched gift wrapping for every other k = 2; Qhull per
+image for k >= 3.  The one exception is the Kubota estimator for k = n - 1,
+which calls ``cauchy_shadow_volumes`` directly with one unit normal a
+sample.  Each path adds its row count to one of:
 
-* ``shadow_rows_cauchy``: directions through Cauchy's projection formula
+* ``shadow_rows_cauchy``: rows through Cauchy's projection formula
   (``cauchy_shadow_volumes``);
 * ``shadow_rows_gift_wrapped``: planar clouds through batched gift wrapping
-  (``shadow_area_perimeter``).
+  (``shadow_area_perimeter``);
+* ``shadow_rows_qhull``: images for k >= 3, measured one at a time by
+  ``_raw_volume`` (one Qhull call, or 0 for an image of lower affine rank).
+
+Widths are not counted.
 
 Two fallbacks that return a number by a second route count each firing:
 
@@ -34,7 +43,7 @@ The counters never enter a report.  ``reset()`` sets them back to zero.
 
 COUNTERS = ("certified_inside", "certified_outside", "sent_to_wolfe", "audited",
             "audit_mismatches", "shadow_rows_cauchy", "shadow_rows_gift_wrapped",
-            "qhull_joggled", "claim23_scalar_rows")
+            "shadow_rows_qhull", "qhull_joggled", "claim23_scalar_rows")
 
 counters = dict.fromkeys(COUNTERS, 0)
 

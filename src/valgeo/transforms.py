@@ -270,7 +270,6 @@ class OperatorMatrix:
     labels: list[tuple[int, int]]
     degrees: np.ndarray
     matrix: np.ndarray
-    stderr: np.ndarray
     block_scalars: np.ndarray
     block_scalar_stderrs: np.ndarray
     n_samples: int
@@ -302,7 +301,6 @@ def operator_matrix_even(
     blocks = [np.nonzero(degrees == d)[0] for d in block_degs]
 
     m_sum = np.zeros((b, b))
-    m_sumsq = np.zeros((b, b))
     tr_sum = np.zeros(len(block_degs))
     tr_sumsq = np.zeros(len(block_degs))
 
@@ -313,17 +311,13 @@ def operator_matrix_even(
         kern = np.abs(np.einsum("ij,ij->i", w, v))
         yw = basis.eval_points(w)
         yl = basis.eval_points(lines)
-        ywk = yw * kern[:, None]
-        m_sum += ywk.T @ yl
-        m_sumsq += (ywk**2).T @ (yl**2)
+        m_sum += (yw * kern[:, None]).T @ yl
         for bi, idx in enumerate(blocks):
             z = kern * np.mean(yw[:, idx] * yl[:, idx], axis=1)
             tr_sum[bi] += z.sum()
             tr_sumsq[bi] += (z**2).sum()
 
     mat = m_sum / n_samples
-    var = np.maximum(m_sumsq / n_samples - mat**2, 0.0)
-    stderr = np.sqrt(var / n_samples)
     scalars = tr_sum / n_samples
     scal_var = np.maximum(tr_sumsq / n_samples - scalars**2, 0.0)
     scal_stderr = np.sqrt(scal_var / n_samples)
@@ -334,7 +328,6 @@ def operator_matrix_even(
         labels=basis.labels,
         degrees=degrees,
         matrix=mat,
-        stderr=stderr,
         block_scalars=scalars,
         block_scalar_stderrs=scal_stderr,
         n_samples=n_samples,

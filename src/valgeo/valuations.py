@@ -22,16 +22,14 @@ from .base import Estimate, mc_chunks, mean_and_stderr, unit_ball_volume
 from .bodies import (
     Ball,
     Polytope,
-    _projection_volumes,
     ball_intrinsic_volumes,
-    cauchy_shadow_volumes,
     fit_polynomial,
     hull_volume,
     kubota_coefficient,
     kubota_estimate,
     parallel_body_volumes,
     project,
-    shadow_area_perimeter,
+    shadow_measures,
 )
 from .errors import DimensionError, PolynomialFitError, ScopeError
 from .grassmann import (
@@ -211,7 +209,7 @@ def _crofton_eval(expr: CroftonVal, body: BodySpec, budget: int, s: SeededSample
         if isinstance(body, Ball):
             vols = _map_ball_volume(np.swapaxes(bases, 1, 2), body.subspace.basis, i)
         else:
-            vols = _projection_volumes(body.vertices @ bases)
+            vols = shadow_measures(body, bases)
         vals[rows] = fvals * vols
     return mean_and_stderr(vals)
 
@@ -493,17 +491,8 @@ def _shadow_steiner_coeff_samples(
     n = body.ambient_dim
     coeffs = np.zeros((n_samples, k + 1))
     for rows, c, sub in mc_chunks(n_samples, s):
-        if k == 1:
-            supports = body.vertices @ haar_unit_vectors(n, c, sub).T
-            coeffs[rows, 0] = _projection_volumes(supports.T[..., None])
-            coeffs[rows, 1] = 2.0
-        elif k == 2:
-            bases = haar_bases_batch(n, 2, c, sub)
-            proj = body.vertices @ bases
-            coeffs[rows, 0], coeffs[rows, 1] = shadow_area_perimeter(proj)
-            coeffs[rows, 2] = math.pi
-        else:
-            raise ScopeError("exact shadow Steiner supports k <= 2")
+        maps = haar_unit_vectors(n, c, sub)[..., None] if k == 1 else haar_bases_batch(n, k, c, sub)
+        coeffs[rows] = shadow_measures(body, maps, steiner=True)
     return coeffs
 
 
@@ -524,6 +513,10 @@ def parallel_valuation_values(
         var = np.einsum("pe,pq,qe->e", powers, cov, powers)
         return values, scale * np.sqrt(np.maximum(var, 0.0))
 
+    def steiner_values(coeffs: np.ndarray) -> np.ndarray:
+        # sum_j coeffs[..., j] eps^j over the grid, one term at a time
+        return sum(coeffs[..., j, None] * eps_grid**j for j in range(coeffs.shape[-1]))
+
     if isinstance(expr, IntrinsicVolume):
         k = expr.k
         if k == 0:
@@ -537,17 +530,13 @@ def parallel_valuation_values(
             f"parallel-body evaluation of V_{k} in R^{n} needs k <= 2 or k = n"
         )
     if isinstance(expr, ProjectionVal):
-        q = project(body, expr.subspace)
-        i = expr.subspace.dim
-        if i == 0:
+        f = expr.subspace
+        if f.dim == 0:
             return np.ones_like(eps_grid), np.zeros_like(eps_grid)
-        if i == 1:
-            length = float(q.vertices.max() - q.vertices.min())
-            return length + 2.0 * eps_grid, np.zeros_like(eps_grid)
-        if i == 2:
-            (area,), (per,) = shadow_area_perimeter(q.vertices[None])
-            return area + per * eps_grid + math.pi * eps_grid**2, np.zeros_like(eps_grid)
-        return parallel_body_volumes(q, eps_grid, budget, s)
+        if f.dim <= 2:
+            (coeffs,) = shadow_measures(body, f.basis[None], steiner=True)
+            return steiner_values(coeffs), np.zeros_like(eps_grid)
+        return parallel_body_volumes(project(body, f), eps_grid, budget, s)
     if isinstance(expr, CroftonVal):
         i = expr.i
         if i > 2:
@@ -555,15 +544,8 @@ def parallel_valuation_values(
         vals = np.zeros((budget, len(eps_grid)))
         for rows, c, sub in mc_chunks(budget, s):
             bases = haar_bases_batch(n, i, c, sub)
-            proj = body.vertices @ bases
-            fvals = expr.f.eval_bases(bases)[:, None]
-            if i == 1:
-                vals[rows] = fvals * (_projection_volumes(proj)[:, None] + 2.0 * eps_grid)
-            else:
-                area, per = shadow_area_perimeter(proj)
-                vals[rows] = fvals * (
-                    area[:, None] + per[:, None] * eps_grid + math.pi * eps_grid**2
-                )
+            coeffs = shadow_measures(body, bases, steiner=True)
+            vals[rows] = expr.f.eval_bases(bases)[:, None] * steiner_values(coeffs)
         mean = vals.mean(axis=0)
         stderr = vals.std(axis=0, ddof=1) / math.sqrt(budget)
         return mean, stderr
@@ -695,19 +677,13 @@ def v1_power(n: int, p: int) -> CustomVal:
     c1p = kubota_coefficient(n, 1) ** p
 
     def ev(body: BodySpec, budget: int, s: SeededSampler) -> Estimate:
-        # In R^3 the image of a full-dimensional K under two lines has area
-        # 1/2 sum_f A_f |n_f . (u1 x u2)|: Cauchy's formula along u1 x u2.
-        use_cauchy = (n == 3 and p == 2 and isinstance(body, Polytope)
-                      and body.affine_dim == n)
         vals = np.empty(budget)
         for rows, c, sub in mc_chunks(budget, s):
             dirs = haar_unit_vectors(n, c * p, sub).reshape(c, p, n)
             if isinstance(body, Ball):
                 vals[rows] = _map_ball_volume(dirs, body.subspace.basis, p)
-            elif use_cauchy:
-                vals[rows] = cauchy_shadow_volumes(body, np.cross(dirs[:, 0], dirs[:, 1]))
             else:
-                vals[rows] = _projection_volumes(body.vertices @ np.swapaxes(dirs, 1, 2))
+                vals[rows] = shadow_measures(body, np.swapaxes(dirs, 1, 2))
         est = mean_and_stderr(vals)
         return Estimate(c1p * est.value, c1p * est.stderr)
 

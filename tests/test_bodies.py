@@ -11,7 +11,7 @@ from scipy.spatial import ConvexHull, QhullError
 
 from valgeo import bodies as B, trace
 from valgeo.base import mc_chunks, unit_ball_volume
-from valgeo.errors import ConditioningWarning, DimensionError
+from valgeo.errors import ConditioningWarning, DimensionError, ScopeError
 from valgeo.grassmann import (
     SeededSampler,
     coordinate_subspace,
@@ -429,7 +429,7 @@ class TestCertifiedMembership:
         assert trace.counters == {"certified_inside": 2, "certified_outside": 2,
                                   "sent_to_wolfe": 2, "audited": 0, "audit_mismatches": 0,
                                   "shadow_rows_cauchy": 0, "shadow_rows_gift_wrapped": 0,
-                                  "qhull_joggled": 0, "claim23_scalar_rows": 0}
+                                  "shadow_rows_qhull": 0, "qhull_joggled": 0, "claim23_scalar_rows": 0}
 
     def test_coplanar_facets_merged(self):
         q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((4, 4)))
@@ -696,16 +696,59 @@ class TestRawVolume:
     def test_full_rank_cloud(self):
         assert B._raw_volume(B.make_simplex(3).vertices) == pytest.approx(1 / 6, rel=1e-12)
 
-    @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_projection_volumes_match_per_sample_loop(self, k):
-        p = B.make_random_polytope(4, 12, SeededSampler(70))
-        proj = p.vertices @ haar_bases_batch(4, k, 64, SeededSampler(71))
-        got = B._projection_volumes(proj)
-        loop = np.array([B._raw_volume(x) for x in proj])
-        if k == 2:  # gift wrapping against Qhull
-            np.testing.assert_allclose(got, loop, rtol=1e-12, atol=0)
-        else:
-            assert np.array_equal(got, loop)
+
+def _shadow_case(case: str):
+    """(P, a (64, n, k) stack of maps, the counter that shadow_measures adds to)."""
+    s = SeededSampler(71)
+    r4 = B.make_random_polytope(4, 12, SeededSampler(70))
+    r3 = B.make_random_polytope(3, 14, SeededSampler(72))
+    quad = [[0, 0, 0], [2, 0, 0], [0, 1, 0], [1.5, 1.5, 0]]
+    # v1_power's maps: two independent unit lines, not an orthonormal frame.
+    line_pairs = np.swapaxes(haar_unit_vectors(3, 128, s).reshape(64, 2, 3), 1, 2)
+    return {
+        "width": (r4, haar_bases_batch(4, 1, 64, s), None),
+        "planes-r4": (r4, haar_bases_batch(4, 2, 64, s), "shadow_rows_gift_wrapped"),
+        "solids-r4": (r4, haar_bases_batch(4, 3, 64, s), "shadow_rows_qhull"),
+        "planes-r3": (r3, haar_bases_batch(3, 2, 64, s), "shadow_rows_cauchy"),
+        "line-pairs": (r3, line_pairs, "shadow_rows_cauchy"),
+        "flat-line-pairs": (B.Polytope(3, quad), line_pairs, "shadow_rows_gift_wrapped"),
+        "flat-solids": (B.Polytope(4, np.pad(quad, ((0, 0), (0, 1)))),
+                        haar_bases_batch(4, 3, 64, s), "shadow_rows_qhull"),
+    }[case]
+
+
+class TestShadowMeasures:
+    @pytest.mark.parametrize("case", ["width", "planes-r4", "solids-r4", "planes-r3",
+                                      "line-pairs", "flat-line-pairs", "flat-solids"])
+    def test_match_per_image_hull_volumes(self, case):
+        p, maps, counter = _shadow_case(case)
+        trace.reset()
+        got = B.shadow_measures(p, maps)
+        loop = np.array([B._raw_volume(p.vertices @ m) for m in maps])
+        np.testing.assert_allclose(got, loop, rtol=1e-12, atol=1e-15)
+        # One path per call, and every row counted on it (widths are not counted).
+        assert {key: v for key, v in trace.counters.items() if v} == (
+            {counter: len(maps)} if counter else {})
+
+    @pytest.mark.parametrize("case", ["width", "planes-r4", "planes-r3", "line-pairs",
+                                      "flat-line-pairs"])
+    def test_steiner_coefficients_match_per_image_hulls(self, case):
+        p, maps, _ = _shadow_case(case)
+        trace.reset()
+        got = B.shadow_measures(p, maps, steiner=True)
+        images = [p.vertices @ m for m in maps]
+        if maps.shape[2] == 1:
+            expected = [[np.ptp(x), 2.0] for x in images]
+        else:  # a planar hull's "area" is its perimeter
+            expected = [[h.volume, h.area, math.pi] for h in map(ConvexHull, images)]
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
+        # Perimeters need the polygon itself, so no row takes Cauchy's formula.
+        assert trace.counters["shadow_rows_cauchy"] == 0
+
+    def test_steiner_needs_k_at_most_two(self):
+        p, maps, _ = _shadow_case("solids-r4")
+        with pytest.raises(ScopeError):
+            B.shadow_measures(p, maps, steiner=True)
 
 
 class TestKubota:

@@ -96,6 +96,19 @@ class TestEvaluate:
                          4096, SeededSampler(3))
         assert est.value > 0.0
 
+    def test_crofton_planes_in_r3_take_cauchy_and_match_gift_wrapping(self, monkeypatch):
+        seen = []
+        mean = V.mean_and_stderr
+        monkeypatch.setattr(V, "mean_and_stderr", lambda vals: (seen.append(vals.copy()), mean(vals))[1])
+        cube, budget, s = B.make_cube(3), 4096, SeededSampler(3)
+        trace.reset()
+        V.evaluate(V.CroftonVal(T.constant_gfunction(3, 2, 0.5), 2), cube, budget, s)
+        used = {key: v for key, v in trace.counters.items() if v}
+        assert used == {"shadow_rows_cauchy": budget}
+        bases = haar_bases_batch(3, 2, budget, s.substream(0))
+        wrapped = B.shadow_area_perimeter(cube.vertices @ bases)[0]
+        np.testing.assert_allclose(seen[0], 0.5 * wrapped, rtol=1e-12, atol=0)
+
     def test_translation_invariance(self):
         cube = B.make_cube(3)
         moved = B.translate(cube, [0.3, -1.2, 0.7])
@@ -372,6 +385,12 @@ class TestLambda:
         shadow = B.project(cube, f)
         assert est.value == pytest.approx(ConvexHull(shadow.vertices).area, rel=1e-9)
 
+    def test_projection_val_of_another_dimension_raises(self):
+        f = haar_subspace(4, 2, SeededSampler(71))
+        with pytest.raises(DimensionError, match="ambient dimensions differ"):
+            V.lambda_apply(V.Lambda(V.ProjectionVal(f)), B.make_cube(3), None, 100,
+                           SeededSampler(72))
+
     def test_fit_error_on_impossible_residual(self):
         with pytest.raises(PolynomialFitError):
             V.lambda_apply(
@@ -431,25 +450,22 @@ class TestProportionality:
         assert est.value == pytest.approx(4.0, rel=0.03)
 
     @pytest.mark.parametrize("body, path", [
-        (B.make_cube(3), "cauchy_shadow_volumes"),
-        (B.make_simplex(3), "cauchy_shadow_volumes"),
-        (B.Polytope(3, [[0, 0, 0], [2, 0, 0], [0, 1, 0], [1.5, 1.5, 0]]), "shadow_area_perimeter"),
+        (B.make_cube(3), "shadow_rows_cauchy"),
+        (B.make_simplex(3), "shadow_rows_cauchy"),
+        (B.Polytope(3, [[0, 0, 0], [2, 0, 0], [0, 1, 0], [1.5, 1.5, 0]]), "shadow_rows_gift_wrapped"),
     ])
     def test_v1_power_square_per_sample_matches_qhull(self, monkeypatch, body, path):
         # One chunk: every per-sample area against Qhull on the same draws.
-        seen, used = [], []
+        seen = []
         mean = V.mean_and_stderr
         monkeypatch.setattr(V, "mean_and_stderr", lambda vals: (seen.append(vals.copy()), mean(vals))[1])
-        for module, name in ((V, "cauchy_shadow_volumes"), (B, "shadow_area_perimeter")):
-            fn = getattr(module, name)
-            monkeypatch.setattr(module, name,
-                                lambda *a, _fn=fn, _name=name: (used.append(_name), _fn(*a))[1])
         budget, s = 2048, SeededSampler(85)
+        trace.reset()
         V.v1_power(3, 2).evaluator(body, budget, s)
+        assert {key: v for key, v in trace.counters.items() if v} == {path: budget}
         dirs = haar_unit_vectors(3, 2 * budget, s.substream(0)).reshape(budget, 2, 3)
         embedded = np.einsum("vn,spn->svp", body.vertices, dirs)
         reference = [ConvexHull(e).volume for e in embedded]
-        assert set(used) == {path}
         np.testing.assert_allclose(seen[0], reference, rtol=1e-12, atol=1e-14)
 
 
