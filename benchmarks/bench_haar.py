@@ -8,7 +8,7 @@ largest entrywise disagreement between the two frames and the largest
 orthonormality defect |F^T F - I| of the Gram-Schmidt frames.  Both must stay
 at or below 1e-12, or the script exits with an error.  Run:
 
-    python benchmarks/bench_haar.py [--samples N] [--seed S] [--repeats R]
+    python benchmarks/bench_haar.py [--samples N] [--repeats R]
 """
 
 import argparse
@@ -21,6 +21,7 @@ from valgeo.grassmann import SeededSampler, haar_frames, signed_qr_batch
 
 SHAPES = [(2, 1), (3, 1), (4, 1), (4, 2), (4, 3), (5, 2), (6, 3)]
 TOL = 1e-12
+SEED = 1234  # the suites' default seed
 
 
 def best_time(fn, g: np.ndarray, repeats: int) -> float:
@@ -32,8 +33,8 @@ def best_time(fn, g: np.ndarray, repeats: int) -> float:
     return min(times)
 
 
-def run(c: int, seed: int, repeats: int) -> None:
-    s = SeededSampler(seed, 1)
+def run(c: int, repeats: int) -> None:
+    s = SeededSampler(SEED, 1)
     print(f"{c} frames per shape; best of {repeats}, milliseconds per chunk")
     print(f"{'(n, k)':<8} {'qr':>9} {'gs':>9} {'qr/gs':>7} {'max diff':>9} {'ortho':>9}")
     worst = 0.0
@@ -55,7 +56,6 @@ if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--samples", type=int, default=MC_CHUNK, help="frames per shape")
-    parser.add_argument("--seed", type=int, default=1234)
     parser.add_argument("--repeats", type=int, default=7, help="timed runs per path")
     args = parser.parse_args()
-    run(args.samples, args.seed, args.repeats)
+    run(args.samples, args.repeats)

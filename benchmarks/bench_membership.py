@@ -12,7 +12,7 @@ the points it cannot decide, plus a 1-in-64 audit sample, to
 speedup and the certified fraction, and exits with an error if the two
 membership matrices differ anywhere.  Run:
 
-    python benchmarks/bench_membership.py [--samples N] [--seed S] [--repeats R] [--json FILE]
+    python benchmarks/bench_membership.py [--samples N] [--repeats R] [--json FILE]
 
 ``--json FILE`` writes the results to FILE, with the git revision and the
 machine.
@@ -34,6 +34,8 @@ from valgeo import bodies as B, trace
 from valgeo.base import MC_CHUNK
 from valgeo.grassmann import SeededSampler, orthonormal_basis, coordinate_subspace
 
+SEED = 1234  # the suites' default seed, at which every BENCH_*.json row was recorded
+
 
 def hadwiger_cube4() -> B.Polytope:
     """The R^4 cube the hadwiger suite embeds: coordinates in two rotated planes."""
@@ -48,24 +50,18 @@ def hadwiger_cube4() -> B.Polytope:
     return B.Polytope(4, np.hstack([c4.vertices @ f1.basis, c4.vertices @ rot.basis]))
 
 
-def steiner_grid(p: B.Polytope) -> np.ndarray:
-    """The steiner suite's radii: n + 4 Chebyshev nodes on [0, 0.4 diam]."""
-    i = np.arange(p.ambient_dim + 4)
-    return np.sort(0.4 * p.diameter() * (1.0 - np.cos((2 * i + 1) * np.pi / (2 * i.size))))
-
-
-def cases(seed: int):
+def cases():
     """(name, body, thresholds, sampling box lower corner, box widths)."""
-    contains = [("angles polygon", B.make_random_polytope(2, 12, SeededSampler(seed, 1))),
+    contains = [("angles polygon", B.make_random_polytope(2, 12, SeededSampler(SEED, 1))),
                 ("hadwiger cube4", hadwiger_cube4())]
     for name, p in contains:
         lo, hi = p.bounding_box()
         yield name, p, np.array([1e-9 * B._hull_scale(p)]), lo, hi - lo
     parallel = [("steiner square", B.make_cube(2)), ("steiner simplex2", B.make_simplex(2)),
                 ("steiner cube3", B.make_cube(3)), ("steiner simplex3", B.make_simplex(3)),
-                ("steiner random3", B.make_random_polytope(3, 14, SeededSampler(seed, 31)))]
+                ("steiner random3", B.make_random_polytope(3, 14, SeededSampler(SEED, 31)))]
     for name, p in parallel:
-        grid = steiner_grid(p)
+        grid = B.default_epsilon_grid(p, p.ambient_dim + 4, span=0.8)  # the steiner suite's radii
         lo, hi = p.bounding_box()
         yield name, p, grid, lo - grid.max(), hi - lo + 2.0 * grid.max()
 
@@ -79,13 +75,13 @@ def best_time(fn, repeats: int) -> float:
     return min(times)
 
 
-def run(c: int, seed: int, repeats: int) -> dict:
+def run(c: int, repeats: int) -> dict:
     print(f"{c} points per body; best of {repeats}, milliseconds per chunk")
     print(f"{'body':<18} {'facets':>6} {'edges':>5} {'wolfe':>9} {'certified':>9} "
           f"{'speedup':>7} {'certified share':>15}")
     rows, disagreements = [], 0
-    for j, (name, p, t, lo, widths) in enumerate(cases(seed)):
-        engine = qmc.Sobol(d=p.ambient_dim, scramble=True, seed=SeededSampler(seed, j).rng)
+    for j, (name, p, t, lo, widths) in enumerate(cases()):
+        engine = qmc.Sobol(d=p.ambient_dim, scramble=True, seed=SeededSampler(SEED, j).rng)
         pts = lo + engine.random(c) * widths
         faces = p.faces
         wolfe = B.hull_distances(pts, p.vertices)[None] <= t[:, None]
@@ -106,7 +102,7 @@ def run(c: int, seed: int, repeats: int) -> dict:
     if disagreements:
         raise SystemExit(f"bench_membership: {disagreements} membership entries differ "
                          f"from Wolfe's")
-    return {"points": c, "seed": seed, "repeats": repeats, "bodies": rows}
+    return {"points": c, "seed": SEED, "repeats": repeats, "bodies": rows}
 
 
 def machine() -> dict:
@@ -125,10 +121,9 @@ if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--samples", type=int, default=MC_CHUNK, help="points per body")
-    parser.add_argument("--seed", type=int, default=1234)
     parser.add_argument("--repeats", type=int, default=7, help="timed runs per path")
     parser.add_argument("--json", type=Path, help="store the results in this file")
     args = parser.parse_args()
-    result = run(args.samples, args.seed, args.repeats)
+    result = run(args.samples, args.repeats)
     if args.json:
         args.json.write_text(json.dumps({**machine(), **result}, indent=2) + "\n")

@@ -12,14 +12,14 @@ relative.
 
 A last table times Cauchy's formula itself on the three clouds of the
 ``large-bodies`` workload (1000 Gaussian points, 150 on the sphere, 300
-anisotropic, drawn from ``--seed``): the one-piece expression
+anisotropic, drawn at ``SEED``): the one-piece expression
 ``0.5 * (np.abs(dirs @ normals.T) @ areas)`` against ``cauchy_shadow_volumes``,
 which evaluates it in cache-sized row blocks.  The script exits with an
 error unless the two are bit-identical.  That holds under one BLAS thread;
 with more, the one-piece product may be split between threads off the
 8-row grid and move by an ulp, so run it with ``OPENBLAS_NUM_THREADS=1``:
 
-    OPENBLAS_NUM_THREADS=1 python benchmarks/bench_shadows.py [--samples N] [--seed S]
+    OPENBLAS_NUM_THREADS=1 python benchmarks/bench_shadows.py [--samples N]
 """
 
 import argparse
@@ -39,6 +39,7 @@ from valgeo.grassmann import SeededSampler, haar_bases_batch, haar_unit_vectors
 
 TOL = 1e-12
 REPEATS = 5  # Cauchy timings are the best of this many runs
+SEED = 1234  # the suites' default seed
 
 
 def sphere_cloud(rng: np.random.Generator, m: int) -> np.ndarray:
@@ -46,9 +47,9 @@ def sphere_cloud(rng: np.random.Generator, m: int) -> np.ndarray:
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
-def clouds(seed: int) -> dict[str, np.ndarray]:
+def clouds() -> dict[str, np.ndarray]:
     """Three R^3 clouds: few extreme points among many, all extreme, and flat-ish."""
-    rng = np.random.default_rng([seed, 7])
+    rng = np.random.default_rng([SEED, 7])
     return {
         "gaussian": rng.standard_normal((1000, 3)),
         "sphere": sphere_cloud(rng, 150),
@@ -75,13 +76,13 @@ def best_of(fn):
     return runs[0][0], min(t for _, t in runs)
 
 
-def cauchy_blocks(c: int, seed: int) -> None:
+def cauchy_blocks(c: int) -> None:
     """Time the one-piece and the row-blocked Cauchy formula on the large-bodies
     clouds; exit with an error unless they agree bit for bit."""
-    s = SeededSampler(seed, 2)
+    s = SeededSampler(SEED, 2)
     print(f"\nCauchy's formula on {c} directions: one piece against row blocks (ms)")
     print(f"{'cloud':<12} {'facets':>6} {'one piece':>10} {'blocked':>9} {'speedup':>8}")
-    for j, (name, pts) in enumerate(clouds(seed).items()):
+    for j, (name, pts) in enumerate(clouds().items()):
         body = Polytope(3, pts)
         normals, areas = body.faces.normals, body.faces.areas
         dirs = haar_unit_vectors(3, c, s.substream(j))
@@ -115,8 +116,8 @@ def row(name: str, verts: int, t_qhull: float, t_batched: float, t_cauchy, gap: 
             f"{t_qhull / t_batched:>7.1f}x {gap:>9.1e}")
 
 
-def run(c: int, seed: int) -> None:
-    s = SeededSampler(seed, 1)
+def run(c: int) -> None:
+    s = SeededSampler(SEED, 1)
     print(f"{c} shadows per input; seconds per chunk")
     print(f"{'input':<28} {'hull v':>6} {'qhull':>9} {'batched':>9} {'cauchy':>9} "
           f"{'batch/q':>8} {'max rel':>9}")
@@ -127,13 +128,13 @@ def run(c: int, seed: int) -> None:
     cube3 = make_cube(3)
     print(row("cube3 line pairs", cube3.n_vertices,
               *measure(cube3, *line_pairs(cube3, c, s.substream(1)))))
-    for j, (name, pts) in enumerate(clouds(seed).items()):
+    for j, (name, pts) in enumerate(clouds().items()):
         body = Polytope(3, pts)
         print(row(f"{name} line pairs", body.n_vertices,
                   *measure(body, *line_pairs(body, c, s.substream(2 + j)))))
 
     print("\ncrossover: sphere clouds, all points extreme")
-    rng = np.random.default_rng([seed, 8])
+    rng = np.random.default_rng([SEED, 8])
     crossover = None
     for m in (25, 50, 100, 200, 400):
         body = Polytope(3, sphere_cloud(rng, m))
@@ -145,13 +146,12 @@ def run(c: int, seed: int) -> None:
         print("gift wrapping beat Qhull at every size")
     else:
         print(f"gift wrapping first loses to Qhull at {crossover} hull vertices")
-    cauchy_blocks(c, seed)
+    cauchy_blocks(c)
 
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--samples", type=int, default=MC_CHUNK, help="shadows per input")
-    parser.add_argument("--seed", type=int, default=1234)
     args = parser.parse_args()
-    run(args.samples, args.seed)
+    run(args.samples)

@@ -21,7 +21,7 @@ It prints the best time of a few repeats for each path and the largest
 relative disagreement between the two, and exits with an error if any
 exceeds 1e-12, or 0 for claim23.  Run:
 
-    python benchmarks/bench_spectral.py [--samples N] [--seed S] [--repeats R] [--json FILE]
+    python benchmarks/bench_spectral.py [--samples N] [--repeats R] [--json FILE]
 
 ``--json FILE`` stores the results under "layers" in FILE, with the git
 revision and the machine, keeping the file's other entries.
@@ -43,6 +43,7 @@ from valgeo.bodies import make_cube
 from valgeo.grassmann import (
     SeededSampler,
     _abs_det,
+    _map_ball_volume,
     _transposed_products,
     cos_angle,
     cos_angles_with_bases,
@@ -53,9 +54,9 @@ from valgeo.grassmann import (
     span_sum,
 )
 from valgeo.suites import _claim23_gaps
-from valgeo.valuations import _map_ball_volume
 
 TOL = 1e-12
+SEED = 1234  # the suites' default seed, at which every BENCH_*.json row was recorded
 
 
 def best_time(fn, repeats: int) -> float:
@@ -146,24 +147,24 @@ def harmonic_cases(c: int, s: SeededSampler):
                lambda b=basis, x=x: b.eval_points(x), None, TOL)
 
 
-def claim23_cases(seed: int):
+def claim23_cases():
     """The claim23 suite's default trials, per trial and stacked, at tolerance 0."""
     def gaps(path):
-        return np.concatenate([path(n, 100, SeededSampler(seed, stream_id=50 + n))
+        return np.concatenate([path(n, 100, SeededSampler(SEED, stream_id=50 + n))
                                for n in (5, 6)])
 
     yield ("claim23 200 trials, n = 5, 6", lambda: gaps(loop_claim23_gaps),
            lambda: gaps(_claim23_gaps), None, 0.0)
 
 
-def run(c: int, seed: int, repeats: int) -> dict:
-    s = SeededSampler(seed, 1)
+def run(c: int, repeats: int) -> dict:
+    s = SeededSampler(SEED, 1)
     print(f"{c} rows per chunk; best of {repeats}, milliseconds per chunk "
           "(per 200 trials for claim23)")
     print(f"{'case':<40} {'old':>9} {'new':>9} {'old/new':>8} {'max rel':>9}")
     rows, failed = [], []
     cases = [*det_cases(c, s), *contraction_cases(c, s), *harmonic_cases(c, s),
-             *claim23_cases(seed)]
+             *claim23_cases()]
     for name, old, new, scale, tol in cases:
         ref, out = old(), new()
         gap = float(np.max(np.abs(out - ref) / (np.abs(ref).max() if scale is None else scale)))
@@ -176,7 +177,7 @@ def run(c: int, seed: int, repeats: int) -> dict:
             failed.append(f"{name}: {gap:.1e} > {tol:.0e}")
     if failed:
         raise SystemExit("bench_spectral: disagreement " + "; ".join(failed))
-    return {"rows_per_chunk": c, "seed": seed, "repeats": repeats, "cases": rows}
+    return {"rows_per_chunk": c, "seed": SEED, "repeats": repeats, "cases": rows}
 
 
 def machine() -> dict:
@@ -195,11 +196,10 @@ if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--samples", type=int, default=MC_CHUNK, help="rows per chunk")
-    parser.add_argument("--seed", type=int, default=1234)
     parser.add_argument("--repeats", type=int, default=7, help="timed runs per path")
     parser.add_argument("--json", type=Path, help="store the results in this file")
     args = parser.parse_args()
-    result = run(args.samples, args.seed, args.repeats)
+    result = run(args.samples, args.repeats)
     if args.json:
         record = json.loads(args.json.read_text()) if args.json.exists() else {}
         record["layers"] = {**machine(), **result}

@@ -60,7 +60,7 @@ class Polytope:
 
     ambient_dim: int
     vertices: np.ndarray = field(repr=False)
-    affine_dim: int = field(default=-1)
+    affine_dim: int = field(init=False)
 
     def __post_init__(self):
         v = np.ascontiguousarray(np.atleast_2d(np.asarray(self.vertices, dtype=float)))
@@ -676,55 +676,57 @@ def _nearest_segment_distances(f: FaceRecord, x: np.ndarray) -> np.ndarray:
     return np.sqrt(out)
 
 
-def _sobol_draw(engine, count: int) -> np.ndarray:
-    """Draw from a Sobol engine, quieting the power-of-two balance notice.
+def _box_volumes(p: Polytope, thresholds: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                 n_samples: int, s: SeededSampler, method: str) -> tuple[np.ndarray, np.ndarray]:
+    """Volumes of {x : dist(x, P) <= t} for each threshold t, and their
+    binomial standard errors, from ``n_samples`` points of the box [lo, hi].
 
-    Chunks are powers of two except possibly the last one; the slight
-    imbalance there is irrelevant at these sample counts.
+    Points are counted by ``_within``.  ``method="mc"`` draws chunk j
+    uniformly from ``s.substream(j)``, so the standard errors have their
+    usual meaning; ``method="qmc"`` draws every chunk from one scrambled Sobol
+    engine seeded from ``s.substream(0)``, for a tighter estimate whose
+    standard errors are then conservative.  A box of zero volume gives zeros.
     """
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", message=".*balance properties of Sobol.*")
-        return engine.random(count)
+    if method not in ("mc", "qmc"):
+        raise ValueError(f"unknown method {method!r}")
+    widths = hi - lo
+    box_vol = float(np.prod(widths))
+    if box_vol == 0.0:
+        return np.zeros(thresholds.size), np.zeros(thresholds.size)
+    engine = None
+    if method == "qmc":
+        from scipy.stats import qmc
+
+        engine = qmc.Sobol(d=p.ambient_dim, scramble=True, seed=s.substream(0).rng)
+    counts = np.zeros(thresholds.size, dtype=np.int64)
+    for _, c, sub in mc_chunks(n_samples, s):
+        if engine is None:
+            u = sub.uniform(size=(c, p.ambient_dim))
+        else:
+            # Chunks are powers of two except possibly the last one; the
+            # slight imbalance there is irrelevant at these sample counts.
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", message=".*balance properties of Sobol.*")
+                u = engine.random(c)
+        counts += _within(p, lo + u * widths, thresholds).sum(axis=1)
+    frac = counts / n_samples
+    return box_vol * frac, box_vol * np.sqrt(np.maximum(frac * (1.0 - frac), 0.0) / n_samples)
 
 
 def mc_hull_volume(p: Polytope, n_samples: int, s: SeededSampler,
                    method: str = "mc") -> Estimate:
     """Rejection-sampling volume estimate (independent of Qhull volumes).
 
-    ``method="mc"`` draws plain uniform points, so the returned standard
-    error has the usual binomial meaning; ``method="qmc"`` uses a seeded
-    scrambled Sobol net for a tighter estimate (stderr then conservative).
-
-    Each point is counted as ``contains_points`` would count it.  Most
-    points are decided by facet certificates (``_within``); the rest, and an
-    audit sample, go to Wolfe's kernel.  Only the facet inequalities and
-    edges of ``p.faces`` are read, never its volume, so the estimate stays
-    independent of Qhull volumes.
+    ``_box_volumes`` counts the points of P's bounding box that
+    ``contains_points`` would count, by plain uniform points
+    (``method="mc"``) or a seeded scrambled Sobol net (``method="qmc"``).
+    Only the facet inequalities and edges of ``p.faces`` are read, never its
+    volume, so the estimate stays independent of Qhull volumes.
     """
-    if method not in ("mc", "qmc"):
-        raise ValueError(f"unknown method {method!r}")
     lo, hi = p.bounding_box()
-    widths = hi - lo
-    box_vol = float(np.prod(widths))
-    if box_vol == 0.0:
-        return Estimate(0.0, 0.0)
-    engine = None
-    if method == "qmc":
-        from scipy.stats import qmc
-
-        engine = qmc.Sobol(d=p.ambient_dim, scramble=True, seed=s.substream(0).rng)
     threshold = np.array([_CONTAINS_TOL * _hull_scale(p)])
-    hits = 0
-    for _, c, sub in mc_chunks(n_samples, s):
-        if engine is not None:
-            u = _sobol_draw(engine, c)
-        else:
-            u = sub.uniform(size=(c, p.ambient_dim))
-        pts = lo + u * widths
-        hits += int(np.count_nonzero(_within(p, pts, threshold)))
-    frac = hits / n_samples
-    stderr = box_vol * math.sqrt(max(frac * (1.0 - frac), 0.0) / n_samples)
-    return Estimate(box_vol * frac, stderr)
+    vols, stderrs = _box_volumes(p, threshold, lo, hi, n_samples, s, method)
+    return Estimate(float(vols[0]), float(stderrs[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -903,17 +905,16 @@ def kubota_estimate(body, k: int, n_samples: int, s: SeededSampler) -> Estimate:
 # ---------------------------------------------------------------------------
 
 
-def default_epsilon_grid(p: Polytope, count: int | None = None) -> np.ndarray:
-    """Chebyshev-spaced grid on [0, diam(P)] (controls fit conditioning)."""
-    n = p.ambient_dim
+def default_epsilon_grid(p: Polytope, count: int | None = None, span: float = 1.0) -> np.ndarray:
+    """``count`` (default n + 3) Chebyshev-spaced radii on [0, span diam(P)],
+    in ascending order; the spacing controls the fit's conditioning."""
     if count is None:
-        count = n + 3
+        count = p.ambient_dim + 3
     d = p.diameter()
     if d == 0.0:
         d = 1.0
     i = np.arange(count)
-    nodes = 0.5 * d * (1.0 - np.cos((2 * i + 1) * np.pi / (2 * count)))
-    return np.sort(nodes)
+    return np.sort(0.5 * span * d * (1.0 - np.cos((2 * i + 1) * np.pi / (2 * count))))
 
 
 def parallel_body_volumes(
@@ -921,31 +922,15 @@ def parallel_body_volumes(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Membership estimates of vol(P + eps D) on a grid of radii.
 
-    One scrambled-Sobol point set (seeded through the sampler, so fully
-    reproducible) serves the whole grid: the estimates are then monotone in
-    eps, which stabilizes the polynomial fit.  The reported standard errors
-    use the binomial formula and are conservative for scrambled nets.
-    Membership is decided as in ``mc_hull_volume``, by facet certificates
-    with an audited Wolfe fallback.
+    One scrambled-Sobol point set of P's bounding box padded by max eps
+    (``_box_volumes``, seeded through the sampler, so fully reproducible)
+    serves the whole grid: the estimates are then monotone in eps, which
+    stabilizes the polynomial fit.
     """
-    from scipy.stats import qmc
-
     eps_grid = np.asarray(eps_grid, dtype=float)
     eps_max = float(eps_grid.max())
     lo, hi = p.bounding_box()
-    lo = lo - eps_max
-    hi = hi + eps_max
-    widths = hi - lo
-    box_vol = float(np.prod(widths))
-    engine = qmc.Sobol(d=p.ambient_dim, scramble=True, seed=s.substream(0).rng)
-    counts = np.zeros(len(eps_grid), dtype=np.int64)
-    for _, c, _ in mc_chunks(n_samples, s):
-        pts = lo + _sobol_draw(engine, c) * widths
-        counts += _within(p, pts, eps_grid).sum(axis=1)
-    frac = counts / n_samples
-    vols = box_vol * frac
-    stderrs = box_vol * np.sqrt(np.maximum(frac * (1.0 - frac), 0.0) / n_samples)
-    return vols, stderrs
+    return _box_volumes(p, eps_grid, lo - eps_max, hi + eps_max, n_samples, s, "qmc")
 
 
 def fit_polynomial(

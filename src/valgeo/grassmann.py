@@ -73,10 +73,6 @@ class Subspace:
         """The n x n orthogonal projection matrix onto the subspace."""
         return self.basis @ self.basis.T
 
-    def contains_vector(self, v: np.ndarray, tol: float = 1e-9) -> bool:
-        v = np.asarray(v, dtype=float)
-        return bool(np.linalg.norm(self.projector() @ v - v) <= tol * (1.0 + np.linalg.norm(v)))
-
     def __repr__(self) -> str:
         return f"Subspace(ambient_dim={self.ambient_dim}, dim={self.dim})"
 
@@ -345,22 +341,35 @@ def sample_within(h: Subspace, i: int, s: SeededSampler) -> Subspace:
     return Subspace(n, h.basis @ haar_frames(g[None])[0])
 
 
+def _map_ball_volume(m: np.ndarray, l: np.ndarray, q: int) -> np.ndarray:
+    """q-volume of m(D_L), the image of L's unit ball under the q x n map m:
+    kappa_q times the product of the singular values of m l, 1 for q = 0 (a
+    point) and 0 for dim L < q.  ``m`` (..., q, n) and the orthonormal basis
+    ``l`` (..., n, dim L) may each be a stack; the result has their broadcast
+    batch shape.  ``ellipsoid_image_volume`` is its one-row form.
+    """
+    shape = np.broadcast_shapes(m.shape[:-2], l.shape[:-2])
+    if q == 0:
+        return np.ones(shape)
+    if l.shape[-1] < q:
+        return np.zeros(shape)
+    sv = np.linalg.svd(m @ l, compute_uv=False)
+    return unit_ball_volume(q) * np.prod(sv[..., :q], axis=-1)
+
+
 def ellipsoid_image_volume(a: np.ndarray, l: Subspace) -> float:
     """Volume of the image A(D_L) of the unit ball of L under a linear map.
 
     With d = dim L this is kappa_d times the product of the singular values
-    of A restricted to L; zero when the restriction is rank deficient.
+    of A restricted to L; zero when the restriction is rank deficient, and 1
+    for L = 0, the volume of a point.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[1] != l.ambient_dim:
         raise DimensionError(f"map shape {a.shape} incompatible with ambient {l.ambient_dim}")
-    d = l.dim
-    if d == 0:
-        return 0.0
-    if d > a.shape[0]:
-        raise DimensionError(f"dim L = {d} exceeds target dimension {a.shape[0]}")
-    sv = np.linalg.svd(a @ l.basis, compute_uv=False)
-    return float(unit_ball_volume(d) * np.prod(sv))
+    if l.dim > a.shape[0]:
+        raise DimensionError(f"dim L = {l.dim} exceeds target dimension {a.shape[0]}")
+    return float(_map_ball_volume(a, l.basis, l.dim))
 
 
 # ---------------------------------------------------------------------------

@@ -281,7 +281,7 @@ class OperatorMatrix:
 
 
 def operator_matrix_even(
-    n: int, d_max: int, n_samples: int, s: SeededSampler, i: int = 1
+    n: int, d_max: int, n_samples: int, s: SeededSampler
 ) -> OperatorMatrix:
     """Matrix of f -> (T_{n-1,n-1} after R_{n-1,1}) f pulled back to Gr_1.
 
@@ -290,8 +290,6 @@ def operator_matrix_even(
     Y_b'(w) |<w, v>| Y_b(l) over independent Haar lines w, v and a Haar line
     l inside the hyperplane with normal v.
     """
-    if i != 1:
-        raise ScopeError("spectral probe implemented for i = 1 only")
     if n not in (3, 4):
         raise ScopeError(f"spectral probe implemented for ambient dim 3 and 4, not {n}")
     basis = even_harmonic_blocks(n, d_max)
@@ -369,7 +367,7 @@ class SpectrumReport:
 
 
 def lefschetz_probe(
-    n: int, d_max: int, n_samples: int, s: SeededSampler, i: int = 1
+    n: int, d_max: int, n_samples: int, s: SeededSampler
 ) -> tuple[SpectrumReport, OperatorMatrix]:
     """Band-limited injectivity probe of multiplication by V_1 (degree n-2 to n-1).
 
@@ -377,7 +375,7 @@ def lefschetz_probe(
     and declares injectivity on the band-limited subspace when the smallest
     singular value clears 0.1 times the smallest quadrature-oracle scalar.
     """
-    op = operator_matrix_even(n, d_max, n_samples, s, i=i)
+    op = operator_matrix_even(n, d_max, n_samples, s)
     block_degs = op.block_degrees
     oracle = np.array(
         [funk_hecke_cosine_eigen(n, int(d)) * funk_radon_eigen(n, int(d)) for d in block_degs]

@@ -23,6 +23,7 @@ from .bodies import (
     Ball,
     Polytope,
     ball_intrinsic_volumes,
+    default_epsilon_grid,
     fit_polynomial,
     hull_volume,
     kubota_coefficient,
@@ -40,6 +41,7 @@ from .grassmann import (
     _check_orthonormal,
     _complement,
     _cos,
+    _map_ball_volume,
     _stack,
     _transposed_products,
     cos_angle,
@@ -166,26 +168,6 @@ class CustomVal(ValuationExpr):
 # ---------------------------------------------------------------------------
 
 
-def _map_ball_volume(m: np.ndarray, l: np.ndarray, q: int) -> np.ndarray:
-    """q-volume of the image of the unit ball of L under the q x n map m.
-
-    ``m`` (..., q, n) and the orthonormal basis ``l`` (..., n, dim L) may each
-    be a stack; the result has their broadcast batch shape.
-    """
-    shape = np.broadcast_shapes(m.shape[:-2], l.shape[:-2])
-    if q == 0:
-        return np.ones(shape)
-    if l.shape[-1] < q:
-        return np.zeros(shape)
-    sv = np.linalg.svd(m @ l, compute_uv=False)
-    return unit_ball_volume(q) * np.prod(sv[..., :q], axis=-1)
-
-
-def projected_ball_volume(f: Subspace, l: Subspace) -> float:
-    """vol_i(Pr_F D_L) with i = dim F (the Klain function of a projection valuation)."""
-    return float(_map_ball_volume(f.basis.T, l.basis, f.dim))
-
-
 def product_projection(f1: Subspace, f2: Subspace, k: Polytope) -> float:
     """The two-factor valuation product evaluated on a polytope.
 
@@ -237,7 +219,7 @@ def evaluate(expr: ValuationExpr, body: BodySpec, budget: int, s: SeededSampler)
         if f.ambient_dim != body.ambient_dim:
             raise DimensionError("ambient dimensions differ")
         if isinstance(body, Ball):
-            return Estimate(projected_ball_volume(f, body.subspace), 0.0)
+            return Estimate(float(_map_ball_volume(f.basis.T, body.subspace.basis, f.dim)), 0.0)
         return Estimate(hull_volume(project(body, f)), 0.0)
     if isinstance(expr, CroftonVal):
         return _crofton_eval(expr, body, budget, s)
@@ -388,7 +370,7 @@ def lemma22_direct(f: Subspace, k: int, l: Subspace, n_samples: int,
     if l.dim != q:
         raise DimensionError("L must have dimension k + dim F")
     if k == 0:
-        return Estimate(projected_ball_volume(f, l), 0.0)
+        return Estimate(float(_map_ball_volume(f.basis.T, l.basis, f.dim)), 0.0)
     kappa_q = unit_ball_volume(q)
     c_nk = kubota_coefficient(n, k)
     vals = np.empty(n_samples)
@@ -552,17 +534,6 @@ def parallel_valuation_values(
     raise ScopeError(f"parallel-body evaluation not supported for {type(expr).__name__}")
 
 
-def default_lambda_grid(body: Polytope, degree: int) -> np.ndarray:
-    """Chebyshev radii on [0, 0.6 diam(K)] with degree + 3 points."""
-    count = degree + 3
-    d = body.diameter()
-    if d == 0.0:
-        d = 1.0
-    i = np.arange(count)
-    nodes = 0.3 * d * (1.0 - np.cos((2 * i + 1) * np.pi / (2 * count)))
-    return np.sort(nodes)
-
-
 def lambda_apply(expr: Lambda, body: Polytope, eps_grid, budget: int,
                  s: SeededSampler, max_residual: float = 0.02) -> Estimate:
     """Evaluate (possibly nested) Lambda expressions by polynomial fitting.
@@ -579,7 +550,7 @@ def lambda_apply(expr: Lambda, body: Polytope, eps_grid, budget: int,
         base = base.inner
     d = base.degree
     if eps_grid is None:
-        eps_grid = default_lambda_grid(body, d)
+        eps_grid = default_epsilon_grid(body, d + 3, span=0.6)
     eps_grid = np.asarray(eps_grid, dtype=float)
     if len(np.unique(eps_grid)) < d + 2:
         raise ValueError(f"need at least {d + 2} distinct grid points")

@@ -286,6 +286,20 @@ class TestProjection:
         assert B.hull_volume(q) == pytest.approx(math.sqrt(3), rel=1e-10)
 
 
+def _old_box_count(p, thresholds, lo, hi, n_samples, s, engine):
+    """The sampling loop that ``mc_hull_volume`` and ``parallel_body_volumes``
+    each wrote out before ``_box_volumes``: per-chunk uniform points, or one
+    Sobol engine for every chunk."""
+    widths = hi - lo
+    counts = np.zeros(len(thresholds), dtype=np.int64)
+    for _, c, sub in mc_chunks(n_samples, s):
+        u = sub.uniform(size=(c, p.ambient_dim)) if engine is None else engine.random(c)
+        counts += B._within(p, lo + u * widths, np.asarray(thresholds)).sum(axis=1)
+    frac = counts / n_samples
+    box_vol = float(np.prod(widths))
+    return box_vol * frac, box_vol * np.sqrt(np.maximum(frac * (1.0 - frac), 0.0) / n_samples)
+
+
 class TestVolumes:
     def test_mc_volume_agrees(self, sampler):
         p = B.make_random_polytope(3, 15, sampler)
@@ -299,6 +313,29 @@ class TestVolumes:
             with pytest.raises(ValueError, match="unknown method"):
                 B.mc_hull_volume(p, 100, sampler, method="bogus")
         assert B.mc_hull_volume(flat, 100, sampler) == (0.0, 0.0)
+
+    @pytest.mark.filterwarnings("ignore:.*balance properties of Sobol")
+    @pytest.mark.parametrize("method", ["mc", "qmc"])
+    def test_estimators_match_their_former_loops(self, method):
+        # 20 000 points span three chunks, so chunk j's stream matters.
+        from scipy.stats import qmc
+
+        p = B.make_random_polytope(3, 12, SeededSampler(61))
+        s = SeededSampler(62)
+
+        def engine():
+            return qmc.Sobol(d=3, scramble=True, seed=s.substream(0).rng) if method == "qmc" else None
+
+        lo, hi = p.bounding_box()
+        t = [1e-9 * B._hull_scale(p)]
+        vol, err = _old_box_count(p, t, lo, hi, 20_000, s, engine())
+        assert tuple(B.mc_hull_volume(p, 20_000, s, method=method)) == (vol[0], err[0])
+        if method == "qmc":
+            grid = B.default_epsilon_grid(p, 6)
+            eps = grid.max()
+            old = _old_box_count(p, grid, lo - eps, hi + eps, 20_000, s, engine())
+            new = B.parallel_body_volumes(p, grid, 20_000, s)
+            assert all(np.array_equal(a, b) for a, b in zip(old, new))
 
     def test_point_volume_convention(self):
         point = B.Polytope(0, np.zeros((1, 0)))
@@ -870,6 +907,26 @@ class TestSteinerFit:
         grid = np.array([0.0, 0.2, 0.5, 0.9])
         vols, _ = B.parallel_body_volumes(p, grid, 30_000, sampler)
         assert np.all(np.diff(vols) > 0)
+
+    @pytest.mark.parametrize("body", ["square", "cube3", "point"])
+    def test_spans_give_the_former_steiner_and_lambda_grids(self, body):
+        # The grids that the steiner suite and lambda_apply wrote out, 0.4
+        # and 0.3 times diam(P) times 1 - cos, which span=0.8 and span=0.6
+        # reproduce because 0.5 * 0.8 and 0.5 * 0.6 round to 0.4 and 0.3.
+        p = {"square": B.make_cube(2), "cube3": B.make_cube(3),
+             "point": B.Polytope(3, [[1.0, 2.0, 3.0]])}[body]
+
+        def old(factor, count, d):
+            i = np.arange(count)
+            return np.sort(factor * d * (1.0 - np.cos((2 * i + 1) * np.pi / (2 * count))))
+
+        n, d = p.ambient_dim, p.diameter()
+        if d > 0.0:  # the steiner suite never had a point body
+            assert np.array_equal(B.default_epsilon_grid(p, n + 4, span=0.8), old(0.4, n + 4, d))
+        for degree in range(n + 1):
+            assert np.array_equal(B.default_epsilon_grid(p, degree + 3, span=0.6),
+                                  old(0.3, degree + 3, d or 1.0))
+        assert np.array_equal(B.default_epsilon_grid(p), old(0.5, n + 3, d or 1.0))
 
     def test_determinism(self):
         p = B.make_cube(2)

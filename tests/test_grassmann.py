@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.stats import ks_2samp
 
 from valgeo.base import mean_and_stderr, unit_ball_volume
@@ -11,6 +11,7 @@ from valgeo.grassmann import (
     SeededSampler,
     Subspace,
     _abs_det,
+    _map_ball_volume,
     coordinate_subspace,
     cos_angle,
     cos_angle_batch,
@@ -277,6 +278,19 @@ class TestEllipsoidImageVolume:
         a = np.array([[1.0, 0.0], [0.0, 0.0]])
         assert ellipsoid_image_volume(a, full_space(2)) == pytest.approx(0.0, abs=1e-15)
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_zero_subspace_is_a_point(self, n):
+        assert ellipsoid_image_volume(np.ones((2, n)), zero_subspace(n)) == 1.0
+
+    @pytest.mark.parametrize("d", [0, 1, 2, 3])
+    def test_rows_of_map_ball_volume(self, d):
+        s = SeededSampler(31)
+        maps = s.standard_normal((40, 3, 5))
+        bases = haar_bases_batch(5, d, 40, s)
+        stacked = _map_ball_volume(maps[:, :d], bases, d)
+        rows = [ellipsoid_image_volume(m[:d], Subspace(5, b)) for m, b in zip(maps, bases)]
+        assert np.array_equal(stacked, rows)
+
 
 class TestSeededSampler:
     def test_bit_identical_streams(self):
@@ -515,7 +529,7 @@ class TestHaarFrames:
         rng = np.random.default_rng(seed)
         g = rng.standard_normal((count, n, k))
         g[:, :, b] = g[:, :, a] + 1e-8 * rng.standard_normal((count, n))
-        assert np.linalg.cond(g).min() > 1e7
+        assume(np.linalg.cond(g).min() > 1e7)  # about 1 in 1000 2x2 draws is better conditioned
         q = haar_frames(g)
         _assert_haar_frame_rows(q, g, 1e-14)
         for t in range(count):

@@ -87,6 +87,17 @@ class TestSuites:
         assert len(made) == 2
         assert [sum(q is p for q in built) for p in made] == [1, 1]
 
+    def test_lambda_planar_check_catches_a_perimeter_error(self, monkeypatch):
+        # The planar check's oracle is the zonotope perimeter of the cube's
+        # shadow, not gift wrapping, so 1% more perimeter from gift wrapping
+        # moves the estimate alone and fails the 1e-9 check.
+        wrap = B.shadow_area_perimeter
+        monkeypatch.setattr(B, "shadow_area_perimeter",
+                            lambda points: tuple(x * w for x, w in zip(wrap(points), (1.0, 1.01))))
+        report = run_suite("lambda", RunConfig(seed=1234, samples=2048))
+        (record,) = [r for r in report.records if r["name"] == "lambda/projection-valuation-planar"]
+        assert not record["pass"]
+
     def test_reports_byte_identical(self):
         cfg = RunConfig(seed=3, samples=2000, dimensions=[3])
         a = run_suite("angles", cfg).to_json()

@@ -254,5 +254,3 @@ class TestOperatorAndProbe:
     def test_scope(self, sampler):
         with pytest.raises(ScopeError):
             T.operator_matrix_even(5, 4, 100, sampler)
-        with pytest.raises(ScopeError):
-            T.operator_matrix_even(3, 4, 100, sampler, i=2)
