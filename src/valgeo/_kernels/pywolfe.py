@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .. import trace
+
 BACKEND = "python"
 BLOCK_FLOATS = 1 << 16
 
@@ -65,7 +67,9 @@ def _min_norm_points(w: np.ndarray, max_iter: int = 1000) -> np.ndarray:
     one major cycle per round, and a row leaves the round once it has
     converged. A row's corral is kept in slots ``0 .. size-1`` in the order
     the vertices entered it, and minor cycles are solved for all rows with
-    the same corral size at once.
+    the same corral size at once.  A row still live after ``max_iter``
+    rounds returns its current iterate and adds one to
+    ``trace.counters["wolfe_max_iter_rows"]``.
     """
     b, m, _ = w.shape
     sq = np.einsum("bij,bij->bi", w, w)
@@ -132,6 +136,7 @@ def _min_norm_points(w: np.ndarray, max_iter: int = 1000) -> np.ndarray:
                 size[r] = k - 1
                 carry.append(r)
             minor = np.concatenate(carry) if carry else minor[:0]
+    trace.counters["wolfe_max_iter_rows"] += live.size
     return x
 
 

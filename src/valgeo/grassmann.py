@@ -22,11 +22,15 @@ The orthocomplement and the cosine are computed on stacks of bases
 (``orthocomplement_batch``, ``cos_angle_batch``).  Every sampler and every
 function on one ``Subspace`` is a one-row call into the same code as its
 stacked form, so a row of a stack equals the scalar result bit for bit.
+``cos_angles_with_bases`` takes every pair of an L stack and an R stack at
+once; for square pairs that is one product of Plucker coordinates
+(Cauchy-Binet), which BLAS may round differently for one row of L.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -404,23 +408,34 @@ def _transposed_products(bases: np.ndarray, m: np.ndarray) -> np.ndarray:
     return (np.swapaxes(bases, 1, 2).reshape(count * q, n) @ m).reshape(count, q, m.shape[1])
 
 
-def _abs_det(m: np.ndarray) -> np.ndarray:
-    """|det| of each matrix of a (..., q, q) stack: |ad - bc| for q = 2,
-    LAPACK's LU for every other size."""
-    if m.shape[-2:] == (2, 2):
-        return np.abs(m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0])
-    return np.abs(np.linalg.det(m))
+def _plucker(x: np.ndarray) -> np.ndarray:
+    """(count, C(n, q)) Plucker coordinates of a (count, n, q) stack: the q x q
+    minors of each matrix over its row subsets in lexicographic order.
 
-
-def cos_angles_with_bases(l: Subspace, bases: np.ndarray) -> np.ndarray:
-    """cos_angle(L, R_s) for a stack of bases R_s of dimension >= dim L.
-
-    A square product R_s^T Q_L gives the cosine as its |det|, a tall one by
-    its singular values.
+    For q = 2 the subsets are ``np.triu_indices(n, 1)``'s pairs and each minor
+    is ad - bc; every other q takes LAPACK's determinants of the minors.  By
+    Cauchy-Binet, det(R^T L) = P(R) . P(L) for any two n x q matrices.
     """
-    if l.dim == 0:
-        return np.ones(bases.shape[0])
-    m = _transposed_products(bases, l.basis)
-    if m.shape[1] == m.shape[2]:
-        return _abs_det(m)
-    return cos_from_products(m)
+    _, n, q = x.shape
+    if q == 2:
+        a, b = np.triu_indices(n, 1)
+        return x[:, a, 0] * x[:, b, 1] - x[:, a, 1] * x[:, b, 0]
+    rows = np.array(list(combinations(range(n), q)), dtype=np.intp)
+    return np.linalg.det(x[:, rows, :])
+
+
+def cos_angles_with_bases(l: np.ndarray, bases: np.ndarray) -> np.ndarray:
+    """(m, c) values cos_angle(L_t, R_s) for an (m, n, q) stack of orthonormal
+    bases L_t and a (c, n, j) stack of bases R_s with j >= q.
+
+    A square pair (j = q) gives |det(R_s^T L_t)| = |P(R_s) . P(L_t)|, so the
+    whole table is one (m, C(n, q)) @ (C(n, q), c) product of Plucker
+    coordinates; a tall pair is taken by the singular values of R_s^T L_t.
+    """
+    l, bases = _stack(l), _stack(bases)
+    _check_orthonormal(l)
+    if l.shape[2] == 0:
+        return np.ones((len(l), len(bases)))
+    if l.shape[2] == bases.shape[2]:
+        return np.abs(_plucker(l) @ _plucker(bases).T)
+    return cos_from_products(np.swapaxes(bases, 1, 2)[None] @ l[:, None])

@@ -452,27 +452,26 @@ def _lemma22_suite(cfg: RunConfig) -> tuple[list[dict], dict]:
     s = SeededSampler(cfg.seed, 60)
     f = haar_subspace(n, i, s)
     points = 20
-    direct = np.empty(points)
-    formula = np.empty(points)
-    for j in range(points):
-        l = haar_subspace(n, k + i, SeededSampler(cfg.seed, 61 + j))
-        direct[j] = V.lemma22_direct(f, k, l, n_samples, SeededSampler(cfg.seed, 161 + j)).value
-        formula[j] = V.lemma22_formula(f, k, l, n_samples, SeededSampler(cfg.seed, 261 + j)).value
+    # Each side takes one draw for all 20 points (common random numbers).
+    ls = np.stack([haar_subspace(n, k + i, SeededSampler(cfg.seed, 61 + j)).basis
+                   for j in range(points)])
+    direct = V.lemma22_direct(f, k, ls, n_samples, SeededSampler(cfg.seed, 161))[0]
+    formula = V.lemma22_formula(f, k, ls, n_samples, SeededSampler(cfg.seed, 261))[0]
     alpha, residual = V.fit_proportionality(direct, formula)
     records.append(check_le("lemma22/fitted-scalar-residual", residual, rtol))
     # Degenerate reductions.
     l = haar_subspace(n, i, SeededSampler(cfg.seed, 62))
-    exact = V.lemma22_formula(f, 0, l, 8, SeededSampler(cfg.seed, 63))
-    records.append(check_abs("lemma22/k=0-exact-cosine", exact.value, cos_angle(l, f), 1e-12))
+    (exact,), _ = V.lemma22_formula(f, 0, l.basis[None], 8, SeededSampler(cfg.seed, 63))
+    records.append(check_abs("lemma22/k=0-exact-cosine", exact, cos_angle(l, f), 1e-12))
     l2 = haar_subspace(n, 2, SeededSampler(cfg.seed, 64))
-    unrestricted = V.lemma22_formula(zero_subspace(n), 2, l2, n_samples, SeededSampler(cfg.seed, 65))
+    (unrestricted,), (unrestricted_se,) = V.lemma22_formula(
+        zero_subspace(n), 2, l2.basis[None], n_samples, SeededSampler(cfg.seed, 65))
     reference = T.cosine_apply(
         T.constant_gfunction(n, 2), 2, l2, min(n_samples, 20000), SeededSampler(cfg.seed, 66)
     )
-    joint = math.hypot(unrestricted.stderr, reference.stderr)
+    joint = math.hypot(unrestricted_se, reference.stderr)
     records.append(
-        check_abs("lemma22/i=0-unrestricted-mean", unrestricted.value, reference.value,
-                  4.0 * joint)
+        check_abs("lemma22/i=0-unrestricted-mean", unrestricted, reference.value, 4.0 * joint)
     )
     extras = {
         "lemma22_profile": {
@@ -492,13 +491,12 @@ def _lemma24_suite(cfg: RunConfig) -> tuple[list[dict], dict]:
     f = T.zonal_harmonic(n, 2, axis)
     smooth = T.GFunction(n, 1, lambda bases: 1.0 + 0.5 * f.evaluator(bases), name="1+zonal/2")
     points = 20
-    direct = np.empty(points)
-    formula = np.empty(points)
-    for j in range(points):
-        l = haar_subspace(n, k + i, SeededSampler(cfg.seed, 71 + j))
-        direct[j] = V.lemma24_direct(smooth, i, k, l, n_samples, SeededSampler(cfg.seed, 171 + j)).value
-        g = V.multiply_by_intrinsic(smooth, i, k, n_samples, SeededSampler(cfg.seed, 271 + j))
-        formula[j] = g(l)
+    # Each side takes one draw for all 20 points (common random numbers).
+    ls = np.stack([haar_subspace(n, k + i, SeededSampler(cfg.seed, 71 + j)).basis
+                   for j in range(points)])
+    direct = V.lemma24_direct(smooth, i, k, ls, n_samples, SeededSampler(cfg.seed, 171))[0]
+    g = V.multiply_by_intrinsic(smooth, i, k, n_samples, SeededSampler(cfg.seed, 271))
+    formula = g.eval_bases(ls)
     alpha, residual = V.fit_proportionality(direct, formula)
     records.append(check_le("lemma24/fitted-scalar-residual", residual, rtol))
     # f == 1 gives a constant function (O(n)-invariance).

@@ -1,5 +1,5 @@
-"""Process-wide counters of the paths and numerical fallbacks of ``bodies``
-and ``valuations``.
+"""Process-wide counters of the paths and numerical fallbacks of ``bodies``,
+``valuations`` and the Wolfe kernel.
 
 Every membership count (``contains_points``, ``mc_hull_volume``,
 ``parallel_body_volumes``) first tries to decide each point from P's facets,
@@ -38,12 +38,19 @@ Two fallbacks that return a number by a second route count each firing:
 * ``claim23_scalar_rows``: rows of ``valuations.claim23_sides`` whose E + F
   has lower dimension than L, evaluated one at a time through ``span_sum``.
 
+One stop without a certificate is counted as well:
+
+* ``wolfe_max_iter_rows``: rows of the Wolfe kernel still live after
+  ``max_iter`` rounds, whose distance is the current iterate's, not a
+  converged one.
+
 The counters never enter a report.  ``reset()`` sets them back to zero.
 """
 
 COUNTERS = ("certified_inside", "certified_outside", "sent_to_wolfe", "audited",
             "audit_mismatches", "shadow_rows_cauchy", "shadow_rows_gift_wrapped",
-            "shadow_rows_qhull", "qhull_joggled", "claim23_scalar_rows")
+            "shadow_rows_qhull", "qhull_joggled", "claim23_scalar_rows",
+            "wolfe_max_iter_rows")
 
 counters = dict.fromkeys(COUNTERS, 0)
 

@@ -37,13 +37,12 @@ from .grassmann import (
     RANK_TOL,
     SeededSampler,
     Subspace,
-    _abs_det,
     _check_orthonormal,
     _complement,
     _cos,
     _map_ball_volume,
+    _plucker,
     _stack,
-    _transposed_products,
     cos_angle,
     cos_angles_with_bases,
     haar_bases_batch,
@@ -329,62 +328,104 @@ def claim23_check(e: Subspace, f: Subspace, l: Subspace) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# Lemma 2.2: restricted cosine average vs direct product evaluation
+# Lemmas 2.2 and 2.4: profiles over a stack of L, one draw per side
 # ---------------------------------------------------------------------------
 
+# Rows of the (m, rows) sample matrix that a profile estimator holds at once:
+# per-L sums are kept, never the (m, n_samples) samples.
+_PROFILE_BLOCK = 2048
 
-def lemma22_formula(f: Subspace, k: int, l: Subspace, n_samples: int,
-                    s: SeededSampler) -> Estimate:
-    """Average of |cos(L, R)| over Haar (k+i)-subspaces R containing F.
+
+def _profile_points(l: np.ndarray, n: int, q: int) -> np.ndarray:
+    """The (m, n, q) stack of orthonormal L bases a profile is evaluated at."""
+    l = _stack(l)
+    if l.shape[1:] != (n, q):
+        raise DimensionError(f"need an (m, {n}, {q}) stack of L bases, got shape {l.shape}")
+    _check_orthonormal(l)
+    return l
+
+
+def _det_profile(l: np.ndarray, n_samples: int, s: SeededSampler,
+                 draw: Callable) -> tuple[np.ndarray, np.ndarray]:
+    """Per-L mean and standard error of w |det(R^T L)| over ``n_samples`` rows.
+
+    ``l`` is a checked (m, n, q) stack.  For each chunk, ``draw(count, sub)``
+    returns a (count, n, q) stack of R and (count,) weights w, or None for
+    w = 1.  Every L reads the same rows, so the draws do not depend on the
+    stack.  By Cauchy-Binet each block of rows is one product of Plucker
+    coordinates, and only the per-L sums of x and x^2 are kept.
+    """
+    if n_samples < 1:
+        raise ValueError("no samples")
+    pl = _plucker(l)
+    total, total_sq = np.zeros(len(l)), np.zeros(len(l))
+    buf = np.empty((len(l), min(n_samples, _PROFILE_BLOCK)))
+    for _, c, sub in mc_chunks(n_samples, s):
+        r, w = draw(c, sub)
+        for start in range(0, c, _PROFILE_BLOCK):
+            rows = slice(start, start + _PROFILE_BLOCK)
+            pr = _plucker(r[rows])
+            x = buf[:, : len(pr)]
+            np.matmul(pl, pr.T, out=x)
+            np.abs(x, out=x)
+            if w is not None:
+                x *= w[rows]
+            total += x.sum(axis=1)
+            x *= x
+            total_sq += x.sum(axis=1)
+    mean = total / n_samples
+    if n_samples == 1:
+        return mean, np.zeros(len(l))
+    var = np.maximum(total_sq - total * mean, 0.0) / (n_samples - 1)
+    return mean, np.sqrt(var / n_samples)
+
+
+def lemma22_formula(f: Subspace, k: int, l: np.ndarray, n_samples: int,
+                    s: SeededSampler) -> tuple[np.ndarray, np.ndarray]:
+    """Average of |cos(L, R)| over Haar (k+i)-subspaces R containing F, at
+    every L of an (m, n, k+i) stack: (values, standard errors).
 
     Represents the Klain function of V_k times the projection valuation of F
     up to a normalizing constant (compare against ``lemma22_direct`` by
-    proportionality fitting).  k = 0 degenerates to the exact cosine with F.
+    proportionality fitting).  Every L reads the same draws of R.  k = 0
+    degenerates to the exact cosine with F.
     """
     n = f.ambient_dim
     i = f.dim
     if i + k > n:
         raise DimensionError("k + dim F exceeds ambient dimension")
-    if l.dim != k + i:
-        raise DimensionError("L must have dimension k + dim F")
+    l = _profile_points(l, n, k + i)
     if k == 0:
-        return Estimate(cos_angle(l, f), 0.0)
+        return cos_angles_with_bases(l, f.basis[None])[:, 0], np.zeros(len(l))
     comp = orthocomplement(f).basis
-    vals = np.empty(n_samples)
-    for rows, c, sub in mc_chunks(n_samples, s):
-        vals[rows] = cos_angles_with_bases(l, _containing_bases(f, comp, k + i, c, sub))
-    return mean_and_stderr(vals)
+    return _det_profile(l, n_samples, s,
+                        lambda c, sub: (_containing_bases(f, comp, k + i, c, sub), None))
 
 
-def lemma22_direct(f: Subspace, k: int, l: Subspace, n_samples: int,
-                   s: SeededSampler) -> Estimate:
-    """Klain function of V_k times the projection valuation of F, evaluated at L.
+def lemma22_direct(f: Subspace, k: int, l: np.ndarray, n_samples: int,
+                   s: SeededSampler) -> tuple[np.ndarray, np.ndarray]:
+    """Klain function of V_k times the projection valuation of F, at every L
+    of an (m, n, k+i) stack: (values, standard errors).
 
     Kubota average over Haar E in Gr_k of the exact stacked-projection ball
-    volume, with the Kubota constant made explicit; the independent route
-    that ``lemma22_formula`` is checked against.
+    volume kappa_q |det([E F]^T L)|, with the Kubota constant made explicit;
+    the independent route that ``lemma22_formula`` is checked against.
+    Every L reads the same draws of E.
     """
     n = f.ambient_dim
     i = f.dim
     q = k + i
-    if l.dim != q:
-        raise DimensionError("L must have dimension k + dim F")
+    l = _profile_points(l, n, q)
     if k == 0:
-        return Estimate(float(_map_ball_volume(f.basis.T, l.basis, f.dim)), 0.0)
-    kappa_q = unit_ball_volume(q)
-    c_nk = kubota_coefficient(n, k)
-    vals = np.empty(n_samples)
-    for rows, c, sub in mc_chunks(n_samples, s):
+        return _map_ball_volume(f.basis.T, l, f.dim), np.zeros(len(l))
+    scale = unit_ball_volume(q) * kubota_coefficient(n, k)
+
+    def draw(c: int, sub: SeededSampler):
         e_bases = haar_bases_batch(n, k, c, sub)
-        bases = np.concatenate([e_bases, np.broadcast_to(f.basis, (c, n, i))], axis=2)
-        vals[rows] = kappa_q * _abs_det(_transposed_products(bases, l.basis))
-    est = mean_and_stderr(vals)
-    return Estimate(c_nk * est.value, c_nk * est.stderr)
+        return np.concatenate([e_bases, np.broadcast_to(f.basis, (c, n, i))], axis=2), None
 
-
-# ---------------------------------------------------------------------------
-# Lemma 2.4: multiply-by-V_k as cosine-after-Radon
-# ---------------------------------------------------------------------------
+    mean, stderr = _det_profile(l, n_samples, s, draw)
+    return scale * mean, scale * stderr
 
 
 def multiply_by_intrinsic(f: GFunction, i: int, k: int,
@@ -407,41 +448,37 @@ def multiply_by_intrinsic(f: GFunction, i: int, k: int,
         raise DimensionError("k + i exceeds ambient dimension")
     base = s if s is not None else SeededSampler(0)
 
+    def draw(c: int, sub: SeededSampler):
+        r_bases = haar_bases_batch(n, q, c, sub)
+        return r_bases, f.eval_bases(r_bases @ haar_bases_batch(q, i, c, sub))
+
     def ev(l_bases: np.ndarray) -> np.ndarray:
-        ls = [Subspace(n, b) for b in l_bases]
-        vals = np.empty((len(ls), n_samples))
-        for rows, c, sub in mc_chunks(n_samples, base):
-            r_bases = haar_bases_batch(n, q, c, sub)
-            fvals = f.eval_bases(r_bases @ haar_bases_batch(q, i, c, sub))
-            for row, l in zip(vals, ls):
-                row[rows] = cos_angles_with_bases(l, r_bases) * fvals
-        return vals.mean(axis=1)
+        return _det_profile(_profile_points(l_bases, n, q), n_samples, base, draw)[0]
 
     return GFunction(n, q, ev, name=f"V_{k}*crofton({f.name})")
 
 
-def lemma24_direct(f: GFunction, i: int, k: int, l: Subspace, n_samples: int,
-                   s: SeededSampler) -> Estimate:
-    """Direct Klain-function of V_k * (Crofton valuation of f) at L.
+def lemma24_direct(f: GFunction, i: int, k: int, l: np.ndarray, n_samples: int,
+                   s: SeededSampler) -> tuple[np.ndarray, np.ndarray]:
+    """Direct Klain function of V_k * (Crofton valuation of f), at every L of
+    an (m, n, k+i) stack: (values, standard errors).
 
     Monte-Carlo over independent Haar pairs (E, F) of f(F) times the exact
-    stacked-projection ball volume, scaled by the Kubota constant.
+    stacked-projection ball volume, scaled by the Kubota constant.  Every L
+    reads the same draws of (E, F).
     """
     n = f.ambient_dim
     q = k + i
-    if l.dim != q:
-        raise DimensionError("L must have dimension k + i")
-    kappa_q = unit_ball_volume(q)
-    c_nk = kubota_coefficient(n, k)
-    vals = np.empty(n_samples)
-    for rows, c, sub in mc_chunks(n_samples, s):
+    l = _profile_points(l, n, q)
+    scale = unit_ball_volume(q) * kubota_coefficient(n, k)
+
+    def draw(c: int, sub: SeededSampler):
         e_bases = haar_bases_batch(n, k, c, sub)
         f_bases = haar_bases_batch(n, i, c, sub)
-        bases = np.concatenate([e_bases, f_bases], axis=2)
-        dets = kappa_q * _abs_det(_transposed_products(bases, l.basis))
-        vals[rows] = dets * f.eval_bases(f_bases)
-    est = mean_and_stderr(vals)
-    return Estimate(c_nk * est.value, c_nk * est.stderr)
+        return np.concatenate([e_bases, f_bases], axis=2), f.eval_bases(f_bases)
+
+    mean, stderr = _det_profile(l, n_samples, s, draw)
+    return scale * mean, scale * stderr
 
 
 def fit_proportionality(direct: np.ndarray, formula: np.ndarray) -> tuple[float, float]:

@@ -1,5 +1,7 @@
 """The Monte-Carlo chunk layout that every seeded estimator shares."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
@@ -12,7 +14,6 @@ from valgeo.grassmann import (
     SeededSampler,
     Subspace,
     cos_angle,
-    cos_angles_with_bases,
     cos_from_products,
     haar_bases_batch,
     haar_subspace,
@@ -44,9 +45,9 @@ def test_mc_chunks_layout(n):
     assert start == n
 
 
-def _old_lemma24_direct(f, i, k, l, n_samples, s, det=np.linalg.det):
-    """The hand-written chunk loop that ``lemma24_direct`` used to carry:
-    (estimate, per-sample values), with ``det`` taking the 2x2 determinants."""
+def _old_lemma24_direct(f, i, k, l, n_samples, s):
+    """The per-L chunk loop that ``lemma24_direct`` used to carry, with
+    LAPACK's 2x2 determinants."""
     n = f.ambient_dim
     kappa_q = unit_ball_volume(k + i)
     c_nk = B.kubota_coefficient(n, k)
@@ -61,17 +62,38 @@ def _old_lemma24_direct(f, i, k, l, n_samples, s, det=np.linalg.det):
         stack = np.concatenate(
             [np.swapaxes(e_bases, 1, 2), np.swapaxes(f_bases, 1, 2)], axis=1
         )
-        dets = kappa_q * np.abs(det(stack @ l.basis))
+        dets = kappa_q * np.abs(np.linalg.det(stack @ l.basis))
         vals[done : done + c] = dets * f.eval_bases(f_bases)
         done += c
         chunk_idx += 1
     est = mean_and_stderr(vals)
-    return Estimate(c_nk * est.value, c_nk * est.stderr), vals
+    return Estimate(c_nk * est.value, c_nk * est.stderr)
 
 
-def _det_ad_bc(m):
-    """2x2 determinants as ad - bc, the arithmetic ``lemma24_direct`` uses."""
-    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+def _minors(x):
+    """The 2x2 minors of an (count, n, 2) stack, one row pair at a time."""
+    pairs = list(combinations(range(x.shape[1]), 2))
+    out = np.empty((len(x), len(pairs)))
+    for col, (a, b) in enumerate(pairs):
+        out[:, col] = x[:, a, 0] * x[:, b, 1] - x[:, a, 1] * x[:, b, 0]
+    return out
+
+
+def _cauchy_binet_profile(ls, n_samples, s, draw):
+    """Per-L (mean, stderr) of w |det(R^T L)| written out: det(R^T L) as the
+    sum over row pairs of the minors' products, in blocks of 2048 rows, with
+    per-L sums of x and x^2."""
+    pl = _minors(ls)
+    total, total_sq = np.zeros(len(ls)), np.zeros(len(ls))
+    for _, c, sub in _old_chunks(n_samples, s):
+        r, w = draw(c, sub)
+        pr = _minors(r)
+        for start in range(0, c, 2048):
+            x = np.abs(pl @ pr[start : start + 2048].T) * w[start : start + 2048]
+            total += x.sum(axis=1)
+            total_sq += (x * x).sum(axis=1)
+    mean = total / n_samples
+    return mean, np.sqrt((total_sq - total * mean) / (n_samples - 1) / n_samples)
 
 
 def _old_kubota_cube4_v2(n_samples, s):
@@ -96,17 +118,26 @@ def _old_kubota_cube4_v2(n_samples, s):
     return Estimate(coeff * est.value, coeff * est.stderr), shadows, vals
 
 
-def test_batched_estimator_matches_old_loop(monkeypatch):
+def test_batched_estimator_matches_old_loop():
     f = T.zonal_harmonic(4, 2, [1.0, 0.5, -0.25, 0.7])
-    l = haar_subspace(4, 2, SeededSampler(71))
-    new = V.lemma24_direct(f, 1, 1, l, BUDGET, SeededSampler(171))
-    assert new == _old_lemma24_direct(f, 1, 1, l, BUDGET, SeededSampler(171))[0]
-    # The mean and stderr absorb 1-ulp changes in single samples; the
-    # per-sample values pin the arithmetic bit for bit.
-    samples = _samples(monkeypatch, V,
-                       lambda: V.lemma24_direct(f, 1, 1, l, BUDGET, SeededSampler(171)))
-    old = _old_lemma24_direct(f, 1, 1, l, BUDGET, SeededSampler(171), det=_det_ad_bc)[1]
-    assert np.array_equal(samples, old)
+    ls = haar_bases_batch(4, 2, 20, SeededSampler(71))
+    value, stderr = V.lemma24_direct(f, 1, 1, ls, BUDGET, SeededSampler(171))
+
+    def draw(c, sub):
+        e_bases, f_bases = haar_bases_batch(4, 1, c, sub), haar_bases_batch(4, 1, c, sub)
+        return np.concatenate([e_bases, f_bases], axis=2), f.eval_bases(f_bases)
+
+    # The stacked arithmetic, bit for bit.
+    mean, se = _cauchy_binet_profile(ls, BUDGET, SeededSampler(171), draw)
+    scale = unit_ball_volume(2) * B.kubota_coefficient(4, 1)
+    assert value.tolist() == (scale * mean).tolist()
+    assert stderr.tolist() == (scale * se).tolist()
+    # A one-row stack reads the per-L loop's draws, so it agrees to rounding.
+    for l in ls[:4]:
+        (one,), (one_se,) = V.lemma24_direct(f, 1, 1, l[None], BUDGET, SeededSampler(171))
+        old = _old_lemma24_direct(f, 1, 1, Subspace(4, l), BUDGET, SeededSampler(171))
+        assert one == pytest.approx(old.value, rel=1e-14, abs=0)
+        assert one_se == pytest.approx(old.stderr, rel=1e-12, abs=0)
 
 
 def test_per_sample_estimator_matches_old_loop(monkeypatch):
@@ -160,7 +191,7 @@ def _old_multiply_by_intrinsic_at(f, i, k, l, n_samples, s):
         r_bases = haar_bases_batch(n, q, c, sub)
         w = haar_bases_batch(q, i, c, sub)
         fp = r_bases @ w
-        cosines = cos_angles_with_bases(l, r_bases)
+        cosines = np.abs(np.linalg.det(np.swapaxes(r_bases, 1, 2) @ l.basis))
         vals[rows] = cosines * f.eval_bases(fp)
     return float(vals.mean())
 
@@ -249,10 +280,19 @@ def test_multiply_by_intrinsic_stack_matches_rows_and_old_loop():
     g = V.multiply_by_intrinsic(f, 1, 1, BUDGET, SeededSampler(72))
     ls = [haar_subspace(4, 2, SeededSampler(73 + j)) for j in range(4)]
     stacked = g.eval_bases(np.stack([l.basis for l in ls]))
-    assert stacked.tolist() == [g(l) for l in ls]
-    assert stacked.tolist() == [
-        _old_multiply_by_intrinsic_at(f, 1, 1, l, BUDGET, SeededSampler(72)) for l in ls
-    ]
+
+    def draw(c, sub):
+        r_bases = haar_bases_batch(4, 2, c, sub)
+        return r_bases, f.eval_bases(r_bases @ haar_bases_batch(2, 1, c, sub))
+
+    mean, _ = _cauchy_binet_profile(np.stack([l.basis for l in ls]), BUDGET,
+                                    SeededSampler(72), draw)
+    assert stacked.tolist() == mean.tolist()
+    # One-row calls take the product as a matrix-vector BLAS call, which may
+    # round the last bit differently from the stack's matrix product.
+    np.testing.assert_allclose(stacked, [g(l) for l in ls], rtol=1e-14, atol=0)
+    old = [_old_multiply_by_intrinsic_at(f, 1, 1, l, BUDGET, SeededSampler(72)) for l in ls]
+    np.testing.assert_allclose(stacked, old, rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize("n, i, ldim", [(3, 1, 2), (4, 2, 3)])

@@ -466,7 +466,8 @@ class TestCertifiedMembership:
         assert trace.counters == {"certified_inside": 2, "certified_outside": 2,
                                   "sent_to_wolfe": 2, "audited": 0, "audit_mismatches": 0,
                                   "shadow_rows_cauchy": 0, "shadow_rows_gift_wrapped": 0,
-                                  "shadow_rows_qhull": 0, "qhull_joggled": 0, "claim23_scalar_rows": 0}
+                                  "shadow_rows_qhull": 0, "qhull_joggled": 0, "claim23_scalar_rows": 0,
+                                  "wolfe_max_iter_rows": 0}
 
     def test_coplanar_facets_merged(self):
         q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((4, 4)))

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from valgeo.errors import DimensionError, RankError
 from valgeo.grassmann import (
     SeededSampler,
     Subspace,
-    _abs_det,
     _map_ball_volume,
+    _plucker,
     coordinate_subspace,
     cos_angle,
     cos_angle_batch,
@@ -325,13 +326,14 @@ class TestBatchHelpers:
         s = SeededSampler(3)
         for _ in range(trials):
             loop.append(cos_angle(haar_subspace(n, k, s), axis))
-        batched = cos_angles_with_bases(axis, haar_bases_batch(n, k, trials, SeededSampler(4)))
+        batched = cos_angles_with_bases(axis.basis[None],
+                                        haar_bases_batch(n, k, trials, SeededSampler(4)))[0]
         assert ks_2samp(loop, batched).pvalue > 0.01
 
     def test_cos_angles_with_bases_matches_scalar(self, sampler):
         l = haar_subspace(5, 2, sampler)
         bases = haar_bases_batch(5, 3, 32, sampler)
-        batch = cos_angles_with_bases(l, bases)
+        (batch,) = cos_angles_with_bases(l.basis[None], bases)
         for t in range(32):
             assert batch[t] == pytest.approx(
                 cos_angle(l, Subspace(5, bases[t])), abs=1e-11
@@ -342,7 +344,7 @@ class TestBatchHelpers:
         # dim L = dim R: the cosine is |det| of the square product.
         l = haar_subspace(n, k, sampler)
         bases = haar_bases_batch(n, k, 64, sampler)
-        batch = cos_angles_with_bases(l, bases)
+        (batch,) = cos_angles_with_bases(l.basis[None], bases)
         reference = [cos_angle(l, Subspace(n, b)) for b in bases]
         np.testing.assert_allclose(batch, reference, rtol=0, atol=1e-12)
 
@@ -560,45 +562,85 @@ class TestHaarFrames:
 
 
 class TestAbsDet:
-    """``_abs_det`` is |ad - bc| on 2 x 2 stacks and LAPACK's |det| otherwise."""
+    """|det(R^T L)| of square products as the Plucker product |P(R) . P(L)|
+    (Cauchy-Binet): ad - bc minors for q = 2, LAPACK's for every other q."""
 
     @staticmethod
-    def _check_against_lapack(m):
-        ad = m[..., 0, 0] * m[..., 1, 1]
-        bc = m[..., 0, 1] * m[..., 1, 0]
-        bound = 4.0 * np.finfo(float).eps * (np.abs(ad) + np.abs(bc))
-        assert np.all(np.abs(_abs_det(m) - np.abs(np.linalg.det(m))) <= bound)
+    def _check_against_lapack(r, l):
+        # 32 eps (A_00 A_11 + A_01 A_10) with A = |R|^T |L| bounds both
+        # LAPACK's error on det(R^T L) and the Plucker product's, whose
+        # minors and sum stay below it in magnitude.
+        a = np.swapaxes(np.abs(r), 1, 2) @ np.abs(l)
+        bound = 32.0 * np.finfo(float).eps * (a[:, 0, 0] * a[:, 1, 1] + a[:, 0, 1] * a[:, 1, 0])
+        plucker = np.abs(np.einsum("sc,sc->s", _plucker(r), _plucker(l)))
+        lapack = np.abs(np.linalg.det(np.swapaxes(r, 1, 2) @ l))
+        assert np.all(np.abs(plucker - lapack) <= bound)
 
     def test_random_stack(self, rng):
-        self._check_against_lapack(rng.standard_normal((5000, 2, 2)))
+        self._check_against_lapack(*rng.standard_normal((2, 5000, 4, 2)))
 
     def test_near_singular_stack(self, rng):
-        u, v = rng.standard_normal((2, 5000, 2))
-        m = u[:, :, None] * v[:, None, :] + 1e-10 * rng.standard_normal((5000, 2, 2))
-        self._check_against_lapack(m)
+        # R's two columns nearly agree, so every minor of R, and det(R^T L),
+        # is about 1e-10 of its terms.
+        r, l = rng.standard_normal((2, 5000, 4, 2))
+        r[:, :, 1] = r[:, :, 0] + 1e-10 * rng.standard_normal((5000, 4))
+        self._check_against_lapack(r, l)
 
     def test_integer_stack_is_exact(self, rng):
-        # Products of integers below 2^26 are exact in double precision, so
-        # ad - bc is the exact determinant.  LAPACK's is not: NumPy forms it
-        # as sign * exp(log|det|) from the LU factors, which on these stacks
-        # is off by up to 8.5 eps (|ad| + |bc|).  So the reference here is
-        # integer arithmetic, not np.linalg.det.
-        m = rng.integers(-1000, 1001, size=(5000, 2, 2))
+        # Every minor, product and sum of these integers stays below 2^53, so
+        # the Plucker product is the exact determinant.  LAPACK's is not:
+        # NumPy forms it as sign * exp(log|det|) from the LU factors.  So the
+        # reference here is integer arithmetic, not np.linalg.det.
+        r, l = rng.integers(-30, 31, size=(2, 500, 4, 2))
+        m = np.swapaxes(r, 1, 2) @ l
         exact = np.abs(m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0])
-        assert np.array_equal(_abs_det(m.astype(float)), exact.astype(float))
+        products = np.abs(_plucker(l.astype(float)) @ _plucker(r.astype(float)).T)
+        assert np.array_equal(np.diagonal(products), exact.astype(float))
 
-    def test_stacked_batch_shape(self, rng):
-        m = rng.standard_normal((3, 4, 2, 2))
-        assert _abs_det(m).shape == (3, 4)
+    def test_stacked_batch_shape(self, sampler):
+        l = haar_bases_batch(5, 2, 3, sampler)
+        assert _plucker(l).shape == (3, 10)
+        assert cos_angles_with_bases(l, haar_bases_batch(5, 2, 4, sampler)).shape == (3, 4)
+        assert cos_angles_with_bases(l, haar_bases_batch(5, 3, 4, sampler)).shape == (3, 4)
+        assert np.array_equal(cos_angles_with_bases(np.zeros((3, 5, 0)), l), np.ones((3, 3)))
 
     @pytest.mark.parametrize("q", [1, 3])
     def test_other_sizes_take_lapack(self, monkeypatch, rng, q):
-        m = rng.standard_normal((50, q, q))
-        expected = np.abs(np.linalg.det(m))
+        x = rng.standard_normal((50, 4, q))
+        rows = np.array(list(combinations(range(4), q)))
+        expected = np.linalg.det(x[:, rows, :])
         calls = []
         lapack = np.linalg.det
         monkeypatch.setattr(np.linalg, "det", lambda a: (calls.append(a.shape), lapack(a))[1])
-        assert np.array_equal(_abs_det(m), expected)
-        assert calls == [(50, q, q)]
-        _abs_det(rng.standard_normal((50, 2, 2)))
-        assert calls == [(50, q, q)]
+        assert np.array_equal(_plucker(x), expected)
+        assert calls == [(50, math.comb(4, q), q, q)]
+        _plucker(rng.standard_normal((50, 4, 2)))
+        assert calls == [(50, math.comb(4, q), q, q)]
+
+
+class TestPluckerCosines:
+    """``cos_angles_with_bases`` on a stack of L: every (L, R) pair at once."""
+
+    @pytest.mark.parametrize("n, q", [(n, q) for n in range(2, 7) for q in range(1, n + 1)])
+    def test_matches_det_and_cos_angle(self, n, q):
+        l = haar_bases_batch(n, q, 5, SeededSampler(90, n))
+        r = haar_bases_batch(n, q, 40, SeededSampler(91, q))
+        table = cos_angles_with_bases(l, r)
+        dets = np.abs(np.linalg.det(np.swapaxes(r, 1, 2)[None] @ l[:, None]))
+        scalar = [[cos_angle(Subspace(n, lt), Subspace(n, rs)) for rs in r] for lt in l]
+        np.testing.assert_allclose(table, dets, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(table, scalar, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("n, q", [(4, 2), (5, 2), (5, 3), (6, 4)])
+    def test_invariant_under_a_change_of_basis_within_l(self, n, q):
+        l = haar_bases_batch(n, q, 5, SeededSampler(92))
+        r = haar_bases_batch(n, q, 40, SeededSampler(93))
+        # Rotations and reflections of each L's basis within L.
+        turned = l @ haar_bases_batch(q, q, 5, SeededSampler(94))
+        np.testing.assert_allclose(cos_angles_with_bases(turned, r),
+                                   cos_angles_with_bases(l, r), rtol=0, atol=1e-13)
+
+    def test_rejects_a_non_orthonormal_stack(self, sampler):
+        l = 2.0 * haar_bases_batch(4, 2, 3, sampler)
+        with pytest.raises(ValueError):
+            cos_angles_with_bases(l, haar_bases_batch(4, 2, 8, sampler))

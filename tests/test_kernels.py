@@ -151,6 +151,17 @@ class TestBackends:
         assert np.array_equal(alpha[1], pywolfe._affine_minimizer(repeated))
         assert alpha.sum(axis=1) == pytest.approx([1.0, 1.0], abs=1e-9)
 
+    def test_rows_stopped_by_max_iter_are_counted(self):
+        # The point's nearest vertex is not its nearest point of the cube,
+        # so one round cannot converge; the default budget does.
+        point = np.array([[0.1, 0.2, 1.5]])
+        trace.reset()
+        assert hull_distances(point, CUBE)[0] == pytest.approx(1.0, abs=1e-9)
+        assert trace.counters["wolfe_max_iter_rows"] == 0
+        stopped = hull_distances(np.repeat(point, 3, axis=0), CUBE, max_iter=1)
+        assert trace.counters["wolfe_max_iter_rows"] == 3
+        assert np.all(stopped > 1.0 + 1e-3)
+
     def test_rejects_empty_vertex_set(self):
         with pytest.raises(ValueError, match="empty vertex set"):
             hull_distances(np.array([[1.0, 2.0]]), np.empty((0, 2)))

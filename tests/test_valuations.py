@@ -301,26 +301,35 @@ class TestLemma22:
     def test_k_zero_degenerate(self, sampler):
         f = haar_subspace(4, 2, sampler)
         l = haar_subspace(4, 2, sampler)
-        est = V.lemma22_formula(f, 0, l, 10, sampler)
-        assert est.value == pytest.approx(cos_angle(l, f), rel=1e-12)
+        (value,), (stderr,) = V.lemma22_formula(f, 0, l.basis[None], 10, sampler)
+        assert value == pytest.approx(cos_angle(l, f), rel=1e-12)
+        assert stderr == 0.0
 
     def test_zero_f_reduces_to_unrestricted(self):
         n = 4
         l = haar_subspace(n, 2, SeededSampler(30))
-        a = V.lemma22_formula(zero_subspace(n), 2, l, 40_000, SeededSampler(31))
+        (a,), (a_se,) = V.lemma22_formula(zero_subspace(n), 2, l.basis[None], 40_000,
+                                          SeededSampler(31))
         b = T.cosine_apply(T.constant_gfunction(n, 2), 2, l, 20_000, SeededSampler(32))
-        assert abs(a.value - b.value) < 4 * math.hypot(a.stderr, b.stderr)
+        assert abs(a - b.value) < 4 * math.hypot(a_se, b.stderr)
 
     def test_proportional_to_direct(self):
         n, i, k = 4, 1, 1
         f = haar_subspace(n, i, SeededSampler(33))
-        direct, formula = [], []
-        for j in range(8):
-            l = haar_subspace(n, 2, SeededSampler(34 + j))
-            direct.append(V.lemma22_direct(f, k, l, 40_000, SeededSampler(50 + j)).value)
-            formula.append(V.lemma22_formula(f, k, l, 40_000, SeededSampler(70 + j)).value)
-        _, residual = V.fit_proportionality(np.array(direct), np.array(formula))
+        ls = haar_bases_batch(n, 2, 8, SeededSampler(34))
+        direct, _ = V.lemma22_direct(f, k, ls, 40_000, SeededSampler(50))
+        formula, _ = V.lemma22_formula(f, k, ls, 40_000, SeededSampler(70))
+        _, residual = V.fit_proportionality(direct, formula)
         assert residual < 0.03
+
+    def test_wrong_stack_shape_raises(self):
+        f = haar_subspace(4, 1, SeededSampler(33))
+        with pytest.raises(DimensionError):
+            V.lemma22_direct(f, 1, haar_bases_batch(4, 3, 2, SeededSampler(34)), 10,
+                             SeededSampler(50))
+        with pytest.raises(DimensionError):
+            V.lemma22_formula(f, 1, haar_subspace(4, 2, SeededSampler(34)).basis, 10,
+                              SeededSampler(70))
 
 
 class TestLemma24:
@@ -336,15 +345,10 @@ class TestLemma24:
         n, i, k = 4, 1, 1
         f = T.zonal_harmonic(n, 2, [1.0, 0.4, -0.2, 0.5])
         smooth = T.GFunction(n, 1, lambda bases: 1.0 + 0.5 * f.eval_bases(bases))
-        direct, formula = [], []
-        for j in range(8):
-            l = haar_subspace(n, 2, SeededSampler(90 + j))
-            direct.append(
-                V.lemma24_direct(smooth, i, k, l, 40_000, SeededSampler(110 + j)).value
-            )
-            g = V.multiply_by_intrinsic(smooth, i, k, 40_000, SeededSampler(130 + j))
-            formula.append(g(l))
-        _, residual = V.fit_proportionality(np.array(direct), np.array(formula))
+        ls = haar_bases_batch(n, 2, 8, SeededSampler(90))
+        direct, _ = V.lemma24_direct(smooth, i, k, ls, 40_000, SeededSampler(110))
+        formula = V.multiply_by_intrinsic(smooth, i, k, 40_000, SeededSampler(130)).eval_bases(ls)
+        _, residual = V.fit_proportionality(direct, formula)
         assert residual < 0.04
 
 
