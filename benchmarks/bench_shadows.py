@@ -1,14 +1,18 @@
-"""Benchmark the three ways of measuring planar shadows on one Monte-Carlo chunk.
+"""Benchmark the four ways of measuring planar shadows on one Monte-Carlo chunk.
 
 For each input it times per-sample Qhull, the batched gift-wrapping helper
-``shadow_area_perimeter`` and, for full-dimensional bodies in R^3, Cauchy's
-formula ``cauchy_shadow_volumes``, and prints the largest relative
-disagreement with Qhull.  A final sweep over sphere clouds of growing size
-locates the hull size above which gift wrapping loses to Qhull.  Cauchy's
-formula stays an order of magnitude ahead of both at every size, which is why
-``v1_power`` takes it for full-dimensional R^3 bodies.  The script exits with
-an error if either batched path disagrees with Qhull by more than 1e-12
-relative.
+``shadow_area_perimeter``, the edge test ``_edge_shadows`` (area and
+perimeter, as lambda asks for them; its per-body tables are built before
+timing) and, for full-dimensional bodies in R^3, Cauchy's formula
+``cauchy_shadow_volumes``, and prints the largest relative disagreement
+with Qhull.  A final sweep over sphere clouds of growing size locates the
+hull size above which gift wrapping loses to Qhull.  Cauchy's formula stays
+an order of magnitude ahead of all of them at every size, which is why
+``shadow_measures`` takes it for full-dimensional R^3 bodies when no
+perimeter is wanted.  The script exits with an error if any batched path
+disagrees with Qhull by more than 1e-12 relative, in area or, for gift
+wrapping and the edge test, in perimeter, or if the edge test hands a row
+on to gift wrapping.
 
 A last table times Cauchy's formula itself on the three clouds of the
 ``large-bodies`` workload (1000 Gaussian points, 150 on the sphere, 300
@@ -28,9 +32,11 @@ import time
 import numpy as np
 from scipy.spatial import ConvexHull
 
+from valgeo import trace
 from valgeo.base import MC_CHUNK
 from valgeo.bodies import (
     Polytope,
+    _edge_shadows,
     cauchy_shadow_volumes,
     make_cube,
     shadow_area_perimeter,
@@ -57,11 +63,10 @@ def clouds() -> dict[str, np.ndarray]:
     }
 
 
-def line_pairs(body: Polytope, c: int, s: SeededSampler):
-    """Images of the body under c pairs of Haar lines, and the pairs' normals."""
+def line_pairs(c: int, s: SeededSampler):
+    """c pairs of Haar lines in R^3 as (3, 2) maps, and the pairs' normals."""
     dirs = haar_unit_vectors(3, 2 * c, s).reshape(c, 2, 3)
-    shadows = np.einsum("vn,spn->svp", body.vertices, dirs)
-    return shadows, np.cross(dirs[:, 0], dirs[:, 1])
+    return np.swapaxes(dirs, 1, 2), np.cross(dirs[:, 0], dirs[:, 1])
 
 
 def timed(fn):
@@ -95,52 +100,58 @@ def cauchy_blocks(c: int) -> None:
                              f"expression on {name} (is BLAS running one thread?)")
 
 
-def measure(body: Polytope, shadows: np.ndarray, normals: np.ndarray | None):
+def measure(body: Polytope, maps: np.ndarray, normals: np.ndarray | None):
     """Seconds per path and the largest relative gap to Qhull."""
-    ref, t_qhull = timed(lambda: np.array([ConvexHull(x).volume for x in shadows]))
-    (batched, _), t_batched = timed(lambda: shadow_area_perimeter(shadows))
-    gap = float(np.abs(batched / ref - 1.0).max())
+    shadows = body.vertices @ maps
+    hulls, t_qhull = timed(lambda: [ConvexHull(x) for x in shadows])
+    ref = np.array([[h.volume, h.area] for h in hulls])
+    batched, t_batched = timed(lambda: shadow_area_perimeter(shadows))
+    _edge_shadows(body, maps[:1], True)  # builds the body's faces and edge tables
+    trace.reset()
+    edges, t_edges = timed(lambda: _edge_shadows(body, maps, True))
+    if trace.counters["shadow_rows_edge_ties"]:
+        raise SystemExit("bench_shadows: the edge test handed rows on to gift wrapping")
+    gap = max(float(np.abs(np.column_stack(out) / ref - 1.0).max()) for out in (batched, edges))
     t_cauchy = None
     if normals is not None:
         # The first call on a body includes the Qhull call that builds its faces.
         cauchy, t_cauchy = timed(lambda: cauchy_shadow_volumes(body, normals))
-        gap = max(gap, float(np.abs(cauchy / ref - 1.0).max()))
+        gap = max(gap, float(np.abs(cauchy / ref[:, 0] - 1.0).max()))
     if gap > TOL:
         raise SystemExit(f"bench_shadows: disagreement {gap:.1e} with Qhull exceeds {TOL:.0e}")
-    return t_qhull, t_batched, t_cauchy, gap
+    return t_qhull, t_batched, t_edges, t_cauchy, gap
 
 
-def row(name: str, verts: int, t_qhull: float, t_batched: float, t_cauchy, gap: float) -> str:
+def row(name: str, verts: int, t_qhull: float, t_batched: float, t_edges: float, t_cauchy,
+        gap: float) -> str:
     cauchy = f"{t_cauchy:>9.3f}" if t_cauchy is not None else f"{'-':>9}"
-    return (f"{name:<28} {verts:>6} {t_qhull:>9.3f} {t_batched:>9.3f} {cauchy} "
-            f"{t_qhull / t_batched:>7.1f}x {gap:>9.1e}")
+    return (f"{name:<28} {verts:>6} {t_qhull:>9.3f} {t_batched:>9.3f} {t_edges:>9.3f} {cauchy} "
+            f"{t_qhull / t_batched:>7.1f}x {t_batched / t_edges:>7.1f}x {gap:>9.1e}")
 
 
 def run(c: int) -> None:
     s = SeededSampler(SEED, 1)
     print(f"{c} shadows per input; seconds per chunk")
-    print(f"{'input':<28} {'hull v':>6} {'qhull':>9} {'batched':>9} {'cauchy':>9} "
-          f"{'batch/q':>8} {'max rel':>9}")
+    print(f"{'input':<28} {'hull v':>6} {'qhull':>9} {'batched':>9} {'edges':>9} {'cauchy':>9} "
+          f"{'batch/q':>8} {'batch/e':>8} {'max rel':>9}")
     cube4 = make_cube(4)
-    bases = haar_bases_batch(4, 2, c, s.substream(0))
     print(row("cube4 2-planes", cube4.n_vertices,
-              *measure(cube4, np.einsum("vn,snk->svk", cube4.vertices, bases), None)))
+              *measure(cube4, haar_bases_batch(4, 2, c, s.substream(0)), None)))
     cube3 = make_cube(3)
-    print(row("cube3 line pairs", cube3.n_vertices,
-              *measure(cube3, *line_pairs(cube3, c, s.substream(1)))))
+    print(row("cube3 line pairs", cube3.n_vertices, *measure(cube3, *line_pairs(c, s.substream(1)))))
     for j, (name, pts) in enumerate(clouds().items()):
         body = Polytope(3, pts)
         print(row(f"{name} line pairs", body.n_vertices,
-                  *measure(body, *line_pairs(body, c, s.substream(2 + j)))))
+                  *measure(body, *line_pairs(c, s.substream(2 + j)))))
 
     print("\ncrossover: sphere clouds, all points extreme")
     rng = np.random.default_rng([SEED, 8])
     crossover = None
     for m in (25, 50, 100, 200, 400):
         body = Polytope(3, sphere_cloud(rng, m))
-        t_qhull, t_batched, t_cauchy, gap = measure(body, *line_pairs(body, c, s.substream(10 + m)))
-        print(row(f"sphere{m} line pairs", body.n_vertices, t_qhull, t_batched, t_cauchy, gap))
-        if crossover is None and t_batched > t_qhull:
+        times = measure(body, *line_pairs(c, s.substream(10 + m)))
+        print(row(f"sphere{m} line pairs", body.n_vertices, *times))
+        if crossover is None and times[1] > times[0]:
             crossover = body.n_vertices
     if crossover is None:
         print("gift wrapping beat Qhull at every size")

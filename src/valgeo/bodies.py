@@ -5,9 +5,12 @@ and facets come from one Qhull call per polytope, kept as ``Polytope.faces``
 (intended range n <= 6).  ``shadow_measures`` chooses how a Monte-Carlo
 chunk of shadows vol_k(P M_t) is measured: widths for k = 1; Cauchy's
 formula for k = 2 when n = 3, P is full dimensional and no perimeter is
-wanted; batched gift wrapping for every other k = 2; Qhull per image for
-k >= 3.  The one caller that bypasses it is Kubota for k = n - 1, which
-draws unit normals for Cauchy's formula.  Minkowski-ball volumes vol(K + eps D) are estimated by
+wanted; for other k = 2 of a full-dimensional P in R^n, n >= 3, an edge
+test that picks the shadow's boundary among P's edges with small matmuls of
+Plucker coordinates; batched gift wrapping for flat P, for n = 2 and for
+the rows the edge test finds tied; Qhull per image for k >= 3.  The one
+caller that bypasses it is Kubota for k = n - 1, which draws unit normals
+for Cauchy's formula.  Minkowski-ball volumes vol(K + eps D) are estimated by
 Monte-Carlo membership, decided exactly from facets and edges in R^2 and
 R^3, by facet and vertex bounds where they are conclusive in higher
 dimensions, and by the min-norm-point kernel elsewhere; the Cauchy-Kubota
@@ -20,7 +23,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError, cKDTree
@@ -29,12 +32,13 @@ from . import trace
 from ._kernels import hull_distances
 from .base import Estimate, mc_chunks, mean_and_stderr, unit_ball_volume
 from .errors import ConditioningWarning, DimensionError, ScopeError
-from .grassmann import (SeededSampler, Subspace, _transposed_products, haar_bases_batch,
-                        haar_unit_vectors)
+from .grassmann import (SeededSampler, Subspace, _plucker, _transposed_products,
+                        haar_bases_batch, haar_unit_vectors)
 
 _DEDUP_TOL = 1e-9
 _AFFINE_TOL = 1e-9
 _SHADOW_BLOCK = 1 << 14
+_EDGE_BLOCK = 1 << 17  # _edge_shadows: map-wedge products per row block
 _CAUCHY_BLOCK = 1 << 17  # cauchy_shadow_volumes: direction-facet products per row block
 _CONTAINS_TOL = 1e-9   # contains_points: dist <= tol * (1 + max|v|)
 _MARGIN = 1e-9         # _within decides a point only this far (times 1 + max|v|) from a threshold
@@ -42,6 +46,7 @@ _COPLANAR_TOL = 1e-12  # facet rows merged by _face_record
 _AUDIT_STRIDE = 64     # _within also sends every 64th decided point to Wolfe
 _FACET_BLOCK = 1 << 17  # _within brackets points in blocks of this many point-facet pairs
 _SEGMENT_BLOCK = 1 << 14  # _nearest_segment_distances: point-edge pairs per block
+_PAIR_BLOCK = 1 << 17  # _simplex_edges: vertex-pair-facet entries per block
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +101,23 @@ class Polytope:
             return None
         return _face_record(self)
 
+    @cached_property
+    def edges(self) -> np.ndarray | None:
+        """P's edges as vertex index pairs, None for flat P and n < 2: those of
+        ``faces`` in R^2 and R^3, from R^4 on ``_simplex_edges``, built on
+        first use (membership never needs them there)."""
+        f = self.faces
+        if f is None:
+            return None
+        if f.edges is not None:
+            return f.edges
+        return _simplex_edges(f.simplices, f.facets, self.n_vertices)
+
+    @cached_property
+    def _edge_tables(self) -> "_EdgeTables":
+        """The tables of ``_edge_shadows``, built on the first planar shadow."""
+        return _build_edge_tables(self)
+
     def __repr__(self) -> str:
         return (
             f"Polytope(ambient_dim={self.ambient_dim}, "
@@ -110,7 +132,8 @@ class FaceRecord:
     Qhull triangulates non-simplicial facets: a and b merge the rows that
     agree to 1e-12 (offsets relative to 1 + max|v|) into the first of them,
     while normals and areas keep every simplex.  The edge fields are None
-    where undefined (angles in R^2, all of them for n >= 4).
+    where undefined (angles in R^2, all of them for n >= 4, where
+    ``Polytope.edges`` finds the edges from the simplices).
     """
 
     a: np.ndarray          # P = {x : a x <= b}; rows are unit facet normals
@@ -124,6 +147,8 @@ class FaceRecord:
     offsets: np.ndarray | None     # (E, 1) projectors . origins
     origins: np.ndarray | None     # (n, E): edge e is origins[:, e] + s steps[:, e], s in [0, 1]
     steps: np.ndarray | None
+    simplices: np.ndarray  # Qhull's simplices as vertex index rows, and the merged
+    facets: np.ndarray     # facet (0, 1, ... in order of a's rows) each belongs to
     normals: np.ndarray    # unit normals and (n-1)-areas of Qhull's simplices (Cauchy's formula)
     areas: np.ndarray
     volume: float          # Qhull's volume and surface area
@@ -133,6 +158,18 @@ class FaceRecord:
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
+
+
+class _EdgeTables(NamedTuple):
+    """Per-body tables of ``_edge_shadows`` for the E edges (a, b) of a
+    full-dimensional P, with step s = b - a.  Wedges are Plucker vectors
+    (pairs i < j in ``np.triu_indices`` order), so pi . (x ^ y) = det[x M; y M]
+    for the Plucker vector pi of a map M (Cauchy-Binet)."""
+
+    wedges: np.ndarray     # (D, C, E): s ^ (w - a) / (|s| |w - a|) for the other
+                           # neighbours w of a, padded to D by repeating the first
+    triangles: np.ndarray  # (C, E): (a - o) ^ (b - o), o the vertex centroid
+    steps: np.ndarray      # (n, E)
 
 
 @dataclass(frozen=True)
@@ -352,7 +389,10 @@ def shadow_measures(p: Polytope, maps: np.ndarray, steiner: bool = False) -> np.
     * k = 2, n = 3, P full dimensional, no perimeter wanted: Cauchy's formula
       along m_1 x m_2, which is |m_1 x m_2| times the shadow along its unit
       vector (``cauchy_shadow_volumes``);
-    * other k = 2: batched gift wrapping (``shadow_area_perimeter``);
+    * other k = 2, P full dimensional, n >= 3: the edge test
+      (``_edge_shadows``), which hands its tied rows to gift wrapping;
+    * k = 2 for flat P and n = 2: batched gift wrapping
+      (``shadow_area_perimeter``);
     * k >= 3: Qhull per image (``_raw_volume``).
 
     With ``steiner`` (k <= 2) it returns, as a (c, k + 1) array, the
@@ -370,13 +410,103 @@ def shadow_measures(p: Polytope, maps: np.ndarray, steiner: bool = False) -> np.
         width = supports.max(axis=0) - supports.min(axis=0)
         return np.column_stack([width, np.full(c, 2.0)]) if steiner else width
     if k == 2:
-        if not steiner and n == 3 and p.affine_dim == 3:
+        full = p.affine_dim == n
+        if not steiner and n == 3 and full:
             return cauchy_shadow_volumes(p, np.cross(maps[..., 0], maps[..., 1]))
-        area, perimeter = shadow_area_perimeter(p.vertices @ maps)
+        if full and n >= 3:
+            area, perimeter = _edge_shadows(p, maps, steiner)
+        else:
+            area, perimeter = shadow_area_perimeter(p.vertices @ maps)
         return np.column_stack([area, perimeter, np.full(c, math.pi)]) if steiner else area
     vols = np.array([_raw_volume(x) for x in p.vertices @ maps])
     trace.counters["shadow_rows_qhull"] += c
     return vols
+
+
+def _build_edge_tables(p: Polytope) -> _EdgeTables:
+    """``p._edge_tables`` from ``p.edges``; a of each edge is its endpoint of
+    lower degree, which keeps the padded width small."""
+    v, n = p.vertices, p.ambient_dim
+    edges = p.edges.tolist()
+    neighbours = [[] for _ in range(p.n_vertices)]
+    for u, w in edges:
+        neighbours[u].append(w)
+        neighbours[w].append(u)
+    ends, others = [], []
+    for u, w in edges:
+        a, b = (u, w) if len(neighbours[u]) <= len(neighbours[w]) else (w, u)
+        ends.append((a, b))
+        others.append([x for x in neighbours[a] if x != b])
+    width = max(map(len, others))
+    others = np.array([o + o[:1] * (width - len(o)) for o in others]).T
+    a, b = np.array(ends).T
+    i, j = np.triu_indices(n, 1)
+
+    def wedge(x, y):  # (..., E, n) pairs -> (..., C, E) Plucker vectors of x ^ y
+        return np.swapaxes(x[..., i] * y[..., j] - x[..., j] * y[..., i], -1, -2)
+
+    step = v[b] - v[a]
+    side = v[others] - v[a]
+    scale = np.linalg.norm(step, axis=1) * np.linalg.norm(side, axis=2)
+    o = v.mean(axis=0)
+    return _EdgeTables(wedges=np.ascontiguousarray(wedge(step, side) / scale[:, None]),
+                       triangles=np.ascontiguousarray(wedge(v[a] - o, v[b] - o)),
+                       steps=np.ascontiguousarray(step.T))
+
+
+def _edge_shadows(p: Polytope, maps: np.ndarray,
+                  perimeter: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """Area (and perimeter, if asked) of P's image under each (n, 2) map of
+    a (c, n, 2) stack, for a full-dimensional P in R^n, n >= 3.
+
+    The boundary of the image is the image of those edges (a, b) of P for
+    which the linear functional x -> det[s M; (x - a) M], s = b - a, keeps
+    one sign on P.  It does so when it keeps one sign on a's neighbours (the
+    simplex method's optimality test), and with the Plucker vector pi of M
+    its values there are pi @ wedges (``_EdgeTables``).  The area is half
+    the sum of |pi @ triangles| over the boundary edges, the triangles they
+    span with the image of the vertex centroid, and the perimeter the sum
+    of |s M| over them.  Rows go through in blocks of about ``_EDGE_BLOCK``
+    products.  An edge whose verdict rests on a value within ``_AFFINE_TOL``
+    |m_1| |m_2| of 0 belongs to a 2-face seen edge-on or is seen end-on
+    itself, and so does every edge of a flat image; a row with such an edge
+    is measured by ``shadow_area_perimeter`` instead.  Both row counts are
+    added to ``trace.counters``.
+    """
+    t = p._edge_tables
+    c = maps.shape[0]
+    area = np.empty(c)
+    length = np.empty(c) if perimeter else None
+    tied = np.empty(c, dtype=bool)
+    d, _, e = t.wedges.shape
+    rows = max(8, _EDGE_BLOCK // (d * e))
+    for start in range(0, c, rows):
+        block = slice(start, start + rows)
+        m = maps[block]
+        pl = _plucker(m)
+        lo = pl @ t.wedges[0]
+        hi = lo.copy()
+        for w in t.wedges[1:]:
+            value = pl @ w
+            np.minimum(lo, value, out=lo)
+            np.maximum(hi, value, out=hi)
+        tol = _AFFINE_TOL * np.linalg.norm(m[..., 0], axis=1) * np.linalg.norm(m[..., 1], axis=1)
+        tol = tol[:, None]
+        tied[block] = ((lo <= tol) & (hi >= -tol) & ((lo >= -tol) | (hi <= tol))).any(axis=1)
+        bound = ((lo > tol) | (hi < -tol)).astype(float)
+        area[block] = 0.5 * np.einsum("re,re->r", np.abs(pl @ t.triangles), bound)
+        if perimeter:
+            x, y = m[..., 0] @ t.steps, m[..., 1] @ t.steps
+            length[block] = np.einsum("re,re->r", np.sqrt(x * x + y * y), bound)
+    ties = np.flatnonzero(tied)
+    if ties.size:
+        fallback = shadow_area_perimeter(p.vertices @ maps[ties])
+        area[ties] = fallback[0]
+        if perimeter:
+            length[ties] = fallback[1]
+    trace.counters["shadow_rows_edges"] += c - ties.size
+    trace.counters["shadow_rows_edge_ties"] += ties.size
+    return area, length
 
 
 def shadow_area_perimeter(points) -> tuple[np.ndarray, np.ndarray]:
@@ -530,9 +660,38 @@ def _face_record(p: Polytope) -> FaceRecord:
         certifies=bool((p.vertices @ a.T - b).max() <= 1e-3 * margin),
         edges=edges, angles=angles,
         projectors=projectors, offsets=offsets, origins=origins, steps=steps,
+        simplices=hull.simplices, facets=np.cumsum(first)[label] - 1,
         normals=eq[:, :n], areas=np.sqrt(np.maximum(dets, 0.0)) / math.factorial(n - 1),
         volume=float(hull.volume), area=float(hull.area),
     )
+
+
+def _simplex_edges(simplices: np.ndarray, facets: np.ndarray, n_vertices: int) -> np.ndarray:
+    """The edges of a full-dimensional P in R^n, n >= 4, as vertex index pairs,
+    from Qhull's simplices and the merged facet of each (``FaceRecord``).
+
+    Every edge of P is a side of one of the simplices.  A side (u, v) is
+    kept when the merged facets containing both u and v have no other vertex
+    in common: the smallest face holding u and v is the intersection of those
+    facets, and it is an edge exactly when its only vertices are u and v.
+    A facet's vertices are those of its simplices.  Pairs go through in
+    blocks of about ``_PAIR_BLOCK`` pair-facet entries.
+    """
+    on = np.zeros((n_vertices, facets.max() + 1), dtype=bool)
+    on[simplices, facets[:, None]] = True
+    i, j = np.triu_indices(simplices.shape[1], 1)
+    u = np.minimum(simplices[:, i], simplices[:, j]).ravel()
+    v = np.maximum(simplices[:, i], simplices[:, j]).ravel()
+    side = np.unique(u * n_vertices + v)
+    pairs = np.column_stack([side // n_vertices, side % n_vertices])
+    keep = np.empty(len(pairs), dtype=bool)
+    off = (~on).T.astype(float)
+    step = max(1, _PAIR_BLOCK // on.shape[1])
+    for lo in range(0, len(pairs), step):
+        first, second = pairs[lo:lo + step].T
+        misses = (on[first] & on[second]).astype(float) @ off  # common facets each vertex is off
+        keep[lo:lo + step] = np.count_nonzero(misses == 0.0, axis=1) == 2
+    return pairs[keep]
 
 
 def _certificate(p: Polytope) -> FaceRecord | None:
@@ -609,12 +768,14 @@ def _bracket(p: Polytope, x: np.ndarray, t_max: float) -> tuple[np.ndarray, np.n
     In R^2 and R^3 the nearest point of P to an outside x lies in the
     relative interior of a facet, and then y is that point, or on an edge
     (Ericson 2004, ch. 5), so the upper bound is the distance and lower is
-    raised to it.  Points beyond every threshold by the lower bound alone
-    (lower >= t_max + m) get upper = inf.  Arrays are laid out (facets,
+    raised to it.  From R^4 on it may lie inside a 2-face, nearer than every
+    edge, so there the edges are not used.  Points beyond every threshold by
+    the lower bound alone (lower >= t_max + m) get upper = inf.  Arrays are laid out (facets,
     edges or vertices, points), so that reductions run along the long axis.
     """
     f = p.faces
     a, m = f.a, f.margin
+    exact = p.ambient_dim <= 3
     viol = a @ x.T - f.b[:, None]
     top = viol.max(axis=0)
     lower = np.maximum(top, 0.0)
@@ -629,10 +790,10 @@ def _bracket(p: Polytope, x: np.ndarray, t_max: float) -> tuple[np.ndarray, np.n
         off_facet = np.flatnonzero((moved > 0.0).any(axis=0))  # projection leaves P
         if off_facet.size:
             xo = np.take(x, need[off_facet], axis=0).T
-            bound[off_facet] = (_nearest_vertex_distances(p.vertices, xo) if f.edges is None
-                                else _nearest_segment_distances(f, xo))
+            bound[off_facet] = (_nearest_segment_distances(f, xo) if exact
+                                else _nearest_vertex_distances(p.vertices, xo))
         upper[need] = bound
-        if f.edges is not None:
+        if exact:
             lower[need] = np.where(top > 0.0, bound, 0.0)
     return lower, upper
 
@@ -869,8 +1030,11 @@ def _kubota_samples_ball(b: Ball, k: int, n_samples: int, s: SeededSampler) -> n
     for rows, c, sub in mc_chunks(n_samples, s):
         bases = haar_bases_batch(n, k, c, sub)
         m = _transposed_products(bases, b.subspace.basis)
-        sv = np.linalg.svd(m, compute_uv=False)
-        vals[rows] = kappa_k * np.prod(np.clip(sv, 0.0, 1.0), axis=1)
+        if k == 1:  # the one singular value of a (1, l) product is its norm
+            vals[rows] = kappa_k * np.clip(np.linalg.norm(m[:, 0], axis=1), 0.0, 1.0)
+        else:
+            sv = np.linalg.svd(m, compute_uv=False)
+            vals[rows] = kappa_k * np.prod(np.clip(sv, 0.0, 1.0), axis=1)
     return vals
 
 

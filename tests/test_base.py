@@ -110,7 +110,7 @@ def _old_kubota_cube4_v2(n_samples, s):
         bases = haar_bases_batch(4, 2, c, s.substream(chunk_idx))
         proj = np.einsum("vn,snk->svk", cube.vertices, bases)
         shadows[done : done + c] = proj
-        vals[done : done + c] = B.shadow_area_perimeter(proj)[0]
+        vals[done : done + c] = B._edge_shadows(cube, bases, False)[0]
         done += c
         chunk_idx += 1
     est = mean_and_stderr(vals)

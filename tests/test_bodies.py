@@ -14,6 +14,7 @@ from valgeo.base import mc_chunks, unit_ball_volume
 from valgeo.errors import ConditioningWarning, DimensionError, ScopeError
 from valgeo.grassmann import (
     SeededSampler,
+    _transposed_products,
     coordinate_subspace,
     haar_bases_batch,
     haar_subspace,
@@ -448,6 +449,18 @@ class TestCertifiedMembership:
         slack = 2e-12 * ((v[None] - x[out][:, None]) ** 2).sum(axis=2).max(axis=1)
         assert (np.abs(upper[out] - wolfe) <= 1e-12 * scale + slack / (upper[out] + wolfe)).all()
 
+    def test_bracket_holds_off_edges_in_r4(self):
+        # The nearest point of cube4 to these points lies inside a 2-face,
+        # nearer than any edge, so the edge distance would overshoot.
+        p = B.make_cube(4)
+        x = np.array([[0.5, 0.5, 1.5, 1.5], [0.5, 0.5, -0.5, 1.5], [0.3, 0.6, 1.2, -0.7]])
+        exact = np.array([math.sqrt(0.5), math.sqrt(0.5), math.hypot(0.2, 0.7)])
+        lower, upper = B._bracket(p, x, np.inf)
+        wolfe = B.hull_distances(x, p.vertices)
+        np.testing.assert_allclose(wolfe, exact, rtol=1e-9)
+        assert (lower <= wolfe + 1e-12).all() and (wolfe <= upper + 1e-12).all()
+        np.testing.assert_allclose(lower, [0.5, 0.5, 0.7], rtol=1e-12)  # facet violations
+
     def test_margin_sends_uncertain_points_to_wolfe(self):
         p = B.make_cube(3)
         t = np.array([1e-9 * B._hull_scale(p), 0.25])
@@ -465,7 +478,8 @@ class TestCertifiedMembership:
                                 [True, True, True, True, True, False]]
         assert trace.counters == {"certified_inside": 2, "certified_outside": 2,
                                   "sent_to_wolfe": 2, "audited": 0, "audit_mismatches": 0,
-                                  "shadow_rows_cauchy": 0, "shadow_rows_gift_wrapped": 0,
+                                  "shadow_rows_cauchy": 0, "shadow_rows_edges": 0,
+                                  "shadow_rows_edge_ties": 0, "shadow_rows_gift_wrapped": 0,
                                   "shadow_rows_qhull": 0, "qhull_joggled": 0, "claim23_scalar_rows": 0,
                                   "wolfe_max_iter_rows": 0}
 
@@ -745,7 +759,7 @@ def _shadow_case(case: str):
     line_pairs = np.swapaxes(haar_unit_vectors(3, 128, s).reshape(64, 2, 3), 1, 2)
     return {
         "width": (r4, haar_bases_batch(4, 1, 64, s), None),
-        "planes-r4": (r4, haar_bases_batch(4, 2, 64, s), "shadow_rows_gift_wrapped"),
+        "planes-r4": (r4, haar_bases_batch(4, 2, 64, s), "shadow_rows_edges"),
         "solids-r4": (r4, haar_bases_batch(4, 3, 64, s), "shadow_rows_qhull"),
         "planes-r3": (r3, haar_bases_batch(3, 2, 64, s), "shadow_rows_cauchy"),
         "line-pairs": (r3, line_pairs, "shadow_rows_cauchy"),
@@ -789,6 +803,72 @@ class TestShadowMeasures:
             B.shadow_measures(p, maps, steiner=True)
 
 
+class TestEdgeShadows:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(3, 5),
+        m=st.integers(6, 40),
+        c=st.integers(1, 12),
+        kind=st.sampled_from(["gaussian", "sphere", "anisotropic", "lattice"]),
+        frames=st.booleans(),
+    )
+    def test_matches_per_image_qhull(self, seed, n, m, c, kind, frames):
+        # Planar shadows of full-dimensional bodies in R^3-R^5 under Haar
+        # frames or pairs of independent Haar lines; lattice bodies have
+        # non-simplicial facets, which Qhull splits into coplanar pieces.
+        rng = np.random.default_rng(seed)
+        if kind == "lattice":
+            raw = rng.integers(0, 3, size=(m, n)).astype(float)
+        else:
+            raw = rng.standard_normal((m, n))
+            if kind == "sphere":
+                raw /= np.linalg.norm(raw, axis=1, keepdims=True)
+            elif kind == "anisotropic":
+                raw *= 10.0 ** rng.uniform(-2, 0, n)
+        p = B.Polytope(n, raw)
+        assume(p.affine_dim == n)
+        s = SeededSampler(seed % 1000)
+        maps = (haar_bases_batch(n, 2, c, s) if frames else
+                np.swapaxes(haar_unit_vectors(n, 2 * c, s).reshape(c, 2, n), 1, 2))
+        trace.reset()
+        got = B.shadow_measures(p, maps, steiner=True)
+        assert trace.counters["shadow_rows_edges"] + trace.counters["shadow_rows_edge_ties"] == c
+        for t, image in enumerate(p.vertices @ maps):
+            hull = ConvexHull(image)
+            # Qhull's own area of a thin triangle is off by up to ~6e-13
+            # relative, hence the floor (see TestShadowAreaPerimeter).
+            span = np.ptp(image, axis=0).max()
+            assert got[t, 0] == pytest.approx(hull.volume, rel=1e-12, abs=1e-12 * span**2)
+            assert got[t, 1] == pytest.approx(hull.area, rel=1e-12)
+
+    @pytest.mark.parametrize("p, count", [(B.make_cube(3), 12), (B.make_cube(4), 32),
+                                          (B.make_crosspolytope(4), 24), (B.make_simplex(5), 15),
+                                          (B.make_cube(5), 80)], ids=repr)
+    def test_edge_counts(self, p, count):
+        edges = p.edges
+        assert edges.shape == (count, 2)
+        assert len({tuple(sorted(e)) for e in edges.tolist()}) == count
+        # Every edge of a cube joins two vertices one unit apart.
+        if p.n_vertices == 2 ** p.ambient_dim:
+            steps = p.vertices[edges[:, 1]] - p.vertices[edges[:, 0]]
+            assert np.array_equal(np.abs(steps).sum(axis=1), np.ones(count))
+
+    def test_edge_seen_end_on_falls_back(self):
+        # Zeroing the first row of a frame sends cube4's edges along e_1 to
+        # points: every value of those edges is 0, so the row is tied.
+        p = B.make_cube(4)
+        maps = haar_bases_batch(4, 2, 8, SeededSampler(17))
+        maps[4:] = np.pad(haar_bases_batch(3, 2, 4, SeededSampler(18)), ((0, 0), (1, 0), (0, 0)))
+        trace.reset()
+        got = B.shadow_measures(p, maps, steiner=True)
+        c = trace.counters
+        assert (c["shadow_rows_edges"], c["shadow_rows_edge_ties"],
+                c["shadow_rows_gift_wrapped"]) == (4, 4, 4)
+        expected = [[h.volume, h.area, math.pi] for h in map(ConvexHull, p.vertices @ maps)]
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
+
+
 class TestKubota:
     def test_top_degree_exact(self, sampler):
         p = B.make_simplex(3)
@@ -830,6 +910,15 @@ class TestKubota:
     def test_out_of_range(self, sampler):
         with pytest.raises(DimensionError):
             B.kubota_estimate(B.make_cube(3), 4, 10, sampler)
+
+    def test_ball_lines_take_the_norm(self):
+        # For k = 1 the one singular value of the (1, l) product is its norm.
+        ball = B.Ball(haar_subspace(4, 2, SeededSampler(14)))
+        got = B._kubota_samples_ball(ball, 1, 4096, SeededSampler(15))
+        m = _transposed_products(haar_bases_batch(4, 1, 4096, SeededSampler(15).substream(0)),
+                                 ball.subspace.basis)
+        svd = 2.0 * np.clip(np.linalg.svd(m, compute_uv=False)[:, 0], 0.0, 1.0)
+        np.testing.assert_allclose(got, svd, rtol=1e-15, atol=0)
 
     def test_shadow_volume_matches_projection(self, sampler):
         p = B.make_random_polytope(3, 14, sampler)

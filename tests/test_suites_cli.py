@@ -91,14 +91,34 @@ class TestSuites:
 
     def test_lambda_planar_check_catches_a_perimeter_error(self, monkeypatch):
         # The planar check's oracle is the zonotope perimeter of the cube's
-        # shadow, not gift wrapping, so 1% more perimeter from gift wrapping
-        # moves the estimate alone and fails the 1e-9 check.
-        wrap = B.shadow_area_perimeter
-        monkeypatch.setattr(B, "shadow_area_perimeter",
-                            lambda points: tuple(x * w for x, w in zip(wrap(points), (1.0, 1.01))))
+        # shadow, not the edge test that measures the shadow, so 1% more
+        # perimeter from the edge test moves the estimate alone and fails
+        # the 1e-9 check.
+        edge_shadows = B._edge_shadows
+
+        def longer(p, maps, perimeter):
+            area, length = edge_shadows(p, maps, perimeter)
+            return area, None if length is None else 1.01 * length
+
+        monkeypatch.setattr(B, "_edge_shadows", longer)
         report = run_suite("lambda", RunConfig(seed=1234, samples=2048))
         (record,) = [r for r in report.records if r["name"] == "lambda/projection-valuation-planar"]
         assert not record["pass"]
+
+    def test_kubota_cube4_v2_catches_an_area_error(self, monkeypatch):
+        # cube4's V2 is the one kubota check whose shadows the edge test
+        # measures.  Areas 2.05% too large fail it on each of seeds 1234, 5,
+        # 9 and 77 at the default budget; 2% fails only seeds 5 and 77.
+        edge_shadows = B._edge_shadows
+
+        def larger(p, maps, perimeter):
+            area, length = edge_shadows(p, maps, perimeter)
+            return 1.0205 * area, length
+
+        monkeypatch.setattr(B, "_edge_shadows", larger)
+        report = run_suite("kubota", RunConfig(seed=1234))
+        failed = [r["name"] for r in report.records if not r["pass"]]
+        assert failed == ["kubota/cube4/V2"]
 
     # Criterion 6's fitted-scalar residual against a non-proportional error
     # of a few percent on the formula side: the formula at L times

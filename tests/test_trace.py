@@ -55,20 +55,22 @@ def test_counters_add_up_per_call():
     assert c["audited"] == len(range(0, len(pts), 64))
 
 
-@pytest.mark.parametrize("suite, gift_wrapped", [("hadwiger", False), ("kubota", True)])
-def test_shadow_rows_by_path(suite, gift_wrapped):
+@pytest.mark.parametrize("suite, edges", [("hadwiger", False), ("kubota", True)])
+def test_shadow_rows_by_path(suite, edges):
     # hadwiger's bodies are full-dimensional in R^3, so every planar shadow
     # goes through Cauchy's formula; kubota also projects the R^4 cube onto
-    # planes, which are gift-wrapped.  A call adds its whole row count, so
-    # each total is a multiple of the budget.
+    # planes, which the edge test measures with no tied row, so nothing is
+    # gift-wrapped.  A call adds its whole row count, so each total is a
+    # multiple of the budget.
     samples = 1024
     cfg = RunConfig(seed=1234, samples=samples)
     trace.reset()
     report = run_suite(suite, cfg).to_json()
     c = dict(trace.counters)
     assert c["shadow_rows_cauchy"] > 0 and c["shadow_rows_cauchy"] % samples == 0
-    assert c["shadow_rows_gift_wrapped"] % samples == 0
-    assert (c["shadow_rows_gift_wrapped"] > 0) == gift_wrapped
+    assert c["shadow_rows_edges"] % samples == 0
+    assert (c["shadow_rows_edges"] > 0) == edges
+    assert c["shadow_rows_edge_ties"] == c["shadow_rows_gift_wrapped"] == 0
     # The counters never reach the report: a second run, which starts from
     # nonzero counters, writes the same bytes.
     assert run_suite(suite, cfg).to_json() == report
