@@ -1,18 +1,21 @@
-"""Benchmark the four ways of measuring planar shadows on one Monte-Carlo chunk.
+"""Benchmark the three ways of measuring planar shadows on one Monte-Carlo chunk.
 
-For each input it times per-sample Qhull, the batched gift-wrapping helper
-``shadow_area_perimeter``, the edge test ``_edge_shadows`` (area and
-perimeter, as lambda asks for them; its per-body tables are built before
-timing) and, for full-dimensional bodies in R^3, Cauchy's formula
-``cauchy_shadow_volumes``, and prints the largest relative disagreement
-with Qhull.  A final sweep over sphere clouds of growing size locates the
-hull size above which gift wrapping loses to Qhull.  Cauchy's formula stays
-an order of magnitude ahead of all of them at every size, which is why
-``shadow_measures`` takes it for full-dimensional R^3 bodies when no
-perimeter is wanted.  The script exits with an error if any batched path
-disagrees with Qhull by more than 1e-12 relative, in area or, for gift
-wrapping and the edge test, in perimeter, or if the edge test hands a row
-on to gift wrapping.
+For each input it times per-sample Qhull, the edge test as
+``shadow_measures(..., steiner=True)`` takes it (area and perimeter, as
+lambda asks for them; the body's tables are built before timing) and, for
+full-dimensional bodies in R^3, Cauchy's formula ``cauchy_shadow_volumes``,
+and prints the largest relative disagreement with Qhull.  The inputs are
+full-dimensional bodies in R^3 and R^4, a polygon in R^2 and two flat
+bodies, which the edge test measures in coordinates of their affine hulls.
+A thin image (two nearly parallel lines in the plane, a flat body seen
+nearly edge-on) loses digits in both Qhull and the edge test, about
+eps span^2 / area relative, which is why those rows read near 1e-13.
+Cauchy's formula stays an order of magnitude ahead of the others, which is
+why ``shadow_measures`` takes it for full-dimensional R^3 bodies when no
+perimeter is wanted.  The script exits with an error if the edge test or
+Cauchy's formula disagrees with Qhull by more than 1e-12 relative, in area
+or, for the edge test, in perimeter, or if the edge test hands a row on to
+Qhull.
 
 A last table times Cauchy's formula itself on the three clouds of the
 ``large-bodies`` workload (1000 Gaussian points, 150 on the sphere, 300
@@ -34,13 +37,7 @@ from scipy.spatial import ConvexHull
 
 from valgeo import trace
 from valgeo.base import MC_CHUNK
-from valgeo.bodies import (
-    Polytope,
-    _edge_shadows,
-    cauchy_shadow_volumes,
-    make_cube,
-    shadow_area_perimeter,
-)
+from valgeo.bodies import Polytope, cauchy_shadow_volumes, make_cube, shadow_measures
 from valgeo.grassmann import SeededSampler, haar_bases_batch, haar_unit_vectors
 
 TOL = 1e-12
@@ -63,10 +60,20 @@ def clouds() -> dict[str, np.ndarray]:
     }
 
 
-def line_pairs(c: int, s: SeededSampler):
-    """c pairs of Haar lines in R^3 as (3, 2) maps, and the pairs' normals."""
-    dirs = haar_unit_vectors(3, 2 * c, s).reshape(c, 2, 3)
-    return np.swapaxes(dirs, 1, 2), np.cross(dirs[:, 0], dirs[:, 1])
+def line_pairs(n: int, c: int, s: SeededSampler):
+    """c pairs of Haar lines in R^n as (n, 2) maps, and in R^3 the pairs' normals."""
+    dirs = haar_unit_vectors(n, 2 * c, s).reshape(c, 2, n)
+    return np.swapaxes(dirs, 1, 2), np.cross(dirs[:, 0], dirs[:, 1]) if n == 3 else None
+
+
+def flat_bodies() -> dict[str, Polytope]:
+    """A quadrilateral in R^3 and a Gaussian cloud in a hyperplane of R^4."""
+    rng = np.random.default_rng([SEED, 9])
+    rotation = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+    return {
+        "flat quad in R^3": Polytope(3, [[0, 0, 0], [2, 0, 0], [0, 1, 0], [1.5, 1.5, 0]]),
+        "flat cloud in R^4": Polytope(4, rng.standard_normal((200, 3)) @ rotation[:3]),
+    }
 
 
 def timed(fn):
@@ -102,16 +109,14 @@ def cauchy_blocks(c: int) -> None:
 
 def measure(body: Polytope, maps: np.ndarray, normals: np.ndarray | None):
     """Seconds per path and the largest relative gap to Qhull."""
-    shadows = body.vertices @ maps
-    hulls, t_qhull = timed(lambda: [ConvexHull(x) for x in shadows])
+    hulls, t_qhull = timed(lambda: [ConvexHull(x) for x in body.vertices @ maps])
     ref = np.array([[h.volume, h.area] for h in hulls])
-    batched, t_batched = timed(lambda: shadow_area_perimeter(shadows))
-    _edge_shadows(body, maps[:1], True)  # builds the body's faces and edge tables
+    shadow_measures(body, maps[:1], steiner=True)  # builds the body's faces and edge tables
     trace.reset()
-    edges, t_edges = timed(lambda: _edge_shadows(body, maps, True))
+    edges, t_edges = timed(lambda: shadow_measures(body, maps, steiner=True)[:, :2])
     if trace.counters["shadow_rows_edge_ties"]:
-        raise SystemExit("bench_shadows: the edge test handed rows on to gift wrapping")
-    gap = max(float(np.abs(np.column_stack(out) / ref - 1.0).max()) for out in (batched, edges))
+        raise SystemExit("bench_shadows: the edge test handed rows on to Qhull")
+    gap = float(np.abs(edges / ref - 1.0).max())
     t_cauchy = None
     if normals is not None:
         # The first call on a body includes the Qhull call that builds its faces.
@@ -119,44 +124,36 @@ def measure(body: Polytope, maps: np.ndarray, normals: np.ndarray | None):
         gap = max(gap, float(np.abs(cauchy / ref[:, 0] - 1.0).max()))
     if gap > TOL:
         raise SystemExit(f"bench_shadows: disagreement {gap:.1e} with Qhull exceeds {TOL:.0e}")
-    return t_qhull, t_batched, t_edges, t_cauchy, gap
+    return t_qhull, t_edges, t_cauchy, gap
 
 
-def row(name: str, verts: int, t_qhull: float, t_batched: float, t_edges: float, t_cauchy,
-        gap: float) -> str:
+def row(name: str, verts: int, t_qhull: float, t_edges: float, t_cauchy, gap: float) -> str:
     cauchy = f"{t_cauchy:>9.3f}" if t_cauchy is not None else f"{'-':>9}"
-    return (f"{name:<28} {verts:>6} {t_qhull:>9.3f} {t_batched:>9.3f} {t_edges:>9.3f} {cauchy} "
-            f"{t_qhull / t_batched:>7.1f}x {t_batched / t_edges:>7.1f}x {gap:>9.1e}")
+    return (f"{name:<28} {verts:>6} {t_qhull:>9.3f} {t_edges:>9.3f} {cauchy} "
+            f"{t_qhull / t_edges:>7.1f}x {gap:>9.1e}")
 
 
 def run(c: int) -> None:
     s = SeededSampler(SEED, 1)
     print(f"{c} shadows per input; seconds per chunk")
-    print(f"{'input':<28} {'hull v':>6} {'qhull':>9} {'batched':>9} {'edges':>9} {'cauchy':>9} "
-          f"{'batch/q':>8} {'batch/e':>8} {'max rel':>9}")
+    print(f"{'input':<28} {'verts':>6} {'qhull':>9} {'edges':>9} {'cauchy':>9} "
+          f"{'q/edges':>8} {'max rel':>9}")
     cube4 = make_cube(4)
     print(row("cube4 2-planes", cube4.n_vertices,
               *measure(cube4, haar_bases_batch(4, 2, c, s.substream(0)), None)))
     cube3 = make_cube(3)
-    print(row("cube3 line pairs", cube3.n_vertices, *measure(cube3, *line_pairs(c, s.substream(1)))))
+    print(row("cube3 line pairs", cube3.n_vertices,
+              *measure(cube3, *line_pairs(3, c, s.substream(1)))))
     for j, (name, pts) in enumerate(clouds().items()):
         body = Polytope(3, pts)
         print(row(f"{name} line pairs", body.n_vertices,
-                  *measure(body, *line_pairs(c, s.substream(2 + j)))))
-
-    print("\ncrossover: sphere clouds, all points extreme")
-    rng = np.random.default_rng([SEED, 8])
-    crossover = None
-    for m in (25, 50, 100, 200, 400):
-        body = Polytope(3, sphere_cloud(rng, m))
-        times = measure(body, *line_pairs(c, s.substream(10 + m)))
-        print(row(f"sphere{m} line pairs", body.n_vertices, *times))
-        if crossover is None and times[1] > times[0]:
-            crossover = body.n_vertices
-    if crossover is None:
-        print("gift wrapping beat Qhull at every size")
-    else:
-        print(f"gift wrapping first loses to Qhull at {crossover} hull vertices")
+                  *measure(body, *line_pairs(3, c, s.substream(2 + j)))))
+    polygon = Polytope(2, sphere_cloud(np.random.default_rng([SEED, 8]), 40)[:, :2])
+    print(row("R^2 polygon line pairs", polygon.n_vertices,
+              *measure(polygon, *line_pairs(2, c, s.substream(5)))))
+    for j, (name, body) in enumerate(flat_bodies().items()):
+        maps, _ = line_pairs(body.ambient_dim, c, s.substream(6 + j))
+        print(row(f"{name} line pairs", body.n_vertices, *measure(body, maps, None)))
     cauchy_blocks(c)
 
 

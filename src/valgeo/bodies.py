@@ -5,16 +5,16 @@ and facets come from one Qhull call per polytope, kept as ``Polytope.faces``
 (intended range n <= 6).  ``shadow_measures`` chooses how a Monte-Carlo
 chunk of shadows vol_k(P M_t) is measured: widths for k = 1; Cauchy's
 formula for k = 2 when n = 3, P is full dimensional and no perimeter is
-wanted; for other k = 2 of a full-dimensional P in R^n, n >= 3, an edge
-test that picks the shadow's boundary among P's edges with small matmuls of
-Plucker coordinates; batched gift wrapping for flat P, for n = 2 and for
-the rows the edge test finds tied; Qhull per image for k >= 3.  The one
-caller that bypasses it is Kubota for k = n - 1, which draws unit normals
-for Cauchy's formula.  Minkowski-ball volumes vol(K + eps D) are estimated by
-Monte-Carlo membership, decided exactly from facets and edges in R^2 and
-R^3, by facet and vertex bounds where they are conclusive in higher
-dimensions, and by the min-norm-point kernel elsewhere; the Cauchy-Kubota
-estimator is calibrated to be exact on the unit ball.
+wanted; for every other k = 2 an edge test that picks the shadow's boundary
+among P's edges with small matmuls of Plucker coordinates, in coordinates of
+P's affine hull for flat P, with the rows it finds tied measured by Qhull
+per image; Qhull per image for k >= 3.  The one caller that bypasses it is
+Kubota for k = n - 1, which draws unit normals for Cauchy's formula.
+Minkowski-ball volumes vol(K + eps D) are estimated by Monte-Carlo
+membership, decided exactly from facets and edges in R^2 and R^3, by facet
+and vertex bounds where they are conclusive in higher dimensions, and by the
+min-norm-point kernel elsewhere; the Cauchy-Kubota estimator is calibrated
+to be exact on the unit ball.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .grassmann import (SeededSampler, Subspace, _plucker, _transposed_products,
 
 _DEDUP_TOL = 1e-9
 _AFFINE_TOL = 1e-9
-_SHADOW_BLOCK = 1 << 14
 _EDGE_BLOCK = 1 << 17  # _edge_shadows: map-wedge products per row block
 _CAUCHY_BLOCK = 1 << 17  # cauchy_shadow_volumes: direction-facet products per row block
 _CONTAINS_TOL = 1e-9   # contains_points: dist <= tol * (1 + max|v|)
@@ -112,6 +111,15 @@ class Polytope:
         if f.edges is not None:
             return f.edges
         return _simplex_edges(f.simplices, f.facets, self.n_vertices)
+
+    @cached_property
+    def _flat(self) -> tuple["Polytope", np.ndarray]:
+        """(Q, F) for a flat P of affine dimension d: the rows of the (d, n)
+        array F are an orthonormal basis of the directions of P's affine hull,
+        and Q is P in those coordinates, so P M is a translate of Q (F M)."""
+        centered = self.vertices - self.vertices.mean(axis=0)
+        frame = np.linalg.svd(centered, full_matrices=False)[2][:self.affine_dim]
+        return Polytope(self.affine_dim, centered @ frame.T), frame
 
     @cached_property
     def _edge_tables(self) -> "_EdgeTables":
@@ -368,15 +376,23 @@ def hull_volume(p: Polytope) -> float:
     return p.faces.volume
 
 
-def _raw_volume(points: np.ndarray) -> float:
-    """Hull volume of a raw (m, k) point cloud, k >= 1: 0 without Qhull if its
-    affine rank (``_affine_rank``) is below k, else Qhull's, whose errors propagate."""
+def _raw_hull(points: np.ndarray) -> tuple[float, float]:
+    """Volume and boundary measure of the hull of a raw (m, k) point cloud,
+    k >= 2: Qhull's ``volume`` and ``area`` (area and perimeter in the plane),
+    whose errors propagate.  A cloud of affine rank (``_affine_rank``) below k
+    has volume 0 without Qhull.  Its boundary measure is then read only in
+    the plane: twice the length of a segment, whose boundary is traversed
+    both ways, and 0 for a point (and for every flat cloud with k >= 3)."""
     k = points.shape[1]
-    if k == 1:
-        return float(points.max() - points.min())
-    if _affine_rank(np.linalg.svd(points - points.mean(axis=0), compute_uv=False)) < k:
-        return 0.0
-    return float(ConvexHull(points).volume)
+    centered = points - points.mean(axis=0)
+    rank = _affine_rank(np.linalg.svd(centered, compute_uv=False))
+    if rank == k:
+        hull = ConvexHull(points)
+        return float(hull.volume), float(hull.area)
+    if k == 2 and rank == 1:
+        direction = np.linalg.svd(centered, full_matrices=False)[2][0]
+        return 0.0, 2.0 * float(np.ptp(centered @ direction))
+    return 0.0, 0.0
 
 
 def shadow_measures(p: Polytope, maps: np.ndarray, steiner: bool = False) -> np.ndarray:
@@ -389,11 +405,11 @@ def shadow_measures(p: Polytope, maps: np.ndarray, steiner: bool = False) -> np.
     * k = 2, n = 3, P full dimensional, no perimeter wanted: Cauchy's formula
       along m_1 x m_2, which is |m_1 x m_2| times the shadow along its unit
       vector (``cauchy_shadow_volumes``);
-    * other k = 2, P full dimensional, n >= 3: the edge test
-      (``_edge_shadows``), which hands its tied rows to gift wrapping;
-    * k = 2 for flat P and n = 2: batched gift wrapping
-      (``shadow_area_perimeter``);
-    * k >= 3: Qhull per image (``_raw_volume``).
+    * every other k = 2: the edge test (``_edge_shadows``), which measures
+      its tied rows by Qhull per image; a flat P of affine dimension d >= 2
+      is measured as ``P._flat``'s Q in R^d under the maps F M, a segment s
+      (d = 1) has area 0 and perimeter 2 |s M|, and a point (0, 0);
+    * k >= 3: Qhull per image (``_raw_hull``).
 
     With ``steiner`` (k <= 2) it returns, as a (c, k + 1) array, the
     coefficients of each image's planar Steiner polynomial in eps:
@@ -410,15 +426,21 @@ def shadow_measures(p: Polytope, maps: np.ndarray, steiner: bool = False) -> np.
         width = supports.max(axis=0) - supports.min(axis=0)
         return np.column_stack([width, np.full(c, 2.0)]) if steiner else width
     if k == 2:
-        full = p.affine_dim == n
-        if not steiner and n == 3 and full:
+        d = p.affine_dim
+        if not steiner and n == 3 and d == 3:
             return cauchy_shadow_volumes(p, np.cross(maps[..., 0], maps[..., 1]))
-        if full and n >= 3:
+        if d == n:
             area, perimeter = _edge_shadows(p, maps, steiner)
-        else:
-            area, perimeter = shadow_area_perimeter(p.vertices @ maps)
+        elif d >= 2:
+            q, frame = p._flat
+            area, perimeter = _edge_shadows(q, frame @ maps, steiner)
+        else:  # the step is 0 for a point
+            area = np.zeros(c)
+            step = p.vertices[-1] - p.vertices[0]
+            perimeter = 2.0 * np.linalg.norm(step @ maps, axis=1) if steiner else None
+            trace.counters["shadow_rows_edges"] += c
         return np.column_stack([area, perimeter, np.full(c, math.pi)]) if steiner else area
-    vols = np.array([_raw_volume(x) for x in p.vertices @ maps])
+    vols = np.array([_raw_hull(x)[0] for x in p.vertices @ maps])
     trace.counters["shadow_rows_qhull"] += c
     return vols
 
@@ -457,7 +479,7 @@ def _build_edge_tables(p: Polytope) -> _EdgeTables:
 def _edge_shadows(p: Polytope, maps: np.ndarray,
                   perimeter: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """Area (and perimeter, if asked) of P's image under each (n, 2) map of
-    a (c, n, 2) stack, for a full-dimensional P in R^n, n >= 3.
+    a (c, n, 2) stack, for a full-dimensional P in R^n, n >= 2.
 
     The boundary of the image is the image of those edges (a, b) of P for
     which the linear functional x -> det[s M; (x - a) M], s = b - a, keeps
@@ -470,8 +492,8 @@ def _edge_shadows(p: Polytope, maps: np.ndarray,
     products.  An edge whose verdict rests on a value within ``_AFFINE_TOL``
     |m_1| |m_2| of 0 belongs to a 2-face seen edge-on or is seen end-on
     itself, and so does every edge of a flat image; a row with such an edge
-    is measured by ``shadow_area_perimeter`` instead.  Both row counts are
-    added to ``trace.counters``.
+    is measured by Qhull per image (``_raw_hull``) instead.  Both row counts
+    are added to ``trace.counters``.
     """
     t = p._edge_tables
     c = maps.shape[0]
@@ -499,100 +521,13 @@ def _edge_shadows(p: Polytope, maps: np.ndarray,
             x, y = m[..., 0] @ t.steps, m[..., 1] @ t.steps
             length[block] = np.einsum("re,re->r", np.sqrt(x * x + y * y), bound)
     ties = np.flatnonzero(tied)
-    if ties.size:
-        fallback = shadow_area_perimeter(p.vertices @ maps[ties])
-        area[ties] = fallback[0]
+    for r in ties:
+        area[r], boundary = _raw_hull(p.vertices @ maps[r])
         if perimeter:
-            length[ties] = fallback[1]
+            length[r] = boundary
     trace.counters["shadow_rows_edges"] += c - ties.size
     trace.counters["shadow_rows_edge_ties"] += ties.size
     return area, length
-
-
-def shadow_area_perimeter(points) -> tuple[np.ndarray, np.ndarray]:
-    """Area and perimeter of the convex hulls of c planar clouds at once.
-
-    ``points`` has shape (c, m, 2).  Degenerate clouds are classified first:
-    coincident points give (0, 0), and points within ``_AFFINE_TOL`` of a
-    line give (0, 2 * length), the segment's boundary traversed both ways.
-    The other clouds are gift-wrapped together, one hull vertex per
-    vectorised step, so a block of clouds costs at most m steps.  Blocks
-    hold about ``_SHADOW_BLOCK`` points, which bounds the temporaries.  The
-    cloud count is added to ``trace.counters``.
-    """
-    pts = np.asarray(points, dtype=float)
-    c, m = pts.shape[:2]
-    area = np.empty(c)
-    perimeter = np.empty(c)
-    step = max(1, _SHADOW_BLOCK // m)
-    for lo in range(0, c, step):
-        block = slice(lo, lo + step)
-        area[block], perimeter[block] = _block_area_perimeter(pts[block])
-    trace.counters["shadow_rows_gift_wrapped"] += c
-    return area, perimeter
-
-
-def _block_area_perimeter(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    c = pts.shape[0]
-    rows = np.arange(c)
-    # The lexicographically lowest point is a hull vertex; work relative to it.
-    x = pts[..., 0]
-    lowest = np.where(x == x.min(axis=1, keepdims=True), pts[..., 1], np.inf)
-    start = np.argmin(lowest, axis=1)
-    rel = pts - pts[rows, start][:, None, :]
-    r2 = np.einsum("cmi,cmi->cm", rel, rel)
-    far = np.argmax(r2, axis=1)
-    length = np.sqrt(r2[rows, far])
-    scale = np.maximum(length, 1.0)
-    u = rel[rows, far] / np.maximum(length, np.finfo(float).tiny)[:, None]
-    along = np.einsum("cmi,ci->cm", rel, u)
-    across = rel[..., 1] * u[:, None, 0] - rel[..., 0] * u[:, None, 1]
-    coincident = length <= _DEDUP_TOL * scale
-    flat = ~coincident & (np.abs(across).max(axis=1, initial=0.0) <= _AFFINE_TOL * scale)
-    full = ~(coincident | flat)
-    area = np.zeros(c)
-    perimeter = np.where(flat, 2.0 * (along.max(axis=1) - along.min(axis=1)), 0.0)
-    if full.any():
-        area[full], perimeter[full] = _gift_wrap(rel[full], _DEDUP_TOL * scale[full])
-    return area, perimeter
-
-
-def _gift_wrap(rel: np.ndarray, tol: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Counter-clockwise gift wrapping of (c, m, 2) clouds, each starting at
-    its lexicographically lowest point, which sits at the origin.
-
-    Each step moves every open cloud to the point of smallest turn from the
-    incoming edge (largest signed squared cosine); points within ``tol`` of
-    the current vertex are skipped, and a cloud closes when it steps back
-    within ``tol`` of the origin.
-    """
-    c, m, _ = rel.shape
-    rows = np.arange(c)
-    vx, vy = rel[..., 0], rel[..., 1]
-    tol2 = (tol * tol)[:, None]
-    p = np.zeros((c, 2))
-    d = np.tile([0.0, -1.0], (c, 1))  # arriving straight down: every point is to the left
-    area2 = np.zeros(c)
-    perimeter = np.zeros(c)
-    open_ = np.ones(c, dtype=bool)
-    for _ in range(m):
-        wx = vx - p[:, :1]
-        wy = vy - p[:, 1:]
-        dist2 = wx * wx + wy * wy
-        dot = wx * d[:, :1] + wy * d[:, 1:]
-        score = dot * np.abs(dot) / np.maximum(dist2, tol2)
-        score[dist2 <= tol2] = -np.inf
-        q = rel[rows, np.argmax(score, axis=1)]
-        closing = q[:, 0] ** 2 + q[:, 1] ** 2 <= tol2[:, 0]
-        q[closing] = 0.0
-        area2 += np.where(open_, p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0], 0.0)
-        perimeter += np.where(open_, np.hypot(q[:, 0] - p[:, 0], q[:, 1] - p[:, 1]), 0.0)
-        open_ &= ~closing
-        if not open_.any():
-            return 0.5 * area2, perimeter
-        d = q - p
-        p = q
-    raise RuntimeError("gift wrapping did not close within m steps")
 
 
 def minkowski_segment(p: Polytope, u, lam: float) -> Polytope:
@@ -627,10 +562,12 @@ def _face_record(p: Polytope) -> FaceRecord:
     hull = ConvexHull(p.vertices)
     n = p.ambient_dim
     eq = hull.equations
-    gap = np.zeros((eq.shape[0], eq.shape[0]))
-    for col in np.hstack([eq[:, :-1], eq[:, -1:] / _hull_scale(p)]).T:
-        np.maximum(gap, np.abs(col[:, None] - col[None, :]), out=gap)
-    label = np.argmax(gap <= _COPLANAR_TOL, axis=1)  # first row of each merged facet
+    # Each row's label is the first row within _COPLANAR_TOL of it in every
+    # coordinate of [normal, offset / scale] (itself if none is earlier).
+    rows = np.hstack([eq[:, :-1], eq[:, -1:] / _hull_scale(p)])
+    pairs = cKDTree(rows).query_pairs(_COPLANAR_TOL, p=np.inf, output_type="ndarray")
+    label = np.arange(eq.shape[0])
+    np.minimum.at(label, pairs[:, 1], pairs[:, 0])
     first = label == np.arange(eq.shape[0])
     a, b = eq[first, :-1], -eq[first, -1]
     margin = _MARGIN * _hull_scale(p)
@@ -991,14 +928,20 @@ def cauchy_shadow_volumes(p: Polytope, dirs: np.ndarray) -> np.ndarray:
     8-row boundary; blocks that do leave each row's value as it is in
     ``0.5 * (np.abs(dirs @ normals.T) @ areas)``, bit for bit under one BLAS
     thread, where blocks of 442 rows, off that grid, moved some rows by an
-    ulp.  The row count is added to ``trace.counters``.
+    ulp.  The blocks share one temporary: the cost of a fresh block-sized
+    (about 1 MB) allocation depends on the allocator's history (glibc's
+    dynamic mmap threshold), and one per block made the calls of hadwiger
+    on large bodies up to twice as slow.  The row count is added to
+    ``trace.counters``.
     """
     normals, areas = p.faces.normals, p.faces.areas
     count = dirs.shape[0]
     step = max(64, 64 * round(_CAUCHY_BLOCK / (64 * normals.shape[0])))
     out = np.empty(count)
+    buffer = np.empty((min(step, count), normals.shape[0]))
     for lo in range(0, count, step):
-        t = dirs[lo:lo + step] @ normals.T
+        t = buffer[:min(step, count - lo)]
+        np.matmul(dirs[lo:lo + step], normals.T, out=t)
         np.abs(t, out=t)
         np.matmul(t, areas, out=out[lo:lo + step])
     out *= 0.5

@@ -17,24 +17,23 @@ decide to the Wolfe kernel.  Each call adds its totals here, in points:
 ``bodies.shadow_measures`` chooses how a Monte-Carlo shadow, vol_k of P's
 image under a (c, n, k) stack of maps, is measured: the width for k = 1;
 Cauchy's formula for k = 2 when n = 3, P is full dimensional and no
-perimeter is wanted; the edge test for the other k = 2 of a
-full-dimensional P in R^n, n >= 3; batched gift wrapping for the remaining
-k = 2 and the edge test's tied rows; Qhull per image for k >= 3.  The one
-exception is the Kubota estimator for k = n - 1, which calls
-``cauchy_shadow_volumes`` directly with one unit normal a sample.  Each
-path adds its row count to one of:
+perimeter is wanted; the edge test for every other k = 2, with its tied rows
+measured by Qhull per image; Qhull per image for k >= 3.  The one exception
+is the Kubota estimator for k = n - 1, which calls ``cauchy_shadow_volumes``
+directly with one unit normal a sample.  Each path adds its row count to
+one of:
 
 * ``shadow_rows_cauchy``: rows through Cauchy's projection formula
   (``cauchy_shadow_volumes``);
-* ``shadow_rows_edges``: rows measured by the edge test (``_edge_shadows``);
-* ``shadow_rows_edge_ties``: rows the edge test hands on to gift wrapping,
-  because some edge's verdict rests on a value within rounding of 0 (a
-  2-face seen edge-on, an edge seen end-on, or a flat image); they are
-  counted in ``shadow_rows_gift_wrapped`` as well;
-* ``shadow_rows_gift_wrapped``: planar clouds through batched gift wrapping
-  (``shadow_area_perimeter``);
+* ``shadow_rows_edges``: rows measured by the edge test (``_edge_shadows``),
+  of full-dimensional and flat bodies in R^n, n >= 2, points and segments
+  included;
+* ``shadow_rows_edge_ties``: rows the edge test hands on to Qhull per image
+  (``_raw_hull``), because some edge's verdict rests on a value within
+  rounding of 0 (a 2-face seen edge-on, an edge seen end-on, or a flat
+  image);
 * ``shadow_rows_qhull``: images for k >= 3, measured one at a time by
-  ``_raw_volume`` (one Qhull call, or 0 for an image of lower affine rank).
+  ``_raw_hull`` (one Qhull call, or 0 for an image of lower affine rank).
 
 Widths are not counted.
 
@@ -56,7 +55,7 @@ The counters never enter a report.  ``reset()`` sets them back to zero.
 
 COUNTERS = ("certified_inside", "certified_outside", "sent_to_wolfe", "audited",
             "audit_mismatches", "shadow_rows_cauchy", "shadow_rows_edges",
-            "shadow_rows_edge_ties", "shadow_rows_gift_wrapped", "shadow_rows_qhull", "qhull_joggled", "claim23_scalar_rows",
+            "shadow_rows_edge_ties", "shadow_rows_qhull", "qhull_joggled", "claim23_scalar_rows",
             "wolfe_max_iter_rows")
 
 counters = dict.fromkeys(COUNTERS, 0)

@@ -132,62 +132,89 @@ def _reference_area_perimeter(cloud):
 
 
 class TestShadowAreaPerimeter:
-    @settings(max_examples=60, deadline=None)
+    """Area and perimeter of planar shadows: ``shadow_measures(..., steiner=True)``."""
+
+    @settings(max_examples=80, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 5),
+        dim=st.integers(0, 5),
+        m=st.integers(1, 40),
         c=st.integers(1, 12),
-        m=st.integers(3, 200),
         kind=st.sampled_from(["gaussian", "anisotropic", "lattice", "repeated"]),
+        frames=st.booleans(),
     )
-    def test_matches_qhull(self, seed, c, m, kind):
+    def test_matches_qhull(self, seed, n, dim, m, c, kind, frames):
+        # Bodies of every affine dimension d <= n, rotated and moved in R^n:
+        # points, segments, flat bodies and full-dimensional ones, under Haar
+        # frames or pairs of independent Haar lines.  Lattice and repeated
+        # bodies have coincident, collinear and coplanar points, so their
+        # affine dimension may be below d and their facets non-simplicial.
         rng = np.random.default_rng(seed)
-        if kind == "lattice":  # many collinear and coincident points
-            clouds = rng.integers(0, 4, size=(c, m, 2)).astype(float)
+        d = min(dim, n)
+        if kind == "lattice":
+            raw = rng.integers(0, 3, size=(m, d)).astype(float)
         elif kind == "repeated":
-            few = rng.standard_normal((c, 4, 2))
-            clouds = few[:, rng.integers(0, 4, size=m)]
+            raw = rng.standard_normal((4, d))[rng.integers(0, 4, size=m)]
         else:
-            clouds = rng.standard_normal((c, m, 2)) + rng.uniform(-5, 5, size=(c, 1, 2))
+            raw = rng.standard_normal((m, d))
             if kind == "anisotropic":
-                clouds *= [1.0, 10.0 ** rng.uniform(-4, 0)]
-        area, perimeter = B.shadow_area_perimeter(clouds)
-        for t in range(c):
-            ref_area, ref_perimeter = _reference_area_perimeter(clouds[t])
+                raw *= 10.0 ** rng.uniform(-2, 0, d)
+        rotation = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        p = B.Polytope(n, raw @ rotation[:d] + rng.uniform(-5, 5, n))
+        s = SeededSampler(seed % 1000)
+        maps = (haar_bases_batch(n, 2, c, s) if frames else
+                np.swapaxes(haar_unit_vectors(n, 2 * c, s).reshape(c, 2, n), 1, 2))
+        trace.reset()
+        got = B.shadow_measures(p, maps, steiner=True)
+        assert trace.counters["shadow_rows_edges"] + trace.counters["shadow_rows_edge_ties"] == c
+        for t, image in enumerate(p.vertices @ maps):
+            ref_area, ref_perimeter = _reference_area_perimeter(image)
             # Qhull's own area of a thin triangle is off by up to ~6e-13
             # relative (against exact rational arithmetic), hence the floor.
-            span = np.ptp(clouds[t], axis=0).max()
-            assert area[t] == pytest.approx(ref_area, rel=1e-12, abs=1e-12 * span**2)
-            assert perimeter[t] == pytest.approx(ref_perimeter, rel=1e-12)
+            span = np.ptp(image, axis=0).max()
+            assert got[t, 0] == pytest.approx(ref_area, rel=1e-12, abs=1e-12 * span**2)
+            assert got[t, 1] == pytest.approx(ref_perimeter, rel=1e-12)
 
     def test_degenerate_rows(self):
-        clouds = np.array([
-            [[0, 0], [3, 4], [1.5, 2], [3, 4], [0, 0], [0.3, 0.4]],  # collinear, duplicates
-            [[2, -1]] * 6,                                             # coincident
-            [[0, 0], [1, 0], [0, 1], [1, 1], [0, 0], [0.5, 0.5]],     # full, for contrast
-        ], dtype=float)
-        area, perimeter = B.shadow_area_perimeter(clouds)
-        assert area.tolist() == [0.0, 0.0, pytest.approx(1.0, rel=1e-15)]
-        assert perimeter.tolist() == [pytest.approx(10.0, rel=1e-15), 0.0,
-                                      pytest.approx(4.0, rel=1e-15)]
+        # A segment and a square with repeated and inner points, and a
+        # repeated point, in R^2 under the identity.
+        bodies = [B.Polytope(2, [[0, 0], [3, 4], [1.5, 2], [3, 4], [0, 0], [0.3, 0.4]]),
+                  B.Polytope(2, [[2, -1]] * 6),
+                  B.Polytope(2, [[0, 0], [1, 0], [0, 1], [1, 1], [0, 0], [0.5, 0.5]])]
+        got = [B.shadow_measures(p, np.eye(2)[None], steiner=True)[0, :2].tolist() for p in bodies]
+        assert got == [[0.0, pytest.approx(10.0, rel=1e-15)], [0.0, 0.0],
+                       [pytest.approx(1.0, rel=1e-15), pytest.approx(4.0, rel=1e-15)]]
 
     def test_blocks_match_single_rows(self, rng):
-        # 300 clouds of 200 points span several blocks; rows must not interact.
-        clouds = rng.standard_normal((300, 200, 2))
-        clouds[::7] = clouds[::7, :1]                      # coincident rows
-        clouds[3::7, :, 1] = 2.0 * clouds[3::7, :, 0]      # collinear rows
-        assert 300 > B._SHADOW_BLOCK // 200
-        area, perimeter = B.shadow_area_perimeter(clouds)
+        # 300 maps span several of the edge test's row blocks, and every 7th
+        # one, with a zero column, gives a segment image, a tied row measured
+        # by Qhull; rows must not interact.
+        p = B.Polytope(3, rng.standard_normal((200, 3)))
+        maps = haar_bases_batch(3, 2, 300, SeededSampler(19))
+        maps[::7, :, 1] = 0.0
+        d, _, e = p._edge_tables.wedges.shape
+        assert 300 > max(8, B._EDGE_BLOCK // (d * e))
+        trace.reset()
+        got = B.shadow_measures(p, maps, steiner=True)
+        assert trace.counters["shadow_rows_edge_ties"] == len(range(0, 300, 7))
         for t in range(0, 300, 13):
-            single = B.shadow_area_perimeter(clouds[t:t + 1])
-            assert (area[t], perimeter[t]) == (single[0][0], single[1][0])
+            single = B.shadow_measures(p, maps[t:t + 1], steiner=True)[0]
+            np.testing.assert_allclose(got[t], single, rtol=1e-14, atol=0)
 
     def test_one_and_two_points(self):
-        area, perimeter = B.shadow_area_perimeter(np.array([[[1.0, 2.0]], [[-3.0, 0.5]]]))
-        assert area.tolist() == [0.0, 0.0] and perimeter.tolist() == [0.0, 0.0]
-        area, perimeter = B.shadow_area_perimeter(np.array([[[0.0, 0.0], [3.0, 4.0]],
-                                                            [[1.0, 1.0], [1.0, 1.0]]]))
-        assert area.tolist() == [0.0, 0.0]
-        assert perimeter.tolist() == [pytest.approx(10.0, rel=1e-15), 0.0]
+        # A point, two coincident points and a segment in R^2-R^4: area 0,
+        # and the perimeter of the segment's image is twice its length.
+        for n in (2, 3, 4):
+            maps = haar_bases_batch(n, 2, 16, SeededSampler(n))
+            start, end = np.arange(n, dtype=float), np.linspace(-1.0, 2.0, n)
+            length = np.linalg.norm((end - start) @ maps, axis=1)
+            for vertices, perimeter in [([start], 0.0), ([start, start], 0.0),
+                                        ([start, end], 2.0 * length)]:
+                p = B.Polytope(n, vertices)
+                assert B.shadow_measures(p, maps).tolist() == [0.0] * 16
+                got = B.shadow_measures(p, maps, steiner=True)
+                np.testing.assert_allclose(got[:, 1], perimeter, rtol=1e-15, atol=0)
 
 
 def _large_body_clouds(seed):
@@ -479,7 +506,7 @@ class TestCertifiedMembership:
         assert trace.counters == {"certified_inside": 2, "certified_outside": 2,
                                   "sent_to_wolfe": 2, "audited": 0, "audit_mismatches": 0,
                                   "shadow_rows_cauchy": 0, "shadow_rows_edges": 0,
-                                  "shadow_rows_edge_ties": 0, "shadow_rows_gift_wrapped": 0,
+                                  "shadow_rows_edge_ties": 0,
                                   "shadow_rows_qhull": 0, "qhull_joggled": 0, "claim23_scalar_rows": 0,
                                   "wolfe_max_iter_rows": 0}
 
@@ -706,6 +733,26 @@ class TestFaceRecord:
             assert np.array_equal(f.origins, v[f.edges[:, 0]].T)
             assert np.allclose(f.origins + f.steps, v[f.edges[:, 1]].T, rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("p", [
+        B.make_cube(3), B.make_cube(5), B.make_crosspolytope(4),
+        B.minkowski_segment(B.make_simplex(3), [0.3, -0.2, 1.0], 1.5),
+        B.Polytope(4, np.random.default_rng(11).integers(0, 3, (40, 4)).astype(float)),
+        B.Polytope(3, np.random.default_rng(12).standard_normal((300, 3))),
+    ], ids=repr)
+    def test_merged_facets_follow_the_dense_rule(self, p):
+        # Each Qhull row merges into the first row within 1e-12 of it in
+        # every coordinate of [normal, offset / scale], as an (S, S) table of
+        # coordinate gaps finds it; these bodies have non-simplicial facets
+        # (the random cloud for contrast).
+        eq = ConvexHull(p.vertices).equations
+        rows = np.hstack([eq[:, :-1], eq[:, -1:] / B._hull_scale(p)])
+        gap = np.abs(rows[:, None, :] - rows[None, :, :]).max(axis=2)
+        label = np.argmax(gap <= B._COPLANAR_TOL, axis=1)
+        first = label == np.arange(len(eq))
+        f = p.faces
+        assert np.array_equal(f.facets, np.cumsum(first)[label] - 1)
+        assert np.array_equal(f.a, eq[first, :-1]) and np.array_equal(f.b, -eq[first, -1])
+
     def test_flat_and_low_dimensional_bodies_have_none(self):
         assert B.Polytope(3, [[0.0, 0, 0], [1, 0, 0], [0, 1, 0]]).faces is None
         assert B.Polytope(1, [[0.0], [2.0]]).faces is None
@@ -735,7 +782,10 @@ class TestRawVolume:
     ])
     def test_degenerate_clouds_are_zero_without_qhull(self, monkeypatch, cloud):
         monkeypatch.setattr(B, "ConvexHull", lambda *a, **k: pytest.fail("Qhull called"))
-        assert B._raw_volume(np.asarray(cloud)) == 0.0
+        volume, boundary = B._raw_hull(np.asarray(cloud))
+        assert volume == 0.0
+        # Only a planar segment has a boundary: itself, traversed both ways.
+        assert boundary == (pytest.approx(4.0, rel=1e-15) if len(cloud[0]) == 2 else 0.0)
 
     def test_qhull_error_on_full_rank_cloud_propagates(self, monkeypatch):
         def fail(*args, **kwargs):
@@ -743,10 +793,12 @@ class TestRawVolume:
 
         monkeypatch.setattr(B, "ConvexHull", fail)
         with pytest.raises(QhullError):
-            B._raw_volume(B.make_simplex(3).vertices)
+            B._raw_hull(B.make_simplex(3).vertices)
 
     def test_full_rank_cloud(self):
-        assert B._raw_volume(B.make_simplex(3).vertices) == pytest.approx(1 / 6, rel=1e-12)
+        volume, area = B._raw_hull(B.make_simplex(3).vertices)
+        assert volume == pytest.approx(1 / 6, rel=1e-12)
+        assert area == pytest.approx(1.5 + math.sqrt(3) / 2, rel=1e-12)
 
 
 def _shadow_case(case: str):
@@ -763,7 +815,7 @@ def _shadow_case(case: str):
         "solids-r4": (r4, haar_bases_batch(4, 3, 64, s), "shadow_rows_qhull"),
         "planes-r3": (r3, haar_bases_batch(3, 2, 64, s), "shadow_rows_cauchy"),
         "line-pairs": (r3, line_pairs, "shadow_rows_cauchy"),
-        "flat-line-pairs": (B.Polytope(3, quad), line_pairs, "shadow_rows_gift_wrapped"),
+        "flat-line-pairs": (B.Polytope(3, quad), line_pairs, "shadow_rows_edges"),
         "flat-solids": (B.Polytope(4, np.pad(quad, ((0, 0), (0, 1)))),
                         haar_bases_batch(4, 3, 64, s), "shadow_rows_qhull"),
     }[case]
@@ -776,7 +828,8 @@ class TestShadowMeasures:
         p, maps, counter = _shadow_case(case)
         trace.reset()
         got = B.shadow_measures(p, maps)
-        loop = np.array([B._raw_volume(p.vertices @ m) for m in maps])
+        loop = np.array([np.ptp(x) if x.shape[1] == 1 else B._raw_hull(x)[0]
+                         for x in p.vertices @ maps])
         np.testing.assert_allclose(got, loop, rtol=1e-12, atol=1e-15)
         # One path per call, and every row counted on it (widths are not counted).
         assert {key: v for key, v in trace.counters.items() if v} == (
@@ -854,17 +907,20 @@ class TestEdgeShadows:
             steps = p.vertices[edges[:, 1]] - p.vertices[edges[:, 0]]
             assert np.array_equal(np.abs(steps).sum(axis=1), np.ones(count))
 
-    def test_edge_seen_end_on_falls_back(self):
+    def test_edge_seen_end_on_falls_back(self, monkeypatch):
         # Zeroing the first row of a frame sends cube4's edges along e_1 to
-        # points: every value of those edges is 0, so the row is tied.
+        # points: every value of those edges is 0, so the row is tied and
+        # measured by Qhull, one call per tied image.
         p = B.make_cube(4)
         maps = haar_bases_batch(4, 2, 8, SeededSampler(17))
         maps[4:] = np.pad(haar_bases_batch(3, 2, 4, SeededSampler(18)), ((0, 0), (1, 0), (0, 0)))
+        p._edge_tables  # builds the face record before Qhull calls are counted
+        calls = _counting_qhull(monkeypatch)
         trace.reset()
         got = B.shadow_measures(p, maps, steiner=True)
-        c = trace.counters
-        assert (c["shadow_rows_edges"], c["shadow_rows_edge_ties"],
-                c["shadow_rows_gift_wrapped"]) == (4, 4, 4)
+        assert {key: v for key, v in trace.counters.items() if v} == {
+            "shadow_rows_edges": 4, "shadow_rows_edge_ties": 4}
+        assert calls == [(16, 2)] * 4
         expected = [[h.volume, h.area, math.pi] for h in map(ConvexHull, p.vertices @ maps)]
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
 

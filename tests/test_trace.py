@@ -59,8 +59,8 @@ def test_counters_add_up_per_call():
 def test_shadow_rows_by_path(suite, edges):
     # hadwiger's bodies are full-dimensional in R^3, so every planar shadow
     # goes through Cauchy's formula; kubota also projects the R^4 cube onto
-    # planes, which the edge test measures with no tied row, so nothing is
-    # gift-wrapped.  A call adds its whole row count, so each total is a
+    # planes, which the edge test measures with no tied row, so no row
+    # reaches Qhull.  A call adds its whole row count, so each total is a
     # multiple of the budget.
     samples = 1024
     cfg = RunConfig(seed=1234, samples=samples)
@@ -70,7 +70,7 @@ def test_shadow_rows_by_path(suite, edges):
     assert c["shadow_rows_cauchy"] > 0 and c["shadow_rows_cauchy"] % samples == 0
     assert c["shadow_rows_edges"] % samples == 0
     assert (c["shadow_rows_edges"] > 0) == edges
-    assert c["shadow_rows_edge_ties"] == c["shadow_rows_gift_wrapped"] == 0
+    assert c["shadow_rows_edge_ties"] == c["shadow_rows_qhull"] == 0
     # The counters never reach the report: a second run, which starts from
     # nonzero counters, writes the same bytes.
     assert run_suite(suite, cfg).to_json() == report

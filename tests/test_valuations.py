@@ -90,13 +90,13 @@ class TestEvaluate:
     @pytest.mark.parametrize("i", [1, 2])
     def test_crofton_lines_and_planes_have_no_per_sample_loop(self, monkeypatch, i):
         for module in (B, V):
-            monkeypatch.setattr(module, "_raw_volume", lambda x: pytest.fail("per-sample loop"),
+            monkeypatch.setattr(module, "_raw_hull", lambda x: pytest.fail("per-sample loop"),
                                 raising=False)
         est = V.evaluate(V.CroftonVal(T.constant_gfunction(3, i), i), B.make_cube(3),
                          4096, SeededSampler(3))
         assert est.value > 0.0
 
-    def test_crofton_planes_in_r3_take_cauchy_and_match_gift_wrapping(self, monkeypatch):
+    def test_crofton_planes_in_r3_take_cauchy_and_match_per_image_qhull(self, monkeypatch):
         seen = []
         mean = V.mean_and_stderr
         monkeypatch.setattr(V, "mean_and_stderr", lambda vals: (seen.append(vals.copy()), mean(vals))[1])
@@ -106,8 +106,8 @@ class TestEvaluate:
         used = {key: v for key, v in trace.counters.items() if v}
         assert used == {"shadow_rows_cauchy": budget}
         bases = haar_bases_batch(3, 2, budget, s.substream(0))
-        wrapped = B.shadow_area_perimeter(cube.vertices @ bases)[0]
-        np.testing.assert_allclose(seen[0], 0.5 * wrapped, rtol=1e-12, atol=0)
+        hulls = [ConvexHull(x).volume for x in cube.vertices @ bases]
+        np.testing.assert_allclose(seen[0], 0.5 * np.array(hulls), rtol=1e-12, atol=0)
 
     def test_translation_invariance(self):
         cube = B.make_cube(3)
@@ -456,7 +456,7 @@ class TestProportionality:
     @pytest.mark.parametrize("body, path", [
         (B.make_cube(3), "shadow_rows_cauchy"),
         (B.make_simplex(3), "shadow_rows_cauchy"),
-        (B.Polytope(3, [[0, 0, 0], [2, 0, 0], [0, 1, 0], [1.5, 1.5, 0]]), "shadow_rows_gift_wrapped"),
+        (B.Polytope(3, [[0, 0, 0], [2, 0, 0], [0, 1, 0], [1.5, 1.5, 0]]), "shadow_rows_edges"),
     ])
     def test_v1_power_square_per_sample_matches_qhull(self, monkeypatch, body, path):
         # One chunk: every per-sample area against Qhull on the same draws.
