@@ -114,12 +114,17 @@ class Polytope:
 
     @cached_property
     def _flat(self) -> tuple["Polytope", np.ndarray]:
-        """(Q, F) for a flat P of affine dimension d: the rows of the (d, n)
-        array F are an orthonormal basis of the directions of P's affine hull,
-        and Q is P in those coordinates, so P M is a translate of Q (F M)."""
-        centered = self.vertices - self.vertices.mean(axis=0)
-        frame = np.linalg.svd(centered, full_matrices=False)[2][:self.affine_dim]
-        return Polytope(self.affine_dim, centered @ frame.T), frame
+        """(Q, F) for a flat P: Q is P in orthonormal coordinates, the rows of
+        F, of the affine hull of its vertices, so P M is a translate of Q (F M).
+        Their affine rank may be below P's affine dimension, taken from every
+        input point; Q is full dimensional or of affine dimension <= 1."""
+        q, frame = self, np.eye(self.ambient_dim)
+        while 2 <= q.affine_dim < q.ambient_dim:
+            centered = q.vertices - q.vertices.mean(axis=0)
+            _, sv, vt = np.linalg.svd(centered, full_matrices=False)
+            basis = vt[:_affine_rank(sv)]
+            q, frame = Polytope(len(basis), centered @ basis.T), basis @ frame
+        return q, frame
 
     @cached_property
     def _edge_tables(self) -> "_EdgeTables":
@@ -385,13 +390,13 @@ def _raw_hull(points: np.ndarray) -> tuple[float, float]:
     both ways, and 0 for a point (and for every flat cloud with k >= 3)."""
     k = points.shape[1]
     centered = points - points.mean(axis=0)
-    rank = _affine_rank(np.linalg.svd(centered, compute_uv=False))
+    _, sv, vt = np.linalg.svd(centered, full_matrices=False)
+    rank = _affine_rank(sv)
     if rank == k:
         hull = ConvexHull(points)
         return float(hull.volume), float(hull.area)
     if k == 2 and rank == 1:
-        direction = np.linalg.svd(centered, full_matrices=False)[2][0]
-        return 0.0, 2.0 * float(np.ptp(centered @ direction))
+        return 0.0, 2.0 * float(np.ptp(centered @ vt[0]))
     return 0.0, 0.0
 
 
@@ -407,8 +412,9 @@ def shadow_measures(p: Polytope, maps: np.ndarray, steiner: bool = False) -> np.
       vector (``cauchy_shadow_volumes``);
     * every other k = 2: the edge test (``_edge_shadows``), which measures
       its tied rows by Qhull per image; a flat P of affine dimension d >= 2
-      is measured as ``P._flat``'s Q in R^d under the maps F M, a segment s
-      (d = 1) has area 0 and perimeter 2 |s M|, and a point (0, 0);
+      is measured as ``P._flat``'s Q under the maps F M, a segment s (d = 1,
+      or Q of affine dimension 1) has area 0 and perimeter 2 |s M|, and a
+      point (0, 0);
     * k >= 3: Qhull per image (``_raw_hull``).
 
     With ``steiner`` (k <= 2) it returns, as a (c, k + 1) array, the
@@ -426,14 +432,13 @@ def shadow_measures(p: Polytope, maps: np.ndarray, steiner: bool = False) -> np.
         width = supports.max(axis=0) - supports.min(axis=0)
         return np.column_stack([width, np.full(c, 2.0)]) if steiner else width
     if k == 2:
-        d = p.affine_dim
-        if not steiner and n == 3 and d == 3:
+        if not steiner and n == 3 and p.affine_dim == 3:
             return cauchy_shadow_volumes(p, np.cross(maps[..., 0], maps[..., 1]))
-        if d == n:
+        if 2 <= p.affine_dim < n:
+            p, frame = p._flat
+            maps = frame @ maps
+        if p.affine_dim >= 2:
             area, perimeter = _edge_shadows(p, maps, steiner)
-        elif d >= 2:
-            q, frame = p._flat
-            area, perimeter = _edge_shadows(q, frame @ maps, steiner)
         else:  # the step is 0 for a point
             area = np.zeros(c)
             step = p.vertices[-1] - p.vertices[0]

@@ -139,32 +139,38 @@ class TestShadowAreaPerimeter:
         seed=st.integers(0, 2**32 - 1),
         n=st.integers(2, 5),
         dim=st.integers(0, 5),
-        m=st.integers(1, 40),
+        m=st.integers(1, 200),
         c=st.integers(1, 12),
         kind=st.sampled_from(["gaussian", "anisotropic", "lattice", "repeated"]),
         frames=st.booleans(),
+        squash=st.booleans(),
     )
-    def test_matches_qhull(self, seed, n, dim, m, c, kind, frames):
+    def test_matches_qhull(self, seed, n, dim, m, c, kind, frames, squash):
         # Bodies of every affine dimension d <= n, rotated and moved in R^n:
         # points, segments, flat bodies and full-dimensional ones, under Haar
         # frames or pairs of independent Haar lines.  Lattice and repeated
         # bodies have coincident, collinear and coplanar points, so their
         # affine dimension may be below d and their facets non-simplicial.
+        # Anisotropic bodies are squashed by up to 1e-4 along each axis, and
+        # with ``squash`` so is the second column of each map, which makes
+        # thin images also of round bodies.
         rng = np.random.default_rng(seed)
         d = min(dim, n)
         if kind == "lattice":
-            raw = rng.integers(0, 3, size=(m, d)).astype(float)
+            raw = rng.integers(0, 4, size=(m, d)).astype(float)
         elif kind == "repeated":
             raw = rng.standard_normal((4, d))[rng.integers(0, 4, size=m)]
         else:
             raw = rng.standard_normal((m, d))
             if kind == "anisotropic":
-                raw *= 10.0 ** rng.uniform(-2, 0, d)
+                raw *= 10.0 ** rng.uniform(-4, 0, d)
         rotation = np.linalg.qr(rng.standard_normal((n, n)))[0]
         p = B.Polytope(n, raw @ rotation[:d] + rng.uniform(-5, 5, n))
         s = SeededSampler(seed % 1000)
         maps = (haar_bases_batch(n, 2, c, s) if frames else
                 np.swapaxes(haar_unit_vectors(n, 2 * c, s).reshape(c, 2, n), 1, 2))
+        if squash:
+            maps[..., 1] *= 10.0 ** rng.uniform(-4, 0, (c, 1))
         trace.reset()
         got = B.shadow_measures(p, maps, steiner=True)
         assert trace.counters["shadow_rows_edges"] + trace.counters["shadow_rows_edge_ties"] == c
@@ -201,6 +207,28 @@ class TestShadowAreaPerimeter:
         for t in range(0, 300, 13):
             single = B.shadow_measures(p, maps[t:t + 1], steiner=True)[0]
             np.testing.assert_allclose(got[t], single, rtol=1e-14, atol=0)
+
+    def test_slab_flat_only_by_its_vertices(self):
+        # A 2000 x 2000 x 1.6e-6 slab in R^4: 4000 points on its two faces
+        # give it affine dimension 3, but its eight corners alone, 8e-10 as
+        # thick as wide, have affine rank 2.  It is measured as the square
+        # its corners leave in their plane, which is the square at z = 0.
+        rng = np.random.default_rng(5)
+        a, h = 1000.0, 0.8e-6
+        corners = np.array([[x, y, z] for x in (-a, a) for y in (-a, a) for z in (-h, h)])
+        faces = np.column_stack([rng.uniform(-0.9 * a, 0.9 * a, (4000, 2)),
+                                 rng.choice([-h, h], 4000)])
+        p = B.Polytope(4, np.pad(np.vstack([corners, faces]), ((0, 0), (0, 1))))
+        centered = p.vertices - p.vertices.mean(axis=0)
+        assert (p.affine_dim, p.n_vertices) == (3, 8)
+        assert B._affine_rank(np.linalg.svd(centered, compute_uv=False)) == 2
+        maps = haar_bases_batch(4, 2, 16, SeededSampler(3))
+        trace.reset()
+        got = B.shadow_measures(p, maps, steiner=True)
+        assert {key: v for key, v in trace.counters.items() if v} == {"shadow_rows_edges": 16}
+        square = np.pad(corners[::2, :2], ((0, 0), (0, 2)))
+        expected = [[h.volume, h.area, math.pi] for h in map(ConvexHull, square @ maps)]
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
 
     def test_one_and_two_points(self):
         # A point, two coincident points and a segment in R^2-R^4: area 0,
