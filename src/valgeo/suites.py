@@ -24,13 +24,14 @@ from .errors import PolynomialFitError
 from .grassmann import (
     SeededSampler,
     Subspace,
+    _check_orthonormal,
+    _complement,
     coordinate_subspace,
     cos_angle,
-    cos_angle_batch,
+    cos_from_products,
     haar_frames,
     haar_subspace,
     orthocomplement,
-    orthocomplement_batch,
     orthonormal_basis,
     span_sum,
     zero_subspace,
@@ -225,8 +226,16 @@ def _angle_laws(n: int, s: SeededSampler) -> tuple[float, float, float, float]:
 
     Trial t draws E in Gr_i then F in Gr_j, with i = 1 + t mod (n-1) and
     j = 1 + (t div 7) mod (n-1), from the Gaussian stream that per-trial
-    ``haar_subspace`` calls read.  The trials are drawn in one call and
-    evaluated in stacks, one stack per (i, j).
+    ``haar_subspace`` calls read.  The trials are drawn in one call.  For
+    each dimension k, the chain E, E^perp, E^perp^perp of every E with i = k
+    is built once, as one stack per level, and each level is checked for
+    orthonormality once.  So is F, ..., F^perp^perp^perp for the F with
+    j = k: one level more, because sin(E^perp, F^perp) =
+    cos(E^perp, F^perp^perp) is taken on the next level down when
+    dim E^perp > dim F.  The laws are then evaluated in stacks, one per
+    (i, j), on rows of those chains.  Frames and complements round each row
+    as they would alone, so every cosine equals ``cos_angle`` on the same
+    trial bit for bit.
     """
     t = np.arange(100)
     i = 1 + t % (n - 1)
@@ -234,22 +243,44 @@ def _angle_laws(n: int, s: SeededSampler) -> tuple[float, float, float, float]:
     ends = np.cumsum(n * (i + j))
     g = s.standard_normal(int(ends[-1]))
     starts = ends - n * (i + j)
+
+    def chain(dims, offsets, k, levels):
+        rows = np.flatnonzero(dims == k)
+        links = [haar_frames(g[offsets[rows, None] + np.arange(n * k)].reshape(-1, n, k))]
+        _check_orthonormal(links[0])
+        while len(links) < levels:
+            links.append(_complement(links[-1]))
+            _check_orthonormal(links[-1])
+        place = np.zeros(len(t), dtype=int)
+        place[rows] = np.arange(len(rows))
+        return links, place
+
+    # Every chain level has a dimension in 1..n-1, so no cosine is the
+    # empty product that ``_cos`` returns for dim 0 or a full second space.
+    chains_e = {k: chain(i, starts, k, 3) for k in range(1, n)}
+    chains_f = {k: chain(j, starts + n * i, k, 4) for k in range(1, n)}
+
+    def cos(x, p, y, q):
+        """cos of level p of chain x and level q of chain y by ``_cos``'s rule:
+        one level down both chains when the first space is the larger."""
+        if x[p].shape[2] > y[q].shape[2]:
+            p, q = p + 1, q + 1
+        return cos_from_products(np.swapaxes(y[q], 1, 2) @ x[p])
+
     sym = perp = branch = beyond = 0.0
     for a, b in sorted(set(zip(i.tolist(), j.tolist()))):
         rows = np.flatnonzero((i == a) & (j == b))
-        e = haar_frames(np.stack([g[starts[r]:starts[r] + n * a].reshape(n, a) for r in rows]))
-        f = haar_frames(np.stack([g[starts[r] + n * a:ends[r]].reshape(n, b) for r in rows]))
-        oce, ocf = orthocomplement_batch(e), orthocomplement_batch(f)
-        ce, cf = cos_angle_batch(e, f), cos_angle_batch(f, e)
-        cp = cos_angle_batch(oce, ocf)
-        se, sf = cos_angle_batch(e, ocf), cos_angle_batch(f, oce)
-        sp = cos_angle_batch(oce, orthocomplement_batch(ocf))
+        (links_e, place_e), (links_f, place_f) = chains_e[a], chains_f[b]
+        e = [link[place_e[rows]] for link in links_e]
+        f = [link[place_f[rows]] for link in links_f]
+        ce, cf, cp = cos(e, 0, f, 0), cos(f, 0, e, 0), cos(e, 1, f, 1)
+        se, sf, sp = cos(e, 0, f, 1), cos(f, 0, e, 1), cos(e, 1, f, 2)
         sym = max(sym, np.abs(ce - cf).max(), np.abs(se - sf).max())
         perp = max(perp, np.abs(ce - cp).max(), np.abs(se - sp).max())
         vals = np.concatenate([ce, cf, cp, se, sf, sp])
         beyond = max(beyond, (-vals).max(), (vals - 1.0).max())
         if a == b:
-            sv = np.linalg.svd(np.swapaxes(f, 1, 2) @ e, compute_uv=False)
+            sv = np.linalg.svd(np.swapaxes(f[0], 1, 2) @ e[0], compute_uv=False)
             branch = max(branch, np.abs(np.prod(sv, axis=-1) - cp).max())
     return float(sym), float(perp), float(branch), float(beyond)
 

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 
 from ._harmonics import (
     _weight_normalizer,
@@ -192,6 +191,10 @@ def funk_hecke_cosine_eigen(n: int, d: int) -> float:
     kink at 0, so the integral is taken adaptively on [0, 1] (the integrand
     is even for even d).
     """
+    # Imported by its only user: the import takes about 0.2 s, and most
+    # runs never get here.
+    from scipy import integrate
+
     if d % 2 != 0 or d < 0:
         raise DimensionError("even nonnegative degree required")
     if n < 2:

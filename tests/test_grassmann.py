@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.stats import ks_2samp
 
+from valgeo import suites
 from valgeo.base import mean_and_stderr, unit_ball_volume
 from valgeo.errors import DimensionError, RankError
 from valgeo.grassmann import (
@@ -418,6 +419,29 @@ class TestBatchedAngleLaws:
         for n in range(2, 8):
             batched = _angle_laws(n, SeededSampler(seed, stream_id=n))
             assert batched == reference_angle_laws(n, SeededSampler(seed, stream_id=n))
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("step", ["haar_frames", "_complement"])
+    def test_every_chain_level_is_checked(self, monkeypatch, n, step):
+        # The law loop builds 2 frame stacks and 5 complement stacks per
+        # dimension k in 1..n-1.  Whichever one call returns a basis with a
+        # column 0.1% too long, the loop must refuse it.
+        real = getattr(suites, step)
+        calls = 2 * (n - 1) if step == "haar_frames" else 5 * (n - 1)
+        for bad_call in range(calls):
+            made = []
+
+            def corrupt(bases):
+                out = real(bases)
+                if len(made) == bad_call:
+                    out[:, :, -1] *= 1.001
+                made.append(out)
+                return out
+
+            monkeypatch.setattr(suites, step, corrupt)
+            with pytest.raises(ValueError):
+                _angle_laws(n, SeededSampler(7, stream_id=n))
+            assert len(made) == bad_call + 1
 
 
 def _orthonormal_stack(rng, count, n, k):

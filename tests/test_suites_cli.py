@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from valgeo import bodies as B
+from valgeo import suites
 from valgeo import valuations as V
 from valgeo.cli import main
 from valgeo.suites import (
@@ -119,6 +120,28 @@ class TestSuites:
         report = run_suite("kubota", RunConfig(seed=1234))
         failed = [r["name"] for r in report.records if not r["pass"]]
         assert failed == ["kubota/cube4/V2"]
+
+    def test_angle_complement_law_catches_a_tilted_complement(self, monkeypatch):
+        # Criterion 1.  Each complement the law loop builds is rotated by
+        # 1e-8 in the plane of its first column and the first column of its
+        # input: still orthonormal, so the orthonormality check passes it,
+        # but no longer orthogonal to the input.  The complement law reads
+        # 1e-8 to 3e-8 on seeds 1234, 5, 9 and 77, against a 1e-10 tolerance.
+        # A common rotation of every complement would not do: the laws are
+        # rotation invariant, and only the symmetry law would see it.
+        assert run_suite("angles", RunConfig(seed=1234)).passed
+        complement = suites._complement
+
+        def tilted(bases):
+            comp = complement(bases)
+            comp[:, :, 0] += 1e-8 * bases[:, :, 0]
+            return comp
+
+        monkeypatch.setattr(suites, "_complement", tilted)
+        report = run_suite("angles", RunConfig(seed=1234))
+        laws = [r for r in report.records if r["name"].endswith("/complement")]
+        assert len(laws) == 4
+        assert not any(r["pass"] for r in laws)
 
     # Criterion 6's fitted-scalar residual against a non-proportional error
     # of a few percent on the formula side: the formula at L times
@@ -276,8 +299,6 @@ class TestCli:
     def test_mid_suite_errors_not_masked(self, monkeypatch):
         # Only the up-front checks map to exit 2; a failure inside a suite
         # still surfaces as an exception.
-        from valgeo import suites
-
         def broken(cfg):
             raise ValueError("raised mid-suite")
 
