@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from valgeo import bodies as B
 from valgeo import suites
+from valgeo import transforms as T
 from valgeo import valuations as V
 from valgeo.cli import main
 from valgeo.suites import (
@@ -173,6 +175,34 @@ class TestSuites:
         report = run_suite("lemma24", RunConfig(seed=1234))
         (record,) = [r for r in report.records if r["name"] == "lemma24/fitted-scalar-residual"]
         assert not record["pass"]
+
+    # Criterion 7: the Lefschetz probe at 200 000 samples, seed 1234.
+
+    def test_lefschetz_scalars_catch_lines_not_in_the_hyperplane(self, monkeypatch):
+        # With l = v instead of a line in v^perp the probe measures the
+        # cosine transform alone, so every degree d >= 2 loses its Radon
+        # factor G_d(0) and its scalar misses the oracle by far.
+        monkeypatch.setattr(T, "unit_vectors_orthogonal_to", lambda v, s: v)
+        report = run_suite("lefschetz", RunConfig(seed=1234, samples=200_000))
+        failed = [r["name"] for r in report.records if not r["pass"]]
+        assert any(name.startswith("lefschetz/scalar-vs-oracle/d=") and
+                   not name.endswith("d=0") for name in failed), failed
+
+    def test_lefschetz_catches_a_mis_normalised_block(self, monkeypatch):
+        # The degree-2 harmonics scaled by 1.1 are no longer orthonormal:
+        # the degree-2 block of the operator matrix grows by 1.21.
+        blocks = T.even_harmonic_blocks
+
+        def scaled(n, d_max):
+            basis = blocks(n, d_max)
+            return replace(basis, blocks=tuple(
+                replace(b, coefficients=1.1 * b.coefficients) if b.degree == 2 else b
+                for b in basis.blocks))
+
+        assert run_suite("lefschetz", RunConfig(seed=1234, samples=200_000)).passed
+        monkeypatch.setattr(T, "even_harmonic_blocks", scaled)
+        report = run_suite("lefschetz", RunConfig(seed=1234, samples=200_000))
+        assert not report.passed
 
     def test_reports_byte_identical(self):
         cfg = RunConfig(seed=3, samples=2000, dimensions=[3])
