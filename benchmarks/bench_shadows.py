@@ -4,18 +4,20 @@ For each input it times per-sample Qhull, the edge test as
 ``shadow_measures(..., steiner=True)`` takes it (area and perimeter, as
 lambda asks for them; the body's tables are built before timing) and, for
 full-dimensional bodies in R^3, Cauchy's formula ``cauchy_shadow_volumes``,
-and prints the largest relative disagreement with Qhull.  The inputs are
+and prints the largest disagreement with Qhull.  The inputs are
 full-dimensional bodies in R^3 and R^4, a polygon in R^2 and two flat
 bodies, which the edge test measures in coordinates of their affine hulls.
 A thin image (two nearly parallel lines in the plane, a flat body seen
 nearly edge-on) loses digits in both Qhull and the edge test, about
-eps span^2 / area relative, which is why those rows read near 1e-13.
-Cauchy's formula stays an order of magnitude ahead of the others, which is
-why ``shadow_measures`` takes it for full-dimensional R^3 bodies when no
-perimeter is wanted.  The script exits with an error if the edge test or
-Cauchy's formula disagrees with Qhull by more than 1e-12 relative, in area
-or, for the edge test, in perimeter, or if the edge test hands a row on to
-Qhull.
+eps span^2 / area relative, with span the image's largest coordinate
+extent.  So each gap is taken, as ``tests/test_bodies.py`` takes it,
+relative to the larger of Qhull's value and span^2 for an area, or span for
+a perimeter.  Cauchy's formula stays an order of magnitude ahead of the
+others, which is why ``shadow_measures`` takes it for full-dimensional R^3
+bodies when no perimeter is wanted.  The script exits with an error if the
+edge test or Cauchy's formula disagrees with Qhull by more than 1e-12 so
+measured, in area or, for the edge test, in perimeter, or if the edge test
+hands a row on to Qhull.
 
 A last table times Cauchy's formula itself on the three clouds of the
 ``large-bodies`` workload (1000 Gaussian points, 150 on the sphere, 300
@@ -108,20 +110,23 @@ def cauchy_blocks(c: int) -> None:
 
 
 def measure(body: Polytope, maps: np.ndarray, normals: np.ndarray | None):
-    """Seconds per path and the largest relative gap to Qhull."""
+    """Seconds per path and the largest gap to Qhull, relative to the larger
+    of Qhull's value and the image's span^2 (area) or span (perimeter)."""
     hulls, t_qhull = timed(lambda: [ConvexHull(x) for x in body.vertices @ maps])
     ref = np.array([[h.volume, h.area] for h in hulls])
+    span = np.ptp(body.vertices @ maps, axis=1).max(axis=1)
+    scale = np.maximum(ref, np.column_stack([span**2, span]))
     shadow_measures(body, maps[:1], steiner=True)  # builds the body's faces and edge tables
     trace.reset()
     edges, t_edges = timed(lambda: shadow_measures(body, maps, steiner=True)[:, :2])
     if trace.counters["shadow_rows_edge_ties"]:
         raise SystemExit("bench_shadows: the edge test handed rows on to Qhull")
-    gap = float(np.abs(edges / ref - 1.0).max())
+    gap = float((np.abs(edges - ref) / scale).max())
     t_cauchy = None
     if normals is not None:
         # The first call on a body includes the Qhull call that builds its faces.
         cauchy, t_cauchy = timed(lambda: cauchy_shadow_volumes(body, normals))
-        gap = max(gap, float(np.abs(cauchy / ref[:, 0] - 1.0).max()))
+        gap = max(gap, float((np.abs(cauchy - ref[:, 0]) / scale[:, 0]).max()))
     if gap > TOL:
         raise SystemExit(f"bench_shadows: disagreement {gap:.1e} with Qhull exceeds {TOL:.0e}")
     return t_qhull, t_edges, t_cauchy, gap
@@ -137,7 +142,7 @@ def run(c: int) -> None:
     s = SeededSampler(SEED, 1)
     print(f"{c} shadows per input; seconds per chunk")
     print(f"{'input':<28} {'verts':>6} {'qhull':>9} {'edges':>9} {'cauchy':>9} "
-          f"{'q/edges':>8} {'max rel':>9}")
+          f"{'q/edges':>8} {'max gap':>9}")
     cube4 = make_cube(4)
     print(row("cube4 2-planes", cube4.n_vertices,
               *measure(cube4, haar_bases_batch(4, 2, c, s.substream(0)), None)))

@@ -1,6 +1,7 @@
 """Benchmark the spectral layer on one Monte-Carlo chunk: LAPACK and einsum
-against closed forms and BLAS matmuls, and the harmonic monomial loop against
-the shared power table; and claim23's random trials, per trial against stacked.
+against closed forms and BLAS matmuls, and the Lefschetz operator's per-block
+harmonic traces against its monomial moment matrix; and claim23's random
+trials, per trial against stacked.
 
 For each shape the lemma22, lemma24, kubota, lambda and lefschetz suites use,
 it times one chunk three ways:
@@ -10,8 +11,14 @@ it times one chunk three ways:
   ``grassmann.cos_angles_with_bases``'s one product of Plucker coordinates;
 * a contraction of a fixed matrix against a (count, n, k) stack by
   ``np.einsum`` and by the matmul the library now uses;
-* ``HarmonicBasis.eval_points`` by the old per-monomial loop over ``x**p``
-  (kept here as the reference) and by the library's power-table gather.
+* ``transforms.operator_matrix_even`` on one chunk, for (n, d_max) in
+  (3, 8), (3, 12) and (4, 8): by the former algorithm (kept here as the
+  reference), which evaluates every harmonic at both lines of each sample and
+  takes each block's scalar as the mean over the block of the products, and
+  by the library's, which accumulates one monomial moment matrix and takes
+  the scalars from the addition theorem.  The matrix, the scalars and their
+  standard errors are each compared.  Both paths build the harmonic basis,
+  and their times include it.
 
 It also times the claim23 suite's 200 default trials (100 for each of n = 5
 and 6) two ways: the per-trial loop of ``haar_subspace`` draws and scalar
@@ -19,8 +26,9 @@ angle functions (kept here as the reference), and the suite's grouped draw
 through ``valuations.claim23_sides``.  Every trial's gap must agree exactly.
 
 It prints the best time of a few repeats for each path and the largest
-relative disagreement between the two, and exits with an error if any
-exceeds 1e-12, or 0 for claim23.  Run:
+relative disagreement between the two (for the operator, the largest over
+its three outputs), and exits with an error if any exceeds 1e-12, or 0 for
+claim23.  Run:
 
     python benchmarks/bench_spectral.py [--samples N] [--repeats R] [--json FILE]
 
@@ -39,7 +47,7 @@ from pathlib import Path
 import numpy as np
 
 from valgeo._harmonics import even_harmonic_blocks
-from valgeo.base import MC_CHUNK, unit_ball_volume
+from valgeo.base import MC_CHUNK, mc_chunks, unit_ball_volume
 from valgeo.bodies import make_cube
 from valgeo.grassmann import (
     SeededSampler,
@@ -52,8 +60,10 @@ from valgeo.grassmann import (
     haar_unit_vectors,
     sin_angle,
     span_sum,
+    unit_vectors_orthogonal_to,
 )
 from valgeo.suites import _claim23_gaps
+from valgeo.transforms import operator_matrix_even
 
 TOL = 1e-12
 SEED = 1234  # the suites' default seed, at which every BENCH_*.json row was recorded
@@ -68,21 +78,37 @@ def best_time(fn, repeats: int) -> float:
     return min(times)
 
 
-def loop_eval_points(basis, x: np.ndarray) -> np.ndarray:
-    """``HarmonicBasis.eval_points`` as a Python loop over each block's
-    monomials, with the powers taken as x**p."""
-    out = []
-    for block in basis.blocks:
-        mono = np.ones((x.shape[0], len(block.exponents)))
-        powers = np.stack([x**p for p in range(block.degree + 1)], axis=0)
-        for t, e in enumerate(block.exponents):
-            col = np.ones(x.shape[0])
-            for i, p in enumerate(e):
-                if p:
-                    col = col * powers[p, :, i]
-            mono[:, t] = col
-        out.append(mono @ block.coefficients.T)
-    return np.hstack(out)
+def per_block_operator(n: int, d_max: int, n_samples: int,
+                       s: SeededSampler) -> tuple[np.ndarray, ...]:
+    """(matrix, scalars, standard errors) of ``operator_matrix_even`` by its
+    former algorithm: both lines' harmonics evaluated block by block and
+    stacked, and each block's scalar the mean over the block of the products,
+    one fancy-indexed block at a time."""
+    basis = even_harmonic_blocks(n, d_max)
+    blocks = [np.nonzero(basis.degrees == b.degree)[0] for b in basis.blocks]
+    m_sum = np.zeros((basis.size, basis.size))
+    tr_sum, tr_sumsq = np.zeros((2, len(blocks)))
+    for _, c, sub in mc_chunks(n_samples, s):
+        w = haar_unit_vectors(n, c, sub)
+        v = haar_unit_vectors(n, c, sub)
+        lines = unit_vectors_orthogonal_to(v, sub)
+        kern = np.abs(np.einsum("ij,ij->i", w, v))
+        yw = np.hstack([b.eval_points(w) for b in basis.blocks])
+        yl = np.hstack([b.eval_points(lines) for b in basis.blocks])
+        m_sum += (yw * kern[:, None]).T @ yl
+        for bi, idx in enumerate(blocks):
+            z = kern * np.mean(yw[:, idx] * yl[:, idx], axis=1)
+            tr_sum[bi] += z.sum()
+            tr_sumsq[bi] += (z**2).sum()
+    scalars = tr_sum / n_samples
+    stderrs = np.sqrt(np.maximum(tr_sumsq / n_samples - scalars**2, 0.0) / n_samples)
+    return m_sum / n_samples, scalars, stderrs
+
+
+def library_operator(n: int, d_max: int, n_samples: int,
+                     s: SeededSampler) -> tuple[np.ndarray, ...]:
+    op = operator_matrix_even(n, d_max, n_samples, s)
+    return op.matrix, op.block_scalars, op.block_scalar_stderrs
 
 
 def loop_claim23_gaps(n: int, trials: int, s: SeededSampler) -> np.ndarray:
@@ -130,13 +156,14 @@ def contraction_cases(c: int, s: SeededSampler):
            lambda: np.swapaxes(_transposed_products(frames, comp.T), 1, 2), None, TOL)
 
 
-def harmonic_cases(c: int, s: SeededSampler):
-    for j, (n, d_max) in enumerate([(3, 8), (3, 12), (4, 8), (4, 12)]):
-        basis = even_harmonic_blocks(n, d_max)
-        x = haar_unit_vectors(n, c, s.substream(10 + j))
-        yield (f"harmonics n={n} d_max={d_max} ({basis.size})",
-               lambda b=basis, x=x: loop_eval_points(b, x),
-               lambda b=basis, x=x: b.eval_points(x), None, TOL)
+def operator_cases(c: int):
+    """The Lefschetz operator on one chunk of c samples, former against
+    library, both from the suite's stream."""
+    for n, d_max in [(3, 8), (3, 12), (4, 8)]:
+        yield (f"operator n={n} d_max={d_max}",
+               lambda n=n, d=d_max: per_block_operator(n, d, c, SeededSampler(SEED, 80)),
+               lambda n=n, d=d_max: library_operator(n, d, c, SeededSampler(SEED, 80)),
+               None, TOL)
 
 
 def claim23_cases():
@@ -155,10 +182,13 @@ def run(c: int, repeats: int) -> dict:
           "(per 200 trials for claim23)")
     print(f"{'case':<40} {'old':>9} {'new':>9} {'old/new':>8} {'max rel':>9}")
     rows, failed = [], []
-    cases = [*contraction_cases(c, s), *harmonic_cases(c, s), *claim23_cases()]
+    cases = [*contraction_cases(c, s), *operator_cases(c), *claim23_cases()]
     for name, old, new, scale, tol in cases:
-        ref, out = old(), new()
-        gap = float(np.max(np.abs(out - ref) / (np.abs(ref).max() if scale is None else scale)))
+        refs, outs = old(), new()
+        if not isinstance(refs, tuple):
+            refs, outs = (refs,), (outs,)
+        gap = max(float(np.max(np.abs(out - ref) / (np.abs(ref).max() if scale is None else scale)))
+                  for ref, out in zip(refs, outs))
         t_old, t_new = best_time(old, repeats), best_time(new, repeats)
         print(f"{name:<40} {t_old * 1e3:>9.3f} {t_new * 1e3:>9.3f} {t_old / t_new:>7.1f}x "
               f"{gap:>9.1e}")

@@ -8,7 +8,9 @@ from the exact monomial moments
     E[x^gamma] = prod_i (gamma_i - 1)!! / prod_{k < |gamma|/2} (n + 2k)
 
 (all gamma_i even; zero otherwise), so the basis is orthonormalized without
-any numerical integration.
+any numerical integration.  On the sphere |x|^2 = 1, so every even harmonic
+of degree d <= D is also Y |x|^(D - d): one square matrix writes the whole
+basis in the degree-D monomials (``HarmonicBasis.lifted``).
 """
 
 from __future__ import annotations
@@ -100,31 +102,22 @@ class HarmonicBlock:
 
     def eval_points(self, x: np.ndarray) -> np.ndarray:
         """Evaluate the block at unit vectors; returns (npoints, size)."""
-        return self._eval_powers(_power_table(x, self.degree))
-
-    def _eval_powers(self, powers: np.ndarray) -> np.ndarray:
-        """Evaluate the block from a ``_power_table`` of degree >= its own.
-
-        Row t of the monomial matrix is x^e_t, gathered from the table one
-        coordinate at a time and multiplied left to right over the
-        coordinates.
-        """
-        e = self.exponents
-        mono = powers[0, e[:, 0]]
-        for i in range(1, e.shape[1]):
-            mono = mono * powers[i, e[:, i]]
-        return mono.T @ self.coefficients.T
+        return monomials(x, self.exponents) @ self.coefficients.T
 
 
-def _power_table(x: np.ndarray, dmax: int) -> np.ndarray:
-    """(n, dmax + 1, npoints) table of the coordinate powers x_i^p, p <= dmax,
-    of a stack of points (npoints, n), built by repeated multiplication."""
+def monomials(x: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+    """(npoints, len(exponents)) values of the monomials x^e at a stack of points
+    (npoints, n): powers by repeated multiplication, gathered by exponent and
+    multiplied left to right over the coordinates."""
     xt = np.atleast_2d(np.asarray(x, dtype=float)).T
-    powers = np.empty((xt.shape[0], dmax + 1, xt.shape[1]))
+    powers = np.empty((xt.shape[0], int(exponents.max()) + 1, xt.shape[1]))
     powers[:, 0] = 1.0
-    for p in range(1, dmax + 1):
+    for p in range(1, powers.shape[1]):
         powers[:, p] = powers[:, p - 1] * xt
-    return powers
+    mono = powers[0, exponents[:, 0]]
+    for i in range(1, exponents.shape[1]):
+        mono = mono * powers[i, exponents[:, i]]
+    return mono.T
 
 
 @dataclass(frozen=True)
@@ -146,11 +139,18 @@ class HarmonicBasis:
     def labels(self) -> list[tuple[int, int]]:
         return [(b.degree, j) for b in self.blocks for j in range(b.size)]
 
-    def eval_points(self, x: np.ndarray) -> np.ndarray:
-        """Every block at unit vectors, from one shared power table; returns
-        (npoints, size)."""
-        powers = _power_table(x, max(b.degree for b in self.blocks))
-        return np.hstack([b._eval_powers(powers) for b in self.blocks])
+    def lifted(self) -> tuple[np.ndarray, np.ndarray]:
+        """(exponents, C): the top degree D's monomials and the square matrix C
+        whose row for each degree-d harmonic Y writes Y |x|^(D - d) in them, so
+        on the unit sphere the basis is ``monomials(x, exponents) @ C.T``.
+
+        Times |x|^2 sends x^e to every x^(e + 2 e_i), the Laplacian's pattern.
+        """
+        rows = [self.blocks[0].coefficients]
+        for lo, hi in zip(self.blocks, self.blocks[1:]):
+            up = _laplacian_matrix(hi.exponents, lo.exponents) != 0
+            rows = [r @ up for r in rows] + [hi.coefficients]
+        return self.blocks[-1].exponents, np.vstack(rows)
 
 
 def even_harmonic_blocks(n: int, d_max: int) -> HarmonicBasis:

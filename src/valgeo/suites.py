@@ -575,6 +575,12 @@ def _lefschetz_suite(cfg: RunConfig) -> tuple[list[dict], dict]:
         records.append(
             check_true(f"lefschetz/scalar-nonzero/d={d}", abs(scalar) > 3.0 * sigma)
         )
+    # The scalars come from the addition theorem, not from the basis; the
+    # mean of each block's diagonal reads the basis and must agree with them.
+    diag = np.diag(op.matrix)
+    trace_gap = max(abs(diag[op.degrees == d].mean() - op.block_scalars[i])
+                    for i, d in enumerate(op.block_degrees))
+    records.append(check_le("lefschetz/block-trace-vs-scalar", trace_gap, 1e-9))
     records.append(check_le("lefschetz/leakage", report.leakage_ratio, leak_tol))
     records.append(check_true("lefschetz/injective-verdict", report.injective))
     extras = {

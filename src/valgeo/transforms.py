@@ -29,6 +29,7 @@ from ._harmonics import (
     even_harmonic_blocks,
     gegenbauer_normalized,
     kernel_mean_quadrature,
+    monomials,
 )
 from .base import Estimate, mc_chunks, mean_and_stderr
 from .errors import DimensionError, PrecisionError, ScopeError
@@ -291,34 +292,32 @@ def operator_matrix_even(
     A hyperplane is identified with its normal line, under which the cosine
     kernel becomes |<u, v>|.  Entries are Monte-Carlo averages of
     Y_b'(w) |<w, v>| Y_b(l) over independent Haar lines w, v and a Haar line
-    l inside the hyperplane with normal v.
+    l inside the hyperplane with normal v.  Each chunk adds only to the moment
+    matrix M = sum |<w, v>| m(w)^T m(l) of the top-degree monomials m, and the
+    basis's lift C gives the matrix once, as C M C^T / N.  A block's scalar,
+    its mean diagonal entry, averages |<w, v>| G_d(<w, l>) (addition theorem).
     """
     if n not in (3, 4):
         raise ScopeError(f"spectral probe implemented for ambient dim 3 and 4, not {n}")
     basis = even_harmonic_blocks(n, d_max)
-    b = basis.size
-    degrees = basis.degrees
-    block_degs = np.unique(degrees)
-    blocks = [np.nonzero(degrees == d)[0] for d in block_degs]
+    exps, lift = basis.lifted()
+    block_degs = np.array([blk.degree for blk in basis.blocks])
 
-    m_sum = np.zeros((b, b))
-    tr_sum = np.zeros(len(block_degs))
-    tr_sumsq = np.zeros(len(block_degs))
+    m_sum = np.zeros((len(exps), len(exps)))
+    tr_sum, tr_sumsq = np.zeros((2, len(block_degs)))
 
     for _, c, sub in mc_chunks(n_samples, s):
         w = haar_unit_vectors(n, c, sub)
         v = haar_unit_vectors(n, c, sub)
         lines = unit_vectors_orthogonal_to(v, sub)
         kern = np.abs(np.einsum("ij,ij->i", w, v))
-        yw = basis.eval_points(w)
-        yl = basis.eval_points(lines)
-        m_sum += (yw * kern[:, None]).T @ yl
-        for bi, idx in enumerate(blocks):
-            z = kern * np.mean(yw[:, idx] * yl[:, idx], axis=1)
-            tr_sum[bi] += z.sum()
-            tr_sumsq[bi] += (z**2).sum()
+        m_sum += (monomials(w, exps) * kern[:, None]).T @ monomials(lines, exps)
+        t = np.einsum("ij,ij->i", w, lines)[:, None]
+        z = kern[:, None] * gegenbauer_normalized(n, block_degs, t)
+        tr_sum += z.sum(axis=0)
+        tr_sumsq += (z**2).sum(axis=0)
 
-    mat = m_sum / n_samples
+    mat = lift @ m_sum @ lift.T / n_samples
     scalars = tr_sum / n_samples
     scal_var = np.maximum(tr_sumsq / n_samples - scalars**2, 0.0)
     scal_stderr = np.sqrt(scal_var / n_samples)
@@ -327,7 +326,7 @@ def operator_matrix_even(
         ambient_dim=n,
         d_max=d_max,
         labels=basis.labels,
-        degrees=degrees,
+        degrees=basis.degrees,
         matrix=mat,
         block_scalars=scalars,
         block_scalar_stderrs=scal_stderr,

@@ -9,6 +9,7 @@ from valgeo._harmonics import (
     harmonic_dimension,
     kernel_mean_quadrature,
     monomial_exponents,
+    monomials,
     sphere_moment,
     sphere_quadrature,
 )
@@ -60,6 +61,16 @@ class TestSphereQuadrature:
         assert abs(odd) < 1e-14
 
 
+def _unit_rows(seed: int, count: int, n: int) -> np.ndarray:
+    x = np.random.default_rng(seed).standard_normal((count, n))
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+def _by_blocks(basis, x: np.ndarray) -> np.ndarray:
+    """The whole basis at unit vectors, one block at a time."""
+    return np.hstack([block.eval_points(x) for block in basis.blocks])
+
+
 class TestHarmonicBasis:
     @pytest.mark.parametrize("n", [3, 4])
     def test_block_dimensions(self, n):
@@ -78,15 +89,15 @@ class TestHarmonicBasis:
         # Independent oracle: numerical integration over the sphere.
         basis = even_harmonic_blocks(n, 6)
         nodes, weights = sphere_quadrature(n, 14)
-        y = basis.eval_points(nodes)
+        exps, lift = basis.lifted()
+        y = monomials(nodes, exps) @ lift.T
         gram = (y * weights[:, None]).T @ y
         assert np.abs(gram - np.eye(basis.size)).max() < 1e-8
 
     def test_even_parity(self):
         basis = even_harmonic_blocks(3, 8)
-        pts = np.random.default_rng(6).normal(size=(20, 3))
-        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-        assert np.allclose(basis.eval_points(pts), basis.eval_points(-pts))
+        pts = _unit_rows(6, 20, 3)
+        assert np.allclose(_by_blocks(basis, pts), _by_blocks(basis, -pts))
 
     def test_scope_errors(self):
         with pytest.raises(ScopeError):
@@ -133,22 +144,25 @@ class TestAdditionTheorem:
         l[10:20] = -w[10:20]
         basis = even_harmonic_blocks(n, 12)
         assert [b.degree for b in basis.blocks] == list(range(0, 13, 2))
-        yw, yl = basis.eval_points(w), basis.eval_points(l)
         t = np.einsum("ij,ij->i", w, l)
         for block in basis.blocks:
-            idx = basis.degrees == block.degree
-            mean = (yw[:, idx] * yl[:, idx]).mean(axis=1)
+            mean = (block.eval_points(w) * block.eval_points(l)).mean(axis=1)
             err = np.abs(mean - gegenbauer_normalized(n, block.degree, t)).max()
             assert err <= 1e-12, (block.degree, err)
 
-    def test_block_evaluation_matches_basis(self):
-        # One block alone and the whole basis read the same arithmetic.
-        basis = even_harmonic_blocks(4, 12)
-        x = np.random.default_rng(13).standard_normal((50, 4))
-        x /= np.linalg.norm(x, axis=1, keepdims=True)
-        whole = basis.eval_points(x)
-        for block in basis.blocks:
-            assert np.array_equal(block.eval_points(x), whole[:, basis.degrees == block.degree])
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("d_max", [0, 2, 8, 12])
+    def test_lift_reproduces_every_block(self, n, d_max):
+        # On the sphere each degree-d block times |x|^(d_max - d) is the
+        # block itself, written in the degree-d_max monomials.  Those
+        # monomials span exactly the even harmonics up to d_max, so C is
+        # square.
+        basis = even_harmonic_blocks(n, d_max)
+        exps, lift = basis.lifted()
+        assert lift.shape == (basis.size, basis.size) == (basis.size, len(exps))
+        x = _unit_rows(13, 50, n)
+        gap = np.abs(monomials(x, exps) @ lift.T - _by_blocks(basis, x)).max()
+        assert gap <= 1e-13, gap
 
 
 class TestGegenbauer:

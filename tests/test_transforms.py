@@ -223,6 +223,16 @@ class TestOperatorAndProbe:
         assert list(op.block_degrees) == [0, 2, 4]
         assert op.matrix.shape == (15, 15)
 
+    @pytest.mark.parametrize("n, d_max", [(3, 8), (4, 6)])
+    def test_block_trace_is_the_block_scalar(self, n, d_max):
+        # By the addition theorem the mean over a block of Y_j(w) Y_j(l) is
+        # G_d(<w, l>) sample by sample, so the mean of the block's diagonal
+        # equals the scalar taken from G_d up to rounding.
+        op = T.operator_matrix_even(n, d_max, 5_000, SeededSampler(23))
+        for i, d in enumerate(op.block_degrees):
+            trace = np.diag(op.matrix)[op.degrees == d].mean()
+            assert abs(trace - op.block_scalars[i]) <= 1e-12
+
     def test_probe_n4(self):
         report, _ = T.lefschetz_probe(4, 4, 300_000, SeededSampler(18))
         for i in range(len(report.degrees)):
