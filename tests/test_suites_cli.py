@@ -145,6 +145,46 @@ class TestSuites:
         assert len(laws) == 4
         assert not any(r["pass"] for r in laws)
 
+    # Criteria 1 and 2 against a cosine 1e-8 too large on one class of
+    # Q_F^T Q_E shapes, p x q after transposing to p >= q: a column (q = 1),
+    # square (p = q >= 2) or tall (p > q >= 2).  claim23 reaches all three:
+    # cos(L, E + F) is square, and sin(E, F) = cos(E, F^perp) is a column
+    # when dim E = 1 and tall when dim E = 2.  Each class fails every
+    # claim23 gap record, 4.4e-9 to 8.5e-9 against a 1e-9 tolerance, and the
+    # square class every branch-agreement law, on seeds 1234, 5, 9 and 77.
+
+    @staticmethod
+    def _scale_cosines(monkeypatch, shape_class):
+        from valgeo import grassmann as G
+
+        real = G.cos_from_products
+
+        def scaled(m):
+            p, q = max(m.shape[-2:]), min(m.shape[-2:])
+            hit = {"column": q == 1, "square": p == q >= 2, "tall": p > q >= 2}[shape_class]
+            return real(m) * (1.0 + 1e-8) if hit else real(m)
+
+        monkeypatch.setattr(G, "cos_from_products", scaled)
+        monkeypatch.setattr(suites, "cos_from_products", scaled)
+
+    @pytest.mark.parametrize("shape_class", ["column", "square", "tall"])
+    def test_claim23_gap_catches_a_scaled_cosine(self, monkeypatch, shape_class):
+        assert run_suite("claim23", RunConfig(seed=1234)).passed
+        self._scale_cosines(monkeypatch, shape_class)
+        report = run_suite("claim23", RunConfig(seed=1234))
+        gaps = [r for r in report.records if r["name"].endswith("/max-relative-gap")]
+        assert len(gaps) == 2
+        assert not any(r["pass"] for r in gaps)
+
+    def test_angle_branch_agreement_catches_a_scaled_square_cosine(self, monkeypatch):
+        # The branch-agreement law sets cos(E^perp, F^perp) against the
+        # singular values of F^T E, which the mutation does not touch.
+        self._scale_cosines(monkeypatch, "square")
+        report = run_suite("angles", RunConfig(seed=1234))
+        laws = [r for r in report.records if r["name"].endswith("/branch-agreement")]
+        assert len(laws) == 4
+        assert not any(r["pass"] for r in laws)
+
     # Criterion 6's fitted-scalar residual against a non-proportional error
     # of a few percent on the formula side: the formula at L times
     # 1 + c L_11^2, with L_11 the (1, 1) entry of L's basis.  With c = 0.2
