@@ -3,12 +3,16 @@ against closed forms and BLAS matmuls, and the Lefschetz operator's per-block
 harmonic traces against its monomial moment matrix; and claim23's random
 trials, per trial against stacked.
 
-For each shape the lemma22, lemma24, kubota, lambda and lefschetz suites use,
-it times one chunk three ways:
+For each shape the angles, claim23, lemma22, lemma24, kubota, lambda and
+lefschetz suites use, it times one chunk four ways:
 
 * the cosines of the lemma suites' 20 planes L against a chunk of planes R
   in R^4, by a per-L loop of 2 x 2 determinants |ad - bc| of R^T L and by
   ``grassmann.cos_angles_with_bases``'s one product of Plucker coordinates;
+* |cos(E, F)| of a stack of products M = Q_F^T Q_E, for M of shape (2, 2),
+  (3, 3), (4, 4), (3, 1), (4, 2), (5, 2) and (5, 3), by the clipped product
+  of LAPACK's singular values (kept here as the reference) and by
+  ``grassmann.cos_from_products``'s minors (Cauchy-Binet);
 * a contraction of a fixed matrix against a (count, n, k) stack by
   ``np.einsum`` and by the matmul the library now uses;
 * ``transforms.operator_matrix_even`` on one chunk, for (n, d_max) in
@@ -27,8 +31,8 @@ through ``valuations.claim23_sides``.  Every trial's gap must agree exactly.
 
 It prints the best time of a few repeats for each path and the largest
 relative disagreement between the two (for the operator, the largest over
-its three outputs), and exits with an error if any exceeds 1e-12, or 0 for
-claim23.  Run:
+its three outputs; absolute for the cosines), and exits with an error if any
+exceeds 1e-12, 1e-13 for the cosines, or 0 for claim23.  Run:
 
     python benchmarks/bench_spectral.py [--samples N] [--repeats R] [--json FILE]
 
@@ -55,6 +59,7 @@ from valgeo.grassmann import (
     _transposed_products,
     cos_angle,
     cos_angles_with_bases,
+    cos_from_products,
     haar_bases_batch,
     haar_subspace,
     haar_unit_vectors,
@@ -136,6 +141,23 @@ def per_l_abs_dets(ls: np.ndarray, r: np.ndarray) -> np.ndarray:
     return out
 
 
+def svd_cosines(m: np.ndarray) -> np.ndarray:
+    """|cos(E, F)| of each M = Q_F^T Q_E: the product of M's singular values,
+    clipped at 1."""
+    return np.minimum(np.prod(np.linalg.svd(m, compute_uv=False), axis=-1), 1.0)
+
+
+def cosine_cases(c: int, s: SeededSampler):
+    """c products Q_F^T Q_E of Haar frames in R^(p + 1) per shape (p, q), by
+    singular values and by minors, at tolerance 1e-13 absolute."""
+    for sub, (p, q) in enumerate([(2, 2), (3, 3), (4, 4), (3, 1), (4, 2), (5, 2), (5, 3)]):
+        f = haar_bases_batch(p + 1, p, c, s.substream(20 + sub))
+        e = haar_bases_batch(p + 1, q, c, s.substream(30 + sub))
+        m = np.swapaxes(f, 1, 2) @ e
+        yield (f"cos_from_products {p}x{q}", lambda m=m: svd_cosines(m),
+               lambda m=m: cos_from_products(m), 1.0, 1e-13)
+
+
 def contraction_cases(c: int, s: SeededSampler):
     """(name, einsum path, matmul path, scale, tol) per contraction; None
     scales by the largest reference entry."""
@@ -182,7 +204,8 @@ def run(c: int, repeats: int) -> dict:
           "(per 200 trials for claim23)")
     print(f"{'case':<40} {'old':>9} {'new':>9} {'old/new':>8} {'max rel':>9}")
     rows, failed = [], []
-    cases = [*contraction_cases(c, s), *operator_cases(c), *claim23_cases()]
+    cases = [*contraction_cases(c, s), *cosine_cases(c, s), *operator_cases(c),
+             *claim23_cases()]
     for name, old, new, scale, tol in cases:
         refs, outs = old(), new()
         if not isinstance(refs, tuple):

@@ -36,6 +36,7 @@ def _affine_minimizer(w: np.ndarray) -> np.ndarray:
     try:
         sol = np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError:
+        trace.counters["wolfe_ridge_retries"] += 1
         a[:k, :k] += (1e-12 * max(1.0, np.trace(g)) / k) * np.eye(k)
         sol = np.linalg.solve(a, rhs)
     return sol[:k]
@@ -97,6 +98,7 @@ def _min_norm_points(w: np.ndarray, max_iter: int = 1000) -> np.ndarray:
         stalled = ((corral[live] == jstar[:, None])
                    & (slots < size[live][:, None])).any(axis=1)
         moving = ~(gap <= tol[live]) & ~stalled
+        trace.counters["wolfe_stalled_rows"] += int(np.count_nonzero(stalled & ~(gap <= tol[live])))
         live, jstar = live[moving], jstar[moving]
         corral[live, size[live]] = jstar
         lam[live, size[live]] = 0.0
@@ -127,6 +129,7 @@ def _min_norm_points(w: np.ndarray, max_iter: int = 1000) -> np.ndarray:
                 ssum = kept_lam.sum(axis=1)
                 reset = (ssum <= 0.0) | (k == 1)
                 back = r[reset]
+                trace.counters["wolfe_corral_resets"] += back.size
                 corral[back, 0] = entering[back]
                 lam[back, 0] = 1.0
                 size[back] = 1

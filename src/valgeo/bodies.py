@@ -32,7 +32,7 @@ from . import trace
 from ._kernels import hull_distances
 from .base import Estimate, mc_chunks, mean_and_stderr, unit_ball_volume
 from .errors import ConditioningWarning, DimensionError, ScopeError
-from .grassmann import (SeededSampler, Subspace, _plucker, _transposed_products,
+from .grassmann import (SeededSampler, Subspace, _plucker, _subsets, _transposed_products,
                         haar_bases_batch, haar_unit_vectors)
 
 _DEDUP_TOL = 1e-9
@@ -467,7 +467,7 @@ def _build_edge_tables(p: Polytope) -> _EdgeTables:
     width = max(map(len, others))
     others = np.array([o + o[:1] * (width - len(o)) for o in others]).T
     a, b = np.array(ends).T
-    i, j = np.triu_indices(n, 1)
+    i, j = _subsets(n, 2)
 
     def wedge(x, y):  # (..., E, n) pairs -> (..., C, E) Plucker vectors of x ^ y
         return np.swapaxes(x[..., i] * y[..., j] - x[..., j] * y[..., i], -1, -2)
@@ -621,7 +621,7 @@ def _simplex_edges(simplices: np.ndarray, facets: np.ndarray, n_vertices: int) -
     """
     on = np.zeros((n_vertices, facets.max() + 1), dtype=bool)
     on[simplices, facets[:, None]] = True
-    i, j = np.triu_indices(simplices.shape[1], 1)
+    i, j = _subsets(simplices.shape[1], 2)
     u = np.minimum(simplices[:, i], simplices[:, j]).ravel()
     v = np.maximum(simplices[:, i], simplices[:, j]).ravel()
     side = np.unique(u * n_vertices + v)

@@ -30,6 +30,7 @@ once; for square pairs that is one product of Plucker coordinates
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations
 
 import numpy as np
@@ -293,8 +294,8 @@ def cos_angle_batch(e: np.ndarray, f: np.ndarray) -> np.ndarray:
 def cos_angle(e: Subspace, f: Subspace) -> float:
     """|cos(E, F)|: the factor by which projection onto F scales dim(E)-volume.
 
-    Computed as the product of the singular values of Q_F^T Q_E when
-    dim E <= dim F; when dim E > dim F it is evaluated on the
+    The product of the singular values of Q_F^T Q_E (``cos_from_products``)
+    when dim E <= dim F; when dim E > dim F it is evaluated on the
     orthocomplements, matching the volume-ratio definition on the nose.
     Conventions: the zero subspace gives 1 (empty product).
     """
@@ -304,14 +305,26 @@ def cos_angle(e: Subspace, f: Subspace) -> float:
 
 
 def cos_from_products(m: np.ndarray) -> np.ndarray:
-    """Product of the clipped singular values of each Q_F^T Q_E in a stack.
+    """Product of the singular values of each Q_F^T Q_E in a stack, clipped at 1.
 
-    ``m`` has shape (..., dim F, dim E); a single matrix gives a 0-d array.
-    This is ``cos_angle``'s arithmetic, and for dim E > dim F it equals
-    cos(F, E) = cos(E, F) as well.
+    ``m`` has shape (..., dim F, dim E); one matrix gives a 0-d result.  For
+    M p x q, p >= q (transposed if need be), it is sqrt(det(M^T M)), the norm
+    of M's q x q minors (Cauchy-Binet): |det M| for p = q, else ``_plucker``'s
+    coordinates, the entries for q = 1.  The squares are summed one minor at a
+    time, so each row rounds as it would alone.  This is ``cos_angle``'s
+    arithmetic, symmetric in E and F.
     """
-    sv = np.linalg.svd(m, compute_uv=False)
-    return np.prod(np.clip(sv, 0.0, 1.0), axis=-1)
+    if m.shape[-2] < m.shape[-1]:
+        m = np.swapaxes(m, -1, -2)
+    if m.shape[-1] == 0:
+        return np.ones(m.shape[:-2])
+    minors = m[..., 0] if m.shape[-1] == 1 else _plucker(m)
+    if minors.shape[-1] == 1:
+        return np.minimum(np.abs(minors[..., 0]), 1.0)
+    total = minors[..., 0] * minors[..., 0]
+    for k in range(1, minors.shape[-1]):
+        total += minors[..., k] * minors[..., k]
+    return np.minimum(np.sqrt(total), 1.0)
 
 
 def sin_angle(e: Subspace, f: Subspace) -> float:
@@ -408,20 +421,29 @@ def _transposed_products(bases: np.ndarray, m: np.ndarray) -> np.ndarray:
     return (np.swapaxes(bases, 1, 2).reshape(count * q, n) @ m).reshape(count, q, m.shape[1])
 
 
+@cache
+def _subsets(n: int, q: int) -> np.ndarray:
+    """Read-only (q, C(n, q)) table of the q-subsets of range(n) in lexicographic
+    order, one per column; for q = 2 its rows are ``np.triu_indices(n, 1)``."""
+    table = np.array(list(combinations(range(n), q)), dtype=np.intp).reshape(-1, q).T.copy()
+    table.setflags(write=False)
+    return table
+
+
 def _plucker(x: np.ndarray) -> np.ndarray:
-    """(count, C(n, q)) Plucker coordinates of a (count, n, q) stack: the q x q
+    """(..., C(n, q)) Plucker coordinates of a (..., n, q) stack: the q x q
     minors of each matrix over its row subsets in lexicographic order.
 
     For q = 2 the subsets are ``np.triu_indices(n, 1)``'s pairs and each minor
     is ad - bc; every other q takes LAPACK's determinants of the minors.  By
     Cauchy-Binet, det(R^T L) = P(R) . P(L) for any two n x q matrices.
     """
-    _, n, q = x.shape
+    n, q = x.shape[-2:]
+    rows = _subsets(n, q)
     if q == 2:
-        a, b = np.triu_indices(n, 1)
-        return x[:, a, 0] * x[:, b, 1] - x[:, a, 1] * x[:, b, 0]
-    rows = np.array(list(combinations(range(n), q)), dtype=np.intp)
-    return np.linalg.det(x[:, rows, :])
+        a, b = rows
+        return x[..., a, 0] * x[..., b, 1] - x[..., a, 1] * x[..., b, 0]
+    return np.linalg.det(x[..., rows.T, :])
 
 
 def cos_angles_with_bases(l: np.ndarray, bases: np.ndarray) -> np.ndarray:
@@ -430,7 +452,7 @@ def cos_angles_with_bases(l: np.ndarray, bases: np.ndarray) -> np.ndarray:
 
     A square pair (j = q) gives |det(R_s^T L_t)| = |P(R_s) . P(L_t)|, so the
     whole table is one (m, C(n, q)) @ (C(n, q), c) product of Plucker
-    coordinates; a tall pair is taken by the singular values of R_s^T L_t.
+    coordinates; a tall pair is taken by ``cos_from_products`` of R_s^T L_t.
     """
     l, bases = _stack(l), _stack(bases)
     _check_orthonormal(l)

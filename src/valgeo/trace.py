@@ -44,11 +44,16 @@ Two fallbacks that return a number by a second route count each firing:
 * ``claim23_scalar_rows``: rows of ``valuations.claim23_sides`` whose E + F
   has lower dimension than L, evaluated one at a time through ``span_sum``.
 
-One stop without a certificate is counted as well:
+Stops without a certificate and fallbacks of the Wolfe kernel count too:
 
-* ``wolfe_max_iter_rows``: rows of the Wolfe kernel still live after
-  ``max_iter`` rounds, whose distance is the current iterate's, not a
-  converged one.
+* ``wolfe_max_iter_rows``: rows still live after ``max_iter`` rounds, whose
+  distance is the current iterate's, not a converged one;
+* ``wolfe_stalled_rows``: rows stopped with a gap above the tolerance
+  because the entering vertex is already in the corral;
+* ``wolfe_ridge_retries``: corral systems solved again with a ridge after a
+  ``LinAlgError`` (an affinely dependent corral);
+* ``wolfe_corral_resets``: minor cycles that cut a corral back to the
+  entering vertex alone.
 
 The counters never enter a report.  ``reset()`` sets them back to zero.
 """
@@ -56,7 +61,7 @@ The counters never enter a report.  ``reset()`` sets them back to zero.
 COUNTERS = ("certified_inside", "certified_outside", "sent_to_wolfe", "audited",
             "audit_mismatches", "shadow_rows_cauchy", "shadow_rows_edges",
             "shadow_rows_edge_ties", "shadow_rows_qhull", "qhull_joggled", "claim23_scalar_rows",
-            "wolfe_max_iter_rows")
+            "wolfe_max_iter_rows", "wolfe_stalled_rows", "wolfe_ridge_retries", "wolfe_corral_resets")
 
 counters = dict.fromkeys(COUNTERS, 0)
 

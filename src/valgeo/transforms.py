@@ -146,7 +146,7 @@ def cosine_apply(f: GFunction, j: int, e: Subspace, n_samples: int, s: SeededSam
 
     Each chunk draws its F's with ``haar_bases_batch`` (the stream that
     per-sample ``haar_subspace`` reads) and takes |cos| with ``cos_angle``'s
-    singular-value arithmetic.
+    arithmetic, ``cos_from_products`` (|ad - bc| for 2 x 2 products).
     """
     i = f.grass_dim
     n = f.ambient_dim

@@ -536,7 +536,8 @@ class TestCertifiedMembership:
                                   "shadow_rows_cauchy": 0, "shadow_rows_edges": 0,
                                   "shadow_rows_edge_ties": 0,
                                   "shadow_rows_qhull": 0, "qhull_joggled": 0, "claim23_scalar_rows": 0,
-                                  "wolfe_max_iter_rows": 0}
+                                  "wolfe_max_iter_rows": 0, "wolfe_stalled_rows": 0,
+                                  "wolfe_ridge_retries": 0, "wolfe_corral_resets": 0}
 
     def test_coplanar_facets_merged(self):
         q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((4, 4)))

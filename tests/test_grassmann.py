@@ -14,10 +14,12 @@ from valgeo.grassmann import (
     Subspace,
     _map_ball_volume,
     _plucker,
+    _subsets,
     coordinate_subspace,
     cos_angle,
     cos_angle_batch,
     cos_angles_with_bases,
+    cos_from_products,
     ellipsoid_image_volume,
     full_space,
     haar_bases_batch,
@@ -356,8 +358,10 @@ class TestBatchHelpers:
         assert np.abs(np.linalg.norm(w, axis=1) - 1.0).max() < 1e-12
 
 
-# The scalar arithmetic of the sign-fixed QR, the complement and the cosine as
-# it was before they became one-row calls into the stacked primitives.
+# The scalar arithmetic of the sign-fixed QR and the complement as it was
+# before they became one-row calls into the stacked primitives, and the
+# cosine's closed form written out for one matrix: a stack must round each
+# row exactly as this does.
 def reference_signed_qr(m):
     q, r = np.linalg.qr(m)
     signs = np.sign(np.diag(r))
@@ -386,8 +390,25 @@ def reference_cos_angle(e, f):
         return reference_cos_angle(reference_orthocomplement(e), reference_orthocomplement(f))
     if f.shape[1] == n:
         return 1.0
-    sv = np.linalg.svd(f.T @ e, compute_uv=False)
-    return float(np.prod(np.clip(sv, 0.0, 1.0)))
+    # The norm of the q x q minors of the p x q product, p >= q
+    # (Cauchy-Binet), summed one minor at a time in lexicographic order.
+    m = f.T @ e
+    p, q = m.shape
+    minors = []
+    for rows in combinations(range(p), q):
+        x = m[list(rows)]
+        if q == 1:
+            minors.append(x[0, 0])
+        elif q == 2:
+            minors.append(x[0, 0] * x[1, 1] - x[0, 1] * x[1, 0])
+        else:
+            minors.append(np.linalg.det(x))
+    if len(minors) == 1:
+        return float(min(abs(minors[0]), 1.0))
+    total = minors[0] * minors[0]
+    for x in minors[1:]:
+        total += x * x
+    return float(min(math.sqrt(total), 1.0))
 
 
 def reference_angle_laws(n, s):
@@ -668,3 +689,78 @@ class TestPluckerCosines:
         l = 2.0 * haar_bases_batch(4, 2, 3, sampler)
         with pytest.raises(ValueError):
             cos_angles_with_bases(l, haar_bases_batch(4, 2, 8, sampler))
+
+
+def _svd_cos(m):
+    """The clipped product of the singular values of each matrix of m."""
+    return np.minimum(np.prod(np.linalg.svd(m, compute_uv=False), axis=-1), 1.0)
+
+
+class TestCosFromProducts:
+    """The closed form from Cauchy-Binet minors against an SVD."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 64))
+    def test_matches_singular_values_on_haar_stacks(self, seed, count):
+        # Every (n, i, j) the suites can reach, F^T E of both shapes.
+        s = SeededSampler(seed)
+        for n in range(2, 8):
+            for i in range(1, n):
+                for j in range(1, n):
+                    e, f = haar_bases_batch(n, i, count, s), haar_bases_batch(n, j, count, s)
+                    m = np.swapaxes(f, 1, 2) @ e
+                    np.testing.assert_allclose(cos_from_products(m), _svd_cos(m),
+                                               rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_nested_and_orthogonal_subspaces(self, n):
+        for j in range(1, n):
+            frames = haar_bases_batch(n, n, 200, SeededSampler(n, j))
+            f = frames[:, :, :j]
+            for i in range(1, j + 1):
+                turn = haar_bases_batch(i, i, 200, SeededSampler(n, 10 + i))
+                inside = cos_from_products(np.swapaxes(f, 1, 2) @ (f[:, :, :i] @ turn))
+                assert np.all(inside <= 1.0) and np.all(inside >= 1.0 - 1e-14)
+            for i in range(1, n - j + 1):
+                outside = cos_from_products(np.swapaxes(f, 1, 2) @ frames[:, :, j:j + i])
+                assert np.all(outside <= 1e-14)
+
+    @pytest.mark.parametrize("theta", [1e-8, 1e-12])
+    def test_tilted_subspaces_keep_relative_accuracy(self, theta):
+        # E is spanned by the first i columns of F, but its first column is
+        # sin(theta) f_0 + cos(theta) g with g orthogonal to F, so cos(E, F)
+        # is sin(theta).  Rounding in F^T E itself moves it from sin(theta)
+        # by about 1e-16 absolute; on that one product the closed form and
+        # the singular values agree to relative rounding.  LAPACK's singular
+        # values of the wide transpose do not: they drift by up to 5e-8
+        # relative at theta = 1e-12, so the wide form is held to the tall.
+        for n in range(2, 8):
+            for j in range(1, n):
+                frames = haar_bases_batch(n, n, 200, SeededSampler(n, 20 + j))
+                f = frames[:, :, :j]
+                for i in range(1, j + 1):
+                    e = frames[:, :, :i].copy()
+                    e[:, :, 0] = np.sin(theta) * frames[:, :, 0] + np.cos(theta) * frames[:, :, j]
+                    m = np.swapaxes(f, 1, 2) @ e
+                    cos = cos_from_products(m)
+                    np.testing.assert_allclose(cos, _svd_cos(m), rtol=1e-12, atol=0)
+                    assert np.array_equal(cos_from_products(np.swapaxes(m, 1, 2)), cos)
+
+    @pytest.mark.parametrize("p, q", [(1, 1), (2, 2), (3, 3), (3, 1), (1, 3), (4, 2), (5, 3)])
+    def test_empty_stack_and_single_matrix(self, p, q):
+        assert cos_from_products(np.zeros((0, p, q))).shape == (0,)
+        m = np.swapaxes(haar_bases_batch(5, p, 3, SeededSampler(p)), 1, 2) @ \
+            haar_bases_batch(5, q, 3, SeededSampler(q + 10))
+        one = cos_from_products(m[1])
+        assert np.ndim(one) == 0 and one == cos_from_products(m)[1]
+
+    @pytest.mark.parametrize("n, q", [(n, q) for n in range(1, 8) for q in range(1, n + 1)])
+    def test_subset_tables_are_cached_read_only(self, n, q):
+        table = _subsets(n, q)
+        assert table is _subsets(n, q)
+        assert not table.flags.writeable
+        assert table.T.tolist() == [list(c) for c in combinations(range(n), q)]
+        if q == 2:
+            assert np.array_equal(table, np.triu_indices(n, 1))
+        with pytest.raises(ValueError):
+            table[..., :1] = 0

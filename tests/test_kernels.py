@@ -151,6 +151,19 @@ class TestBackends:
         assert np.array_equal(alpha[1], pywolfe._affine_minimizer(repeated))
         assert alpha.sum(axis=1) == pytest.approx([1.0, 1.0], abs=1e-9)
 
+    def test_ridge_retries_are_counted(self):
+        # A corral with a repeated vertex makes the bordered system singular,
+        # so the stacked solve fails and each row is redone alone: only the
+        # two singular corrals take the ridge.
+        good = np.array([[1.0, 0.0], [0.0, 1.0]])
+        repeated = np.array([[1.0, 0.0], [1.0, 0.0]])
+        trace.reset()
+        pywolfe._affine_minimizer(good)
+        assert trace.counters["wolfe_ridge_retries"] == 0
+        alpha = pywolfe._affine_minimizers(np.stack([repeated, good, repeated]))
+        assert trace.counters["wolfe_ridge_retries"] == 2
+        assert alpha.sum(axis=1) == pytest.approx([1.0, 1.0, 1.0], abs=1e-9)
+
     def test_rows_stopped_by_max_iter_are_counted(self):
         # The point's nearest vertex is not its nearest point of the cube,
         # so one round cannot converge; the default budget does.

@@ -26,6 +26,15 @@ def test_suites_certify_without_mismatches(suite, samples):
     assert c["sent_to_wolfe"] == 0
 
 
+def test_angles_report_does_not_depend_on_the_counters():
+    trace.reset()
+    fresh = run_suite("angles", RunConfig(seed=1234)).to_json()
+    for key in trace.COUNTERS:
+        trace.counters[key] += 1000
+    assert run_suite("angles", RunConfig(seed=1234)).to_json() == fresh
+    trace.reset()
+
+
 def test_reset_zeroes_every_counter():
     trace.counters["audited"] += 3
     trace.reset()
