@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from valgeo import bodies as B
+from valgeo import grassmann as G
 from valgeo import suites
 from valgeo import transforms as T
 from valgeo import valuations as V
@@ -155,8 +156,6 @@ class TestSuites:
 
     @staticmethod
     def _scale_cosines(monkeypatch, shape_class):
-        from valgeo import grassmann as G
-
         real = G.cos_from_products
 
         def scaled(m):
