@@ -13,6 +13,11 @@ lefschetz suites use, it times one chunk four ways:
   (3, 3), (4, 4), (3, 1), (4, 2), (5, 2) and (5, 3), by the clipped product
   of LAPACK's singular values (kept here as the reference) and by
   ``grassmann.cos_from_products``'s minors (Cauchy-Binet);
+* |cos(E, F)| of a stack of pairs with dim E > dim F, for (n, dim E, dim F)
+  in (3, 2, 1), (4, 3, 1), (4, 3, 2), (5, 3, 2), (5, 4, 1), (6, 4, 3) and
+  (7, 5, 3), by the former route through both orthocomplements (kept here
+  as the reference) and by ``grassmann._cos``'s minors of the wide product
+  Q_F^T Q_E;
 * a contraction of a fixed matrix against a (count, n, k) stack by
   ``np.einsum`` and by the matmul the library now uses;
 * ``transforms.operator_matrix_even`` on one chunk, for (n, d_max) in
@@ -55,6 +60,8 @@ from valgeo.base import MC_CHUNK, mc_chunks, unit_ball_volume
 from valgeo.bodies import make_cube
 from valgeo.grassmann import (
     SeededSampler,
+    _complement,
+    _cos,
     _map_ball_volume,
     _transposed_products,
     cos_angle,
@@ -158,6 +165,23 @@ def cosine_cases(c: int, s: SeededSampler):
                lambda m=m: cos_from_products(m), 1.0, 1e-13)
 
 
+def complement_cosines(e: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """|cos(E, F)| for dim E > dim F by the former route: the minors of
+    Q_{F^perp}^T Q_{E^perp}, a tall product, on both orthocomplements."""
+    return cos_from_products(np.swapaxes(_complement(f), 1, 2) @ _complement(e))
+
+
+def wide_cosine_cases(c: int, s: SeededSampler):
+    """c Haar pairs (E, F) in R^n with dim E > dim F per shape, through the
+    orthocomplements and directly, at tolerance 1e-13 absolute."""
+    shapes = [(3, 2, 1), (4, 3, 1), (4, 3, 2), (5, 3, 2), (5, 4, 1), (6, 4, 3), (7, 5, 3)]
+    for sub, (n, i, j) in enumerate(shapes):
+        e = haar_bases_batch(n, i, c, s.substream(40 + sub))
+        f = haar_bases_batch(n, j, c, s.substream(50 + sub))
+        yield (f"cos dim E {i} > dim F {j}, R^{n}", lambda e=e, f=f: complement_cosines(e, f),
+               lambda e=e, f=f: _cos(e, f), 1.0, 1e-13)
+
+
 def contraction_cases(c: int, s: SeededSampler):
     """(name, einsum path, matmul path, scale, tol) per contraction; None
     scales by the largest reference entry."""
@@ -204,7 +228,8 @@ def run(c: int, repeats: int) -> dict:
           "(per 200 trials for claim23)")
     print(f"{'case':<40} {'old':>9} {'new':>9} {'old/new':>8} {'max rel':>9}")
     rows, failed = [], []
-    cases = [*contraction_cases(c, s), *cosine_cases(c, s), *operator_cases(c),
+    cases = [*contraction_cases(c, s), *cosine_cases(c, s), *wide_cosine_cases(c, s),
+             *operator_cases(c),
              *claim23_cases()]
     for name, old, new, scale, tol in cases:
         refs, outs = old(), new()

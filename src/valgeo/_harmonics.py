@@ -36,25 +36,25 @@ def monomial_exponents(n: int, d: int) -> np.ndarray:
     return np.array(combos, dtype=int).reshape(len(combos), n)
 
 
-def _double_factorial(m: int) -> float:
-    if m <= 0:
-        return 1.0
-    return float(np.prod(np.arange(m, 0, -2, dtype=float)))
+def sphere_moment(gamma: np.ndarray, n: int) -> np.ndarray:
+    """E[x^gamma] for x uniform on S^{n-1}, for each exponent vector of a
+    (..., n) stack; one vector gives a 0-d result.
 
-
-def sphere_moment(gamma: np.ndarray, n: int) -> float:
-    """E[x^gamma] for x uniform on S^{n-1}."""
+    The double factorials (gamma_i - 1)!! come from one table and are
+    multiplied left to right over the coordinates; the denominator is one
+    running product per total degree.  Any odd exponent gives 0.
+    """
     gamma = np.asarray(gamma, dtype=int)
-    if np.any(gamma % 2 == 1):
-        return 0.0
-    total = int(gamma.sum())
-    num = 1.0
-    for g in gamma:
-        num *= _double_factorial(int(g) - 1)
-    den = 1.0
-    for k in range(total // 2):
-        den *= n + 2 * k
-    return num / den
+    top = int(gamma.max(initial=0))
+    odd_factorials = np.ones(top + 1)  # (g - 1)!! at index g
+    for g in range(2, top + 1):
+        odd_factorials[g] = (g - 1) * odd_factorials[g - 2]
+    num = np.ones(gamma.shape[:-1])
+    for i in range(gamma.shape[-1]):
+        num = num * odd_factorials[gamma[..., i]]
+    half = gamma.sum(axis=-1) // 2
+    den = np.cumprod(np.concatenate([[1.0], n + 2.0 * np.arange(int(half.max(initial=0)))]))
+    return np.where((gamma % 2 == 1).any(axis=-1), 0.0, num / den[half])
 
 
 def _laplacian_matrix(exps_d: np.ndarray, exps_dm2: np.ndarray) -> np.ndarray:
@@ -165,12 +165,7 @@ def even_harmonic_blocks(n: int, d_max: int) -> HarmonicBasis:
     blocks = []
     for d in range(0, d_max + 1, 2):
         exps, rows = _harmonic_space(n, d)
-        pair_moments = np.empty((len(exps), len(exps)))
-        for a in range(len(exps)):
-            for b in range(a, len(exps)):
-                m = sphere_moment(exps[a] + exps[b], n)
-                pair_moments[a, b] = m
-                pair_moments[b, a] = m
+        pair_moments = sphere_moment(exps[:, None] + exps[None, :], n)
         gram = rows @ pair_moments @ rows.T
         chol = np.linalg.cholesky(gram)
         ortho = np.linalg.solve(chol, rows)

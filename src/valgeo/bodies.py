@@ -151,7 +151,6 @@ class FaceRecord:
 
     a: np.ndarray          # P = {x : a x <= b}; rows are unit facet normals
     b: np.ndarray
-    gram: np.ndarray       # a a^T
     margin: float          # _within's decision margin, 1e-9 (1 + max|v|)
     certifies: bool        # no vertex breaks a x <= b by more than rounding
     edges: np.ndarray | None   # vertex index pairs: R^2 facets, R^3 sides between merged facets
@@ -598,7 +597,7 @@ def _face_record(p: Polytope) -> FaceRecord:
     sides = corners[:, 1:] - corners[:, :1]
     dets = np.linalg.det(sides @ np.swapaxes(sides, 1, 2))
     return FaceRecord(
-        a=a, b=b, gram=a @ a.T, margin=margin,
+        a=a, b=b, margin=margin,
         certifies=bool((p.vertices @ a.T - b).max() <= 1e-3 * margin),
         edges=edges, angles=angles,
         projectors=projectors, offsets=offsets, origins=origins, steps=steps,
@@ -726,7 +725,7 @@ def _bracket(p: Polytope, x: np.ndarray, t_max: float) -> tuple[np.ndarray, np.n
     if need.size:
         viol, top = np.take(viol, need, axis=1), top[need]
         k = np.argmax(viol == top, axis=0)
-        moved = viol - top * np.take(f.gram, k, axis=1)
+        moved = viol - top * (a @ np.take(a, k, axis=0).T)
         moved[k, np.arange(need.size)] = -np.inf
         bound = np.abs(top)
         off_facet = np.flatnonzero((moved > 0.0).any(axis=0))  # projection leaves P

@@ -8,8 +8,10 @@ functionals are
                         the principal angles),
     sin_angle(E, F)  -- cos_angle(E, orthocomplement(F)),
 
-with the conventions cos = 1 on the zero subspace (empty product) and the
-higher-dimensional branch evaluated through orthocomplements.
+with the convention cos = 1 when either space is the zero subspace (empty
+product) or all of R^n.  For every other pair of dimensions the cosine is the
+norm of the minors of Q_F^T Q_E (``cos_from_products``), which is symmetric
+in E and F and, by the CS decomposition, equals cos(E^perp, F^perp).
 
 Haar frames come from ``haar_frames``: classical Gram-Schmidt, with one
 reorthogonalisation pass, of a (count, n, k) stack of Gaussian matrices.  Its
@@ -19,9 +21,9 @@ Q factor has a positive R diagonal, so it is the Haar sample itself (Mezzadri
 arbitrary rank-checked input.
 
 The orthocomplement and the cosine are computed on stacks of bases
-(``orthocomplement_batch``, ``cos_angle_batch``).  Every sampler and every
-function on one ``Subspace`` is a one-row call into the same code as its
-stacked form, so a row of a stack equals the scalar result bit for bit.
+(``_complement``, ``_cos``).  Every sampler and every function on one
+``Subspace`` is a one-row call into the same code as its stacked form, so a
+row of a stack equals the scalar result bit for bit.
 ``cos_angles_with_bases`` takes every pair of an L stack and an R stack at
 once; for square pairs that is one product of Plucker coordinates
 (Cauchy-Binet), which BLAS may round differently for one row of L.
@@ -244,14 +246,6 @@ def _complement(bases: np.ndarray) -> np.ndarray:
     return comp * signs
 
 
-def orthocomplement_batch(bases: np.ndarray) -> np.ndarray:
-    """(count, n, n - k) bases of the orthogonal complements of a (count, n, k)
-    stack of orthonormal bases; row t is ``orthocomplement`` of row t."""
-    b = _stack(bases)
-    _check_orthonormal(b)
-    return _complement(b)
-
-
 def orthocomplement(e: Subspace) -> Subspace:
     """The orthogonal complement, of dimension n - dim(e)."""
     return Subspace(e.ambient_dim, _complement(e.basis[None])[0])
@@ -272,32 +266,20 @@ def span_sum(e: Subspace, f: Subspace) -> Subspace:
 
 def _cos(e: np.ndarray, f: np.ndarray) -> np.ndarray:
     """cos(E_t, F_t) for paired stacks already known to be orthonormal."""
-    n = e.shape[1]
-    if e.shape[2] > f.shape[2]:
-        e, f = _complement(e), _complement(f)
-    if e.shape[2] == 0 or f.shape[2] == n:
+    dims = (e.shape[2], f.shape[2])
+    if 0 in dims or e.shape[1] in dims:
         return np.ones(len(e))
     return cos_from_products(np.swapaxes(f, 1, 2) @ e)
 
 
-def cos_angle_batch(e: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """(count,) values of ``cos_angle`` on two stacks of orthonormal bases,
-    (count, n, dim E) and (count, n, dim F); row t is cos(E_t, F_t)."""
-    e, f = _stack(e), _stack(f)
-    if e.shape[:2] != f.shape[:2]:
-        raise DimensionError(f"stacks of shapes {e.shape} and {f.shape} do not pair up")
-    _check_orthonormal(e)
-    _check_orthonormal(f)
-    return _cos(e, f)
-
-
 def cos_angle(e: Subspace, f: Subspace) -> float:
-    """|cos(E, F)|: the factor by which projection onto F scales dim(E)-volume.
+    """|cos(E, F)|: the factor by which projection onto F scales dim(E)-volume
+    when dim E <= dim F, and cos(E^perp, F^perp) when dim E > dim F.
 
-    The product of the singular values of Q_F^T Q_E (``cos_from_products``)
-    when dim E <= dim F; when dim E > dim F it is evaluated on the
-    orthocomplements, matching the volume-ratio definition on the nose.
-    Conventions: the zero subspace gives 1 (empty product).
+    Both are the product of the singular values of Q_F^T Q_E
+    (``cos_from_products``), which is symmetric in E and F, so one formula
+    serves every pair of dimensions (the CS decomposition).  Conventions: 1
+    when either space is the zero subspace (empty product) or all of R^n.
     """
     if e.ambient_dim != f.ambient_dim:
         raise DimensionError("ambient dimensions differ")

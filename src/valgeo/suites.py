@@ -227,15 +227,14 @@ def _angle_laws(n: int, s: SeededSampler) -> tuple[float, float, float, float]:
     Trial t draws E in Gr_i then F in Gr_j, with i = 1 + t mod (n-1) and
     j = 1 + (t div 7) mod (n-1), from the Gaussian stream that per-trial
     ``haar_subspace`` calls read.  The trials are drawn in one call.  For
-    each dimension k, the chain E, E^perp, E^perp^perp of every E with i = k
-    is built once, as one stack per level, and each level is checked for
-    orthonormality once.  So is F, ..., F^perp^perp^perp for the F with
-    j = k: one level more, because sin(E^perp, F^perp) =
-    cos(E^perp, F^perp^perp) is taken on the next level down when
-    dim E^perp > dim F.  The laws are then evaluated in stacks, one per
-    (i, j), on rows of those chains.  Frames and complements round each row
-    as they would alone, so every cosine equals ``cos_angle`` on the same
-    trial bit for bit.
+    each dimension k, the chain E, E^perp of every E with i = k is built
+    once, as one stack per level, and each level is checked for
+    orthonormality once.  So is F, F^perp, F^perp^perp for the F with j = k:
+    one level more, because sin(E^perp, F^perp) = cos(E^perp, F^perp^perp).
+    The laws are then evaluated in stacks, one per (i, j), on rows of those
+    chains, each cosine by ``cos_from_products`` whatever the dimensions.
+    Frames and complements round each row as they would alone, so every
+    cosine equals ``cos_angle`` on the same trial bit for bit.
     """
     t = np.arange(100)
     i = 1 + t % (n - 1)
@@ -256,15 +255,12 @@ def _angle_laws(n: int, s: SeededSampler) -> tuple[float, float, float, float]:
         return links, place
 
     # Every chain level has a dimension in 1..n-1, so no cosine is the
-    # empty product that ``_cos`` returns for dim 0 or a full second space.
-    chains_e = {k: chain(i, starts, k, 3) for k in range(1, n)}
-    chains_f = {k: chain(j, starts + n * i, k, 4) for k in range(1, n)}
+    # exact 1 that ``_cos`` returns when either space is 0 or all of R^n.
+    chains_e = {k: chain(i, starts, k, 2) for k in range(1, n)}
+    chains_f = {k: chain(j, starts + n * i, k, 3) for k in range(1, n)}
 
     def cos(x, p, y, q):
-        """cos of level p of chain x and level q of chain y by ``_cos``'s rule:
-        one level down both chains when the first space is the larger."""
-        if x[p].shape[2] > y[q].shape[2]:
-            p, q = p + 1, q + 1
+        """cos of level p of chain x and level q of chain y."""
         return cos_from_products(np.swapaxes(y[q], 1, 2) @ x[p])
 
     sym = perp = branch = beyond = 0.0

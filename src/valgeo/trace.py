@@ -37,12 +37,13 @@ one of:
 
 Widths are not counted.
 
-Two fallbacks that return a number by a second route count each firing:
+One fallback returns a number by a second route and counts each firing:
 
 * ``qhull_joggled``: point clouds that ``Polytope`` hull-reduces with Qhull's
-  joggled input (option ``QJ``) after the plain call raised ``QhullError``;
-* ``claim23_scalar_rows``: rows of ``valuations.claim23_sides`` whose E + F
-  has lower dimension than L, evaluated one at a time through ``span_sum``.
+  joggled input (option ``QJ``) after the plain call raised ``QhullError``.
+
+Every Grassmann cosine takes one route, ``grassmann.cos_from_products``,
+whatever the dimensions, so the cosine has no fallback to count.
 
 Stops without a certificate and fallbacks of the Wolfe kernel count too:
 
@@ -60,7 +61,7 @@ The counters never enter a report.  ``reset()`` sets them back to zero.
 
 COUNTERS = ("certified_inside", "certified_outside", "sent_to_wolfe", "audited",
             "audit_mismatches", "shadow_rows_cauchy", "shadow_rows_edges",
-            "shadow_rows_edge_ties", "shadow_rows_qhull", "qhull_joggled", "claim23_scalar_rows",
+            "shadow_rows_edge_ties", "shadow_rows_qhull", "qhull_joggled",
             "wolfe_max_iter_rows", "wolfe_stalled_rows", "wolfe_ridge_retries", "wolfe_corral_resets")
 
 counters = dict.fromkeys(COUNTERS, 0)

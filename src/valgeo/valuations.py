@@ -17,7 +17,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import trace
 from .base import Estimate, mc_chunks, mean_and_stderr, unit_ball_volume
 from .bodies import (
     Ball,
@@ -34,7 +33,6 @@ from .bodies import (
 )
 from .errors import DimensionError, PolynomialFitError, ScopeError
 from .grassmann import (
-    RANK_TOL,
     SeededSampler,
     Subspace,
     _check_orthonormal,
@@ -43,14 +41,11 @@ from .grassmann import (
     _map_ball_volume,
     _plucker,
     _stack,
-    cos_angle,
     cos_angles_with_bases,
     haar_bases_batch,
     haar_unit_vectors,
     orthocomplement,
     orthonormal_basis,
-    sin_angle,
-    span_sum,
 )
 from .transforms import (GFunction, _containing_bases, constant_gfunction,
                          even_harmonic_basis, zonal_harmonic)
@@ -290,11 +285,9 @@ def claim23_sides(e: np.ndarray, f: np.ndarray, l: np.ndarray) -> tuple[np.ndarr
 
     lhs: exact volume of (Pr_E (+) Pr_F)(D_L) by singular values;
     rhs: kappa_{dim L} |cos(L, E+F)| |sin(E, F)|, with E + F spanned by the
-    left singular vectors of [E F] under ``span_sum``'s rank test.
-    Degenerate configurations (E meets F) give 0 = 0.  Their rows, where
-    E + F has lower dimension than L, have measure zero under Haar draws;
-    they go one at a time through ``span_sum``, and each adds one to
-    ``trace.counters["claim23_scalar_rows"]``.
+    dim L left singular vectors of [E F].  Degenerate configurations (E meets
+    F, so E + F has lower dimension than L) give 0 = 0: there sin(E, F) = 0,
+    whatever the cosine against those singular vectors.
     """
     e, f, l = _stack(e), _stack(f), _stack(l)
     count, n, q = l.shape
@@ -306,18 +299,11 @@ def claim23_sides(e: np.ndarray, f: np.ndarray, l: np.ndarray) -> tuple[np.ndarr
         _check_orthonormal(b)
     m = np.concatenate([np.swapaxes(e, 1, 2), np.swapaxes(f, 1, 2)], axis=1)
     lhs = _map_ball_volume(m, l, q)
-    u, sv, _ = np.linalg.svd(np.concatenate([e, f], axis=2), full_matrices=False)
-    full = np.sum(sv > RANK_TOL * np.maximum(1.0, sv[:, :1]), axis=1) == q
-    span, comp = u[full], _complement(f[full])
+    span = np.linalg.svd(np.concatenate([e, f], axis=2), full_matrices=False)[0]
+    comp = _complement(f)
     _check_orthonormal(span)
     _check_orthonormal(comp)
-    rhs = np.empty(count)
-    rhs[full] = unit_ball_volume(q) * _cos(l[full], span) * _cos(e[full], comp)
-    for t in np.flatnonzero(~full):
-        trace.counters["claim23_scalar_rows"] += 1
-        et, ft = Subspace(n, e[t]), Subspace(n, f[t])
-        rhs[t] = (unit_ball_volume(q) * cos_angle(Subspace(n, l[t]), span_sum(et, ft))
-                  * sin_angle(et, ft))
+    rhs = unit_ball_volume(q) * _cos(l, span) * _cos(e, comp)
     return lhs, rhs
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.spatial import ConvexHull, QhullError
 
 from valgeo import bodies as B, trace
@@ -145,6 +145,10 @@ class TestShadowAreaPerimeter:
         frames=st.booleans(),
         squash=st.booleans(),
     )
+    # An image about 3.7 from the origin with a span of 1e-3: Qhull of the
+    # uncentred image is 2.5e-12 off the exact area on row 5.
+    @example(seed=4294967295, n=5, dim=2, m=8, c=6, kind="anisotropic", frames=False,
+             squash=False)
     def test_matches_qhull(self, seed, n, dim, m, c, kind, frames, squash):
         # Bodies of every affine dimension d <= n, rotated and moved in R^n:
         # points, segments, flat bodies and full-dimensional ones, under Haar
@@ -174,7 +178,10 @@ class TestShadowAreaPerimeter:
         trace.reset()
         got = B.shadow_measures(p, maps, steiner=True)
         assert trace.counters["shadow_rows_edges"] + trace.counters["shadow_rows_edge_ties"] == c
-        for t, image in enumerate(p.vertices @ maps):
+        # The reference takes Qhull of the image of the centred body: area
+        # and perimeter do not change under translation, and Qhull's
+        # rounding grows with the image's distance from the origin.
+        for t, image in enumerate((p.vertices - p.vertices.mean(axis=0)) @ maps):
             ref_area, ref_perimeter = _reference_area_perimeter(image)
             # Qhull's own area of a thin triangle is off by up to ~6e-13
             # relative (against exact rational arithmetic), hence the floor.
@@ -535,7 +542,7 @@ class TestCertifiedMembership:
                                   "sent_to_wolfe": 2, "audited": 0, "audit_mismatches": 0,
                                   "shadow_rows_cauchy": 0, "shadow_rows_edges": 0,
                                   "shadow_rows_edge_ties": 0,
-                                  "shadow_rows_qhull": 0, "qhull_joggled": 0, "claim23_scalar_rows": 0,
+                                  "shadow_rows_qhull": 0, "qhull_joggled": 0,
                                   "wolfe_max_iter_rows": 0, "wolfe_stalled_rows": 0,
                                   "wolfe_ridge_retries": 0, "wolfe_corral_resets": 0}
 
@@ -545,7 +552,9 @@ class TestCertifiedMembership:
                          (B.Polytope(4, B.make_cube(4).vertices @ q.T), 8)):
             f = p.faces
             assert f.a.shape == (count, p.ambient_dim) and f.b.shape == (count,)
-            assert np.allclose(f.gram, f.a @ f.a.T)
+            # Unit normals, no two of them equal: each facet is merged once.
+            gram = f.a @ f.a.T
+            assert np.allclose(np.diag(gram), 1.0) and (gram - np.eye(count)).max() < 1.0 - 1e-9
             assert f.margin == 1e-9 * B._hull_scale(p) and f.certifies
 
     @pytest.mark.parametrize("vertices", [
@@ -744,7 +753,7 @@ class TestFaceRecord:
 
     def test_record_is_read_only(self):
         f = B.make_cube(3).faces
-        for array in (f.a, f.gram, f.edges, f.steps, f.normals, f.areas):
+        for array in (f.a, f.edges, f.steps, f.normals, f.areas):
             assert not array.flags.writeable
         with pytest.raises(ValueError):
             f.a[0, 0] = 2.0

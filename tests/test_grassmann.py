@@ -6,18 +6,19 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.stats import ks_2samp
 
-from valgeo import suites
+from valgeo import suites, valuations as V
 from valgeo.base import mean_and_stderr, unit_ball_volume
 from valgeo.errors import DimensionError, RankError
 from valgeo.grassmann import (
     SeededSampler,
     Subspace,
+    _complement,
+    _cos,
     _map_ball_volume,
     _plucker,
     _subsets,
     coordinate_subspace,
     cos_angle,
-    cos_angle_batch,
     cos_angles_with_bases,
     cos_from_products,
     ellipsoid_image_volume,
@@ -27,7 +28,6 @@ from valgeo.grassmann import (
     haar_subspace,
     haar_unit_vectors,
     orthocomplement,
-    orthocomplement_batch,
     orthonormal_basis,
     sample_containing,
     sample_within,
@@ -384,15 +384,13 @@ def reference_orthocomplement(basis):
 
 def reference_cos_angle(e, f):
     n = e.shape[0]
-    if e.shape[1] == 0:
-        return 1.0
-    if e.shape[1] > f.shape[1]:
-        return reference_cos_angle(reference_orthocomplement(e), reference_orthocomplement(f))
-    if f.shape[1] == n:
+    if {e.shape[1], f.shape[1]} & {0, n}:
         return 1.0
     # The norm of the q x q minors of the p x q product, p >= q
     # (Cauchy-Binet), summed one minor at a time in lexicographic order.
     m = f.T @ e
+    if m.shape[0] < m.shape[1]:
+        m = m.T
     p, q = m.shape
     minors = []
     for rows in combinations(range(p), q):
@@ -444,11 +442,12 @@ class TestBatchedAngleLaws:
     @pytest.mark.parametrize("n", [2, 3, 5])
     @pytest.mark.parametrize("step", ["haar_frames", "_complement"])
     def test_every_chain_level_is_checked(self, monkeypatch, n, step):
-        # The law loop builds 2 frame stacks and 5 complement stacks per
-        # dimension k in 1..n-1.  Whichever one call returns a basis with a
-        # column 0.1% too long, the loop must refuse it.
+        # The law loop builds 2 frame stacks and 3 complement stacks (E^perp,
+        # F^perp and F^perp^perp) per dimension k in 1..n-1.  Whichever one
+        # call returns a basis with a column 0.1% too long, the loop must
+        # refuse it.
         real = getattr(suites, step)
-        calls = 2 * (n - 1) if step == "haar_frames" else 5 * (n - 1)
+        calls = 2 * (n - 1) if step == "haar_frames" else 3 * (n - 1)
         for bad_call in range(calls):
             made = []
 
@@ -477,13 +476,14 @@ class TestStackedPrimitives:
         for ke in range(n + 1):
             g = rng.standard_normal((count, n, ke))
             e = signed_qr_batch(g)
-            comp = orthocomplement_batch(e)
+            comp = _complement(e)
             assert comp.shape == (count, n, n - ke)
             for kf in range(n + 1):
                 f = _orthonormal_stack(rng, count, n, kf)
-                cos = cos_angle_batch(e, f)
+                cos = _cos(e, f)
                 for t in range(count):
                     assert cos[t] == reference_cos_angle(e[t], f[t])
+                    assert cos[t] == cos_angle(Subspace(n, e[t]), Subspace(n, f[t]))
             for t in range(count):
                 assert np.array_equal(e[t], reference_signed_qr(g[t]))
                 assert np.array_equal(comp[t], reference_orthocomplement(e[t]))
@@ -496,11 +496,11 @@ class TestStackedPrimitives:
             for kf in range(n + 1):
                 e = _orthonormal_stack(rng, count, n, ke)
                 f = _orthonormal_stack(rng, count, n, kf)
-                oce, ocf = orthocomplement_batch(e), orthocomplement_batch(f)
-                ce, cf = cos_angle_batch(e, f), cos_angle_batch(f, e)
-                cp = cos_angle_batch(oce, ocf)
-                se, sf = cos_angle_batch(e, ocf), cos_angle_batch(f, oce)
-                sp = cos_angle_batch(oce, orthocomplement_batch(ocf))
+                oce, ocf = _complement(e), _complement(f)
+                ce, cf = _cos(e, f), _cos(f, e)
+                cp = _cos(oce, ocf)
+                se, sf = _cos(e, ocf), _cos(f, oce)
+                sp = _cos(oce, _complement(ocf))
                 assert np.abs(ce - cf).max() <= 1e-10
                 assert np.abs(se - sf).max() <= 1e-10
                 assert np.abs(ce - cp).max() <= 1e-10
@@ -516,23 +516,28 @@ class TestStackedPrimitives:
         bad_row = data.draw(st.integers(0, count - 1))
         rng = np.random.default_rng(seed)
         good = _orthonormal_stack(rng, count, n, k)
+        zero = np.zeros((count, n, 0))
+        V.claim23_sides(good, zero, good)
         bad = good.copy()
         bad[bad_row, :, k - 1] *= 1.001
         with pytest.raises(ValueError):
-            orthocomplement_batch(bad)
-        with pytest.raises(ValueError):
-            cos_angle_batch(bad, good)
-        with pytest.raises(ValueError):
-            cos_angle_batch(good, bad)
+            cos_angle(Subspace(n, bad[bad_row]), Subspace(n, good[bad_row]))
+        for stacks in ((bad, zero, good), (zero, bad, good), (good, zero, bad)):
+            with pytest.raises(ValueError):
+                V.claim23_sides(*stacks)
 
     def test_stack_shapes_are_checked(self):
-        e = _orthonormal_stack(np.random.default_rng(0), 3, 4, 2)
+        e = _orthonormal_stack(np.random.default_rng(0), 3, 4, 1)
+        l = _orthonormal_stack(np.random.default_rng(1), 3, 4, 2)
+        V.claim23_sides(e, e, l)
         with pytest.raises(DimensionError):
-            cos_angle_batch(e, e[:2])
+            V.claim23_sides(e, e[:2], l)
         with pytest.raises(DimensionError):
-            cos_angle_batch(e, _orthonormal_stack(np.random.default_rng(1), 3, 5, 2))
+            V.claim23_sides(e, _orthonormal_stack(np.random.default_rng(1), 3, 5, 1), l)
         with pytest.raises(DimensionError):
-            orthocomplement_batch(e[0])
+            V.claim23_sides(e[0], e, l)
+        with pytest.raises(DimensionError):
+            cos_angle(Subspace(4, e[0]), Subspace(5, np.eye(5)[:, :1]))
 
 
 def _assert_haar_frame_rows(q, g, ortho_tol):

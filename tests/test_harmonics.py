@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -33,6 +34,22 @@ class TestMoments:
         g22 = np.array([2, 2, 0, 0])
         assert sphere_moment(g4, n) == pytest.approx(3 / (n * (n + 2)), rel=1e-14)
         assert sphere_moment(g22, n) == pytest.approx(1 / (n * (n + 2)), rel=1e-14)
+
+    def test_stack_matches_exact_rationals(self):
+        # Every exponent vector of total degree <= 24 in R^4 (the pair
+        # moments of degree-12 blocks), as one (..., n) stack against
+        # prod (g_i - 1)!! / prod_{k < |g|/2} (n + 2k) in exact arithmetic.
+        n = 4
+        gammas = np.concatenate([monomial_exponents(n, d) for d in range(25)])
+        got = sphere_moment(gammas.reshape(-1, 5, n), n).ravel()
+        for gamma, value in zip(gammas, got):
+            if np.any(gamma % 2):
+                assert value == 0.0
+                continue
+            num = math.prod(math.prod(range(g - 1, 0, -2)) for g in gamma.tolist())
+            den = math.prod(n + 2 * k for k in range(int(gamma.sum()) // 2))
+            assert value == float(Fraction(num, den))
+        assert sphere_moment(gammas[:0], n).shape == (0,)
 
     def test_monomial_count(self):
         assert len(monomial_exponents(3, 4)) == math.comb(4 + 2, 2)

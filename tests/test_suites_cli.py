@@ -184,6 +184,24 @@ class TestSuites:
         assert len(laws) == 4
         assert not any(r["pass"] for r in laws)
 
+    def test_angle_complement_law_catches_a_scaled_wide_cosine(self, monkeypatch):
+        # Criterion 1 against a cosine 1e-8 too large only where Q_F^T Q_E is
+        # wide (dim F < dim E), before ``cos_from_products`` transposes it.
+        # The complement law sets cos(E, F) against cos(E^perp, F^perp),
+        # whose product is tall when the first is wide, so every n has rows
+        # where the two differ by the error.
+        real = G.cos_from_products
+
+        def scaled(m):
+            return real(m) * (1.0 + 1e-8) if m.shape[-2] < m.shape[-1] else real(m)
+
+        monkeypatch.setattr(G, "cos_from_products", scaled)
+        monkeypatch.setattr(suites, "cos_from_products", scaled)
+        report = run_suite("angles", RunConfig(seed=1234))
+        laws = [r for r in report.records if r["name"].endswith("/complement")]
+        assert len(laws) == 4
+        assert not any(r["pass"] for r in laws)
+
     # Criterion 6's fitted-scalar residual against a non-proportional error
     # of a few percent on the formula side: the formula at L times
     # 1 + c L_11^2, with L_11 the (1, 1) entry of L's basis.  With c = 0.2
