@@ -1,7 +1,7 @@
 """Benchmark the spectral layer on one Monte-Carlo chunk: LAPACK and einsum
 against closed forms and BLAS matmuls, and the Lefschetz operator's per-block
 harmonic traces against its monomial moment matrix; and claim23's random
-trials, per trial against stacked.
+trials and the angles suite's laws, per trial against stacked.
 
 For each shape the angles, claim23, lemma22, lemma24, kubota, lambda and
 lefschetz suites use, it times one chunk four ways:
@@ -33,11 +33,16 @@ It also times the claim23 suite's 200 default trials (100 for each of n = 5
 and 6) two ways: the per-trial loop of ``haar_subspace`` draws and scalar
 angle functions (kept here as the reference), and the suite's grouped draw
 through ``valuations.claim23_sides``.  Every trial's gap must agree exactly.
+And it times the angles suite's laws for n = 3..6, 100 trials each, by the
+same kind of per-trial loop (kept here as the reference) and by
+``suites._angle_laws``'s one stack per dimension.  All four deviations of
+every n must agree exactly.
 
 It prints the best time of a few repeats for each path and the largest
 relative disagreement between the two (for the operator, the largest over
 its three outputs; absolute for the cosines), and exits with an error if any
-exceeds 1e-12, 1e-13 for the cosines, or 0 for claim23.  Run:
+exceeds 1e-12, 1e-13 for the cosines, or 0 for claim23 and the angle laws.
+Run:
 
     python benchmarks/bench_spectral.py [--samples N] [--repeats R] [--json FILE]
 
@@ -70,11 +75,12 @@ from valgeo.grassmann import (
     haar_bases_batch,
     haar_subspace,
     haar_unit_vectors,
+    orthocomplement,
     sin_angle,
     span_sum,
     unit_vectors_orthogonal_to,
 )
-from valgeo.suites import _claim23_gaps
+from valgeo.suites import _angle_laws, _claim23_gaps
 from valgeo.transforms import operator_matrix_even
 
 TOL = 1e-12
@@ -137,6 +143,30 @@ def loop_claim23_gaps(n: int, trials: int, s: SeededSampler) -> np.ndarray:
         rhs = unit_ball_volume(l.dim) * cos_angle(l, span_sum(e, f)) * sin_angle(e, f)
         gaps[t] = abs(lhs - rhs) / unit_ball_volume(i1 + i2)
     return gaps
+
+
+def loop_angle_laws(n: int, s: SeededSampler) -> tuple[float, float, float, float]:
+    """The angles suite's symmetry, complement, branch-agreement and range
+    deviations as a per-trial loop: two ``haar_subspace`` draws and the
+    scalar angle functions."""
+    sym = perp = branch = beyond = 0.0
+    for t in range(100):
+        i = 1 + t % (n - 1)
+        j = 1 + (t // 7) % (n - 1)
+        e = haar_subspace(n, i, s)
+        f = haar_subspace(n, j, s)
+        ce, cf = cos_angle(e, f), cos_angle(f, e)
+        cp = cos_angle(orthocomplement(e), orthocomplement(f))
+        se, sf = sin_angle(e, f), sin_angle(f, e)
+        sp = sin_angle(orthocomplement(e), orthocomplement(f))
+        sym = max(sym, abs(ce - cf), abs(se - sf))
+        perp = max(perp, abs(ce - cp), abs(se - sp))
+        for val in (ce, cf, cp, se, sf, sp):
+            beyond = max(beyond, -val, val - 1.0)
+        if i == j:
+            direct = float(np.prod(np.linalg.svd(f.basis.T @ e.basis, compute_uv=False)))
+            branch = max(branch, abs(direct - cp))
+    return sym, perp, branch, beyond
 
 
 def per_l_abs_dets(ls: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -222,15 +252,24 @@ def claim23_cases():
            lambda: gaps(_claim23_gaps), None, 0.0)
 
 
+def angle_law_cases():
+    """The angles suite's laws for n = 3..6, per trial and stacked, at tolerance 0."""
+    def laws(path):
+        return np.array([path(n, SeededSampler(SEED, stream_id=n)) for n in range(3, 7)])
+
+    yield ("angle laws 100 trials, n = 3..6", lambda: laws(loop_angle_laws),
+           lambda: laws(_angle_laws), 1.0, 0.0)
+
+
 def run(c: int, repeats: int) -> dict:
     s = SeededSampler(SEED, 1)
     print(f"{c} rows per chunk; best of {repeats}, milliseconds per chunk "
-          "(per 200 trials for claim23)")
+          "(per 200 trials for claim23, per 400 for the angle laws)")
     print(f"{'case':<40} {'old':>9} {'new':>9} {'old/new':>8} {'max rel':>9}")
     rows, failed = [], []
     cases = [*contraction_cases(c, s), *cosine_cases(c, s), *wide_cosine_cases(c, s),
              *operator_cases(c),
-             *claim23_cases()]
+             *claim23_cases(), *angle_law_cases()]
     for name, old, new, scale, tol in cases:
         refs, outs = old(), new()
         if not isinstance(refs, tuple):

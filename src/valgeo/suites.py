@@ -226,15 +226,18 @@ def _angle_laws(n: int, s: SeededSampler) -> tuple[float, float, float, float]:
 
     Trial t draws E in Gr_i then F in Gr_j, with i = 1 + t mod (n-1) and
     j = 1 + (t div 7) mod (n-1), from the Gaussian stream that per-trial
-    ``haar_subspace`` calls read.  The trials are drawn in one call.  For
-    each dimension k, the chain E, E^perp of every E with i = k is built
-    once, as one stack per level, and each level is checked for
-    orthonormality once.  So is F, F^perp, F^perp^perp for the F with j = k:
-    one level more, because sin(E^perp, F^perp) = cos(E^perp, F^perp^perp).
-    The laws are then evaluated in stacks, one per (i, j), on rows of those
-    chains, each cosine by ``cos_from_products`` whatever the dimensions.
-    Frames and complements round each row as they would alone, so every
-    cosine equals ``cos_angle`` on the same trial bit for bit.
+    ``haar_subspace`` calls read.  The trials are drawn in one call.  Each
+    dimension k has one stack: the E with i = k ordered by j, then the F with
+    j = k ordered by i, in trial order within each, so that every (i, j)
+    group is one slice of stack i and one of stack j.  A stack takes one
+    ``haar_frames`` call, one ``_complement`` of the whole stack (E^perp and
+    F^perp) and one of its F part (F^perp^perp, because sin(E^perp, F^perp)
+    = cos(E^perp, F^perp^perp)), and each level is checked for
+    orthonormality once.  The six products Q_Y^T Q_X of every group are
+    pooled by their shape as formed, and each shape's pool takes one
+    ``cos_from_products`` call.  Frames, complements and cosines round each
+    row as they would alone, so every cosine equals ``cos_angle`` on the
+    same trial bit for bit.
     """
     t = np.arange(100)
     i = 1 + t % (n - 1)
@@ -242,42 +245,59 @@ def _angle_laws(n: int, s: SeededSampler) -> tuple[float, float, float, float]:
     ends = np.cumsum(n * (i + j))
     g = s.standard_normal(int(ends[-1]))
     starts = ends - n * (i + j)
+    count = np.zeros((n, n), dtype=int)
+    np.add.at(count, (i, j), 1)
+    by_e, by_f = np.lexsort((j, i)), np.lexsort((i, j))
+    # Group (a, b) starts at at_e[a, b] in stack a and at_f[a, b] in stack b,
+    # whose first n_e[b] rows are its E.
+    n_e = count.sum(axis=1)
+    at_e = np.cumsum(count, axis=1) - count
+    at_f = n_e + np.cumsum(count, axis=0) - count
 
-    def chain(dims, offsets, k, levels):
-        rows = np.flatnonzero(dims == k)
-        links = [haar_frames(g[offsets[rows, None] + np.arange(n * k)].reshape(-1, n, k))]
-        _check_orthonormal(links[0])
-        while len(links) < levels:
-            links.append(_complement(links[-1]))
-            _check_orthonormal(links[-1])
-        place = np.zeros(len(t), dtype=int)
-        place[rows] = np.arange(len(rows))
-        return links, place
+    # Every level has a dimension in 1..n-1, so no cosine is the exact 1
+    # that ``_cos`` returns when either space is 0 or all of R^n.
+    stacks = {}
+    for k in range(1, n):
+        rows_e, rows_f = by_e[i[by_e] == k], by_f[j[by_f] == k]
+        offsets = np.concatenate([starts[rows_e], starts[rows_f] + n * i[rows_f]])
+        frames = haar_frames(g[offsets[:, None] + np.arange(n * k)].reshape(-1, n, k))
+        _check_orthonormal(frames)
+        perps = _complement(frames)
+        _check_orthonormal(perps)
+        backs = _complement(perps[n_e[k]:])
+        _check_orthonormal(backs)
+        stacks[k] = frames, perps, backs
 
-    # Every chain level has a dimension in 1..n-1, so no cosine is the
-    # exact 1 that ``_cos`` returns when either space is 0 or all of R^n.
-    chains_e = {k: chain(i, starts, k, 2) for k in range(1, n)}
-    chains_f = {k: chain(j, starts + n * i, k, 3) for k in range(1, n)}
+    # Row r of vals holds, in by_e's trial order, cos(E, F), cos(F, E),
+    # cos(E^perp, F^perp), sin(E, F), sin(F, E) and sin(E^perp, F^perp).
+    pools, squares, lo = {}, [], 0
+    for a, b in zip(*np.nonzero(count)):
+        c, ea, fb = count[a, b], at_e[a, b], at_f[a, b]
+        (e0, e1, _), (f0, f1, f2) = stacks[a], stacks[b]
+        e0, e1 = e0[ea:ea + c], e1[ea:ea + c]
+        f0, f1, f2 = f0[fb:fb + c], f1[fb:fb + c], f2[fb - n_e[b]:fb - n_e[b] + c]
+        pairs = ((e0, f0), (f0, e0), (e1, f1), (e0, f1), (f0, e1), (e1, f2))
+        for r, (x, y) in enumerate(pairs):
+            m = np.swapaxes(y, 1, 2) @ x
+            pools.setdefault(m.shape[1:], []).append((m, r, lo))
+            if a == b and r == 0:
+                squares.append((m, lo))
+        lo += c
+    vals = np.empty((6, len(t)))
+    for pool in pools.values():
+        cosines, done = cos_from_products(np.concatenate([m for m, _, _ in pool])), 0
+        for m, r, at in pool:
+            vals[r, at:at + len(m)] = cosines[done:done + len(m)]
+            done += len(m)
 
-    def cos(x, p, y, q):
-        """cos of level p of chain x and level q of chain y."""
-        return cos_from_products(np.swapaxes(y[q], 1, 2) @ x[p])
-
-    sym = perp = branch = beyond = 0.0
-    for a, b in sorted(set(zip(i.tolist(), j.tolist()))):
-        rows = np.flatnonzero((i == a) & (j == b))
-        (links_e, place_e), (links_f, place_f) = chains_e[a], chains_f[b]
-        e = [link[place_e[rows]] for link in links_e]
-        f = [link[place_f[rows]] for link in links_f]
-        ce, cf, cp = cos(e, 0, f, 0), cos(f, 0, e, 0), cos(e, 1, f, 1)
-        se, sf, sp = cos(e, 0, f, 1), cos(f, 0, e, 1), cos(e, 1, f, 2)
-        sym = max(sym, np.abs(ce - cf).max(), np.abs(se - sf).max())
-        perp = max(perp, np.abs(ce - cp).max(), np.abs(se - sp).max())
-        vals = np.concatenate([ce, cf, cp, se, sf, sp])
-        beyond = max(beyond, (-vals).max(), (vals - 1.0).max())
-        if a == b:
-            sv = np.linalg.svd(np.swapaxes(f[0], 1, 2) @ e[0], compute_uv=False)
-            branch = max(branch, np.abs(np.prod(sv, axis=-1) - cp).max())
+    ce, cf, cp, se, sf, sp = vals
+    sym = max(np.abs(ce - cf).max(), np.abs(se - sf).max())
+    perp = max(np.abs(ce - cp).max(), np.abs(se - sp).max())
+    beyond = max(0.0, (-vals).max(), (vals - 1.0).max())
+    branch = 0.0
+    for m, at in squares:
+        sv = np.linalg.svd(m, compute_uv=False)
+        branch = max(branch, np.abs(np.prod(sv, axis=-1) - cp[at:at + len(m)]).max())
     return float(sym), float(perp), float(branch), float(beyond)
 
 

@@ -435,19 +435,21 @@ def reference_angle_laws(n, s):
 class TestBatchedAngleLaws:
     @pytest.mark.parametrize("seed", [99, 1234, 3456993387, 2906882619])
     def test_equal_to_per_trial_loop(self, seed):
-        for n in range(2, 8):
+        # n = 17 is the smallest n with a dimension (k = 16) that has E rows
+        # but no F rows (j <= 15 in 100 trials): its stack's F part is empty.
+        for n in [*range(2, 8), *([17] if seed == 99 else [])]:
             batched = _angle_laws(n, SeededSampler(seed, stream_id=n))
             assert batched == reference_angle_laws(n, SeededSampler(seed, stream_id=n))
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     @pytest.mark.parametrize("step", ["haar_frames", "_complement"])
     def test_every_chain_level_is_checked(self, monkeypatch, n, step):
-        # The law loop builds 2 frame stacks and 3 complement stacks (E^perp,
-        # F^perp and F^perp^perp) per dimension k in 1..n-1.  Whichever one
-        # call returns a basis with a column 0.1% too long, the loop must
+        # The law loop builds 1 frame stack and 2 complement stacks (E^perp
+        # with F^perp, and F^perp^perp) per dimension k in 1..n-1.  Whichever
+        # one call returns a basis with a column 0.1% too long, the loop must
         # refuse it.
         real = getattr(suites, step)
-        calls = 2 * (n - 1) if step == "haar_frames" else 3 * (n - 1)
+        calls = n - 1 if step == "haar_frames" else 2 * (n - 1)
         for bad_call in range(calls):
             made = []
 
@@ -462,6 +464,25 @@ class TestBatchedAngleLaws:
             with pytest.raises(ValueError):
                 _angle_laws(n, SeededSampler(7, stream_id=n))
             assert len(made) == bad_call + 1
+        made = []
+        monkeypatch.setattr(suites, step, lambda bases: made.append(bases) or real(bases))
+        _angle_laws(n, SeededSampler(7, stream_id=n))
+        assert len(made) == calls
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_one_cosine_call_per_product_shape(self, monkeypatch, n):
+        # Every product Q_Y^T Q_X is p x q with p, q in 1..n-1, and the law
+        # loop pools the products of each shape into one call.
+        shapes = []
+
+        def counted(m):
+            shapes.append(m.shape[1:])
+            return cos_from_products(m)
+
+        monkeypatch.setattr(suites, "cos_from_products", counted)
+        _angle_laws(n, SeededSampler(1234, stream_id=n))
+        assert len(shapes) <= (n - 1) ** 2
+        assert len(set(shapes)) == len(shapes)
 
 
 def _orthonormal_stack(rng, count, n, k):

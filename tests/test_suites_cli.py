@@ -202,6 +202,21 @@ class TestSuites:
         assert len(laws) == 4
         assert not any(r["pass"] for r in laws)
 
+    def test_steiner_coefficients_catch_a_short_edge_distance(self, monkeypatch):
+        # Criterion 4.  In R^2 and R^3 a point whose projection onto its most
+        # violated facet leaves P is at the distance of P's nearest edge.
+        # 3% short, it moves every body's parallel volumes off the Steiner
+        # polynomial, and coefficient records of all four bodies fail; the
+        # derivative laws take exact volumes and no distance, so they hold.
+        assert run_suite("steiner", RunConfig(seed=1234)).passed
+        nearest = B._nearest_segment_distances
+        monkeypatch.setattr(B, "_nearest_segment_distances", lambda f, x: 0.97 * nearest(f, x))
+        report = run_suite("steiner", RunConfig(seed=1234))
+        failed = [r["name"] for r in report.records if not r["pass"]]
+        assert all("/coeff-V" in name for name in failed)
+        assert {name.split("/")[1] for name in failed} == {"square", "simplex2", "cube3",
+                                                           "simplex3"}
+
     # Criterion 6's fitted-scalar residual against a non-proportional error
     # of a few percent on the formula side: the formula at L times
     # 1 + c L_11^2, with L_11 the (1, 1) entry of L's basis.  With c = 0.2
