@@ -19,16 +19,16 @@ edge test or Cauchy's formula disagrees with Qhull by more than 1e-12 so
 measured, in area or, for the edge test, in perimeter, or if the edge test
 hands a row on to Qhull.
 
-A last table times Cauchy's formula itself on the three clouds of the
-``large-bodies`` workload (1000 Gaussian points, 150 on the sphere, 300
-anisotropic, drawn at ``SEED``): the one-piece expression
+A last table times Cauchy's formula itself, the best of ``--repeats`` runs,
+on the three clouds of the ``large-bodies`` workload (1000 Gaussian points,
+150 on the sphere, 300 anisotropic, drawn at ``SEED``): the one-piece expression
 ``0.5 * (np.abs(dirs @ normals.T) @ areas)`` against ``cauchy_shadow_volumes``,
 which evaluates it in cache-sized row blocks.  The script exits with an
 error unless the two are bit-identical.  That holds under one BLAS thread;
 with more, the one-piece product may be split between threads off the
 8-row grid and move by an ulp, so run it with ``OPENBLAS_NUM_THREADS=1``:
 
-    OPENBLAS_NUM_THREADS=1 python benchmarks/bench_shadows.py [--samples N]
+    OPENBLAS_NUM_THREADS=1 python benchmarks/bench_shadows.py [--samples N] [--repeats R]
 """
 
 import argparse
@@ -43,7 +43,6 @@ from valgeo.bodies import Polytope, cauchy_shadow_volumes, make_cube, shadow_mea
 from valgeo.grassmann import SeededSampler, haar_bases_batch, haar_unit_vectors
 
 TOL = 1e-12
-REPEATS = 5  # Cauchy timings are the best of this many runs
 SEED = 1234  # the suites' default seed
 
 
@@ -84,13 +83,13 @@ def timed(fn):
     return out, time.perf_counter() - t0
 
 
-def best_of(fn):
-    """(result, best seconds) over ``REPEATS`` runs."""
-    runs = [timed(fn) for _ in range(REPEATS)]
+def best_of(fn, repeats: int):
+    """(result, best seconds) over ``repeats`` runs."""
+    runs = [timed(fn) for _ in range(repeats)]
     return runs[0][0], min(t for _, t in runs)
 
 
-def cauchy_blocks(c: int) -> None:
+def cauchy_blocks(c: int, repeats: int) -> None:
     """Time the one-piece and the row-blocked Cauchy formula on the large-bodies
     clouds; exit with an error unless they agree bit for bit."""
     s = SeededSampler(SEED, 2)
@@ -100,8 +99,8 @@ def cauchy_blocks(c: int) -> None:
         body = Polytope(3, pts)
         normals, areas = body.faces.normals, body.faces.areas
         dirs = haar_unit_vectors(3, c, s.substream(j))
-        ref, t_ref = best_of(lambda: 0.5 * (np.abs(dirs @ normals.T) @ areas))
-        blocked, t_blocked = best_of(lambda: cauchy_shadow_volumes(body, dirs))
+        ref, t_ref = best_of(lambda: 0.5 * (np.abs(dirs @ normals.T) @ areas), repeats)
+        blocked, t_blocked = best_of(lambda: cauchy_shadow_volumes(body, dirs), repeats)
         print(f"{name:<12} {len(areas):>6} {1e3 * t_ref:>10.2f} {1e3 * t_blocked:>9.2f} "
               f"{t_ref / t_blocked:>7.1f}x")
         if not np.array_equal(blocked, ref):
@@ -138,7 +137,7 @@ def row(name: str, verts: int, t_qhull: float, t_edges: float, t_cauchy, gap: fl
             f"{t_qhull / t_edges:>7.1f}x {gap:>9.1e}")
 
 
-def run(c: int) -> None:
+def run(c: int, repeats: int) -> None:
     s = SeededSampler(SEED, 1)
     print(f"{c} shadows per input; seconds per chunk")
     print(f"{'input':<28} {'verts':>6} {'qhull':>9} {'edges':>9} {'cauchy':>9} "
@@ -159,12 +158,14 @@ def run(c: int) -> None:
     for j, (name, body) in enumerate(flat_bodies().items()):
         maps, _ = line_pairs(body.ambient_dim, c, s.substream(6 + j))
         print(row(f"{name} line pairs", body.n_vertices, *measure(body, maps, None)))
-    cauchy_blocks(c)
+    cauchy_blocks(c, repeats)
 
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--samples", type=int, default=MC_CHUNK, help="shadows per input")
+    parser.add_argument("--repeats", type=int, default=5,
+                        help="timed runs of each Cauchy path; the best one counts")
     args = parser.parse_args()
-    run(args.samples)
+    run(args.samples, args.repeats)

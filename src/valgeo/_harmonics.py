@@ -1,4 +1,4 @@
-"""Real spherical harmonics as harmonic polynomials, plus sphere quadrature.
+"""Real spherical harmonics as harmonic polynomials.
 
 Works uniformly for S^2 and S^3 (ambient n = 3, 4): a basis of harmonic
 homogeneous polynomials of degree d is the nullspace of the Laplacian acting
@@ -81,13 +81,6 @@ def _harmonic_space(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     rank = int(np.sum(sv > 1e-10 * max(1.0, sv[0] if sv.size else 1.0)))
     null = vt[rank:]
     return exps, null
-
-
-def harmonic_dimension(n: int, d: int) -> int:
-    """dim of the spherical harmonics of degree d on S^{n-1}."""
-    if d == 0:
-        return 1
-    return math.comb(d + n - 1, n - 1) - math.comb(d + n - 3, n - 1)
 
 
 @dataclass(frozen=True)
@@ -207,33 +200,3 @@ def kernel_mean_quadrature(kernel, n: int, poly_degree: int) -> float:
     a = (n - 3) / 2.0
     nodes, weights = special.roots_jacobi(npts, a, a)
     return float(weights @ kernel(nodes)) / _weight_normalizer(n)
-
-
-def sphere_quadrature(n: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric node set and probability weights on S^{n-1}.
-
-    Exact for all polynomials up to the given degree.  Built recursively:
-    S^{m-1} = Gauss-Jacobi nodes in the first coordinate times a rule on
-    S^{m-2}; the base circle rule is a uniform (even) grid.
-    """
-    if n < 2:
-        raise ScopeError("need ambient dimension >= 2")
-    if n == 2:
-        m = degree + 2 + (degree % 2)  # even count, exact past the degree
-        theta = 2.0 * math.pi * np.arange(m) / m
-        nodes = np.column_stack([np.cos(theta), np.sin(theta)])
-        return nodes, np.full(m, 1.0 / m)
-    sub_nodes, sub_weights = sphere_quadrature(n - 1, degree)
-    a = (n - 3) / 2.0
-    npts = degree // 2 + 2
-    t, wt = special.roots_jacobi(npts, a, a)
-    wt = wt / wt.sum()
-    r = np.sqrt(np.maximum(1.0 - t**2, 0.0))
-    nodes = np.concatenate(
-        [
-            np.column_stack([np.full(len(sub_nodes), ti), ri * sub_nodes])
-            for ti, ri in zip(t, r)
-        ]
-    )
-    weights = np.concatenate([wi * sub_weights for wi in wt])
-    return nodes, weights

@@ -215,13 +215,6 @@ class SteinerPolynomial:
     volumes: np.ndarray | None = None
     volume_stderrs: np.ndarray | None = None
 
-    def intrinsic_volumes(self) -> "IntrinsicVolumeVector":
-        n = self.degree
-        vals = np.array(
-            [self.coefficients[n - j] / unit_ball_volume(n - j) for j in range(n + 1)]
-        )
-        return IntrinsicVolumeVector(values=vals)
-
 
 @dataclass(frozen=True)
 class IntrinsicVolumeVector:
@@ -305,13 +298,6 @@ def make_cube(n: int, side: float = 1.0, centered: bool = False) -> Polytope:
     return Polytope(n, corners)
 
 
-def make_box(sides: Sequence[float]) -> Polytope:
-    sides = np.asarray(sides, dtype=float)
-    n = len(sides)
-    corners = np.array(np.meshgrid(*[[0.0, s] for s in sides], indexing="ij")).reshape(n, -1).T
-    return Polytope(n, corners)
-
-
 def make_simplex(n: int) -> Polytope:
     """Standard simplex conv{0, e_1, ..., e_n}; volume 1/n!."""
     if n < 1:
@@ -330,18 +316,6 @@ def make_random_polytope(n: int, m: int, s: SeededSampler) -> Polytope:
     if m < n + 1:
         raise ValueError(f"need m >= n+1 points, got m={m}, n={n}")
     return Polytope(n, haar_unit_vectors(n, m, s))
-
-
-def translate(p: Polytope, x) -> Polytope:
-    return Polytope(p.ambient_dim, p.vertices + np.asarray(x, dtype=float))
-
-
-def scale(p: Polytope, lam: float) -> Polytope:
-    return Polytope(p.ambient_dim, p.vertices * float(lam))
-
-
-def negate(p: Polytope) -> Polytope:
-    return Polytope(p.ambient_dim, -p.vertices)
 
 
 def polytope_to_json(p: Polytope) -> dict:
@@ -909,15 +883,6 @@ def kubota_coefficient(n: int, k: int) -> float:
     )
 
 
-def shadow_volume(p: Polytope, direction: np.ndarray) -> float:
-    """vol_{n-1} of the projection of a full-dimensional P along a unit direction.
-
-    Cauchy's projection formula: half the sum over facets of area times
-    |<normal, direction>|.
-    """
-    return float(cauchy_shadow_volumes(p, np.asarray(direction, dtype=float)[None, :])[0])
-
-
 def cauchy_shadow_volumes(p: Polytope, dirs: np.ndarray) -> np.ndarray:
     """Cauchy's projection formula for each row of ``dirs`` at once.
 
@@ -1016,11 +981,9 @@ def kubota_estimate(body, k: int, n_samples: int, s: SeededSampler) -> Estimate:
 # ---------------------------------------------------------------------------
 
 
-def default_epsilon_grid(p: Polytope, count: int | None = None, span: float = 1.0) -> np.ndarray:
-    """``count`` (default n + 3) Chebyshev-spaced radii on [0, span diam(P)],
-    in ascending order; the spacing controls the fit's conditioning."""
-    if count is None:
-        count = p.ambient_dim + 3
+def default_epsilon_grid(p: Polytope, count: int, span: float) -> np.ndarray:
+    """``count`` Chebyshev-spaced radii on [0, span diam(P)], in ascending
+    order; the spacing controls the fit's conditioning."""
     d = p.diameter()
     if d == 0.0:
         d = 1.0
@@ -1045,12 +1008,14 @@ def parallel_body_volumes(
 
 
 def fit_polynomial(
-    x: np.ndarray, y: np.ndarray, degree: int
-) -> tuple[np.ndarray, float, float]:
-    """Least-squares polynomial fit; returns (ascending coeffs, rel residual, cond).
+    x: np.ndarray, y: np.ndarray, y_stderrs: np.ndarray, degree: int
+) -> tuple[np.ndarray, float, float, np.ndarray]:
+    """Least-squares polynomial fit; returns (ascending coeffs, rel residual,
+    cond, coeff stderrs).
 
     The abscissa is rescaled to [0, 1] before solving; the condition number
-    refers to the rescaled design matrix.
+    refers to the rescaled design matrix.  The standard errors of ``y`` are
+    propagated to the coefficients through its pseudo-inverse.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -1067,8 +1032,9 @@ def fit_polynomial(
     fitted = design @ sol
     denom = float(np.linalg.norm(y))
     residual = float(np.linalg.norm(y - fitted)) / (denom if denom > 0 else 1.0)
-    coeffs = sol / x_scale ** np.arange(degree + 1)
-    return coeffs, residual, cond
+    powers = x_scale ** np.arange(degree + 1)
+    coeff_stderrs = np.sqrt(np.linalg.pinv(design) ** 2 @ np.asarray(y_stderrs) ** 2) / powers
+    return sol / powers, residual, cond, coeff_stderrs
 
 
 def steiner_fit(
@@ -1082,7 +1048,7 @@ def steiner_fit(
     if len(np.unique(eps_grid)) < n + 1:
         raise ValueError(f"need at least {n + 1} distinct grid points")
     vols, stderrs = parallel_body_volumes(p, eps_grid, n_samples, s)
-    coeffs, residual, cond = fit_polynomial(eps_grid, vols, n)
+    coeffs, residual, cond, _ = fit_polynomial(eps_grid, vols, stderrs, n)
     return SteinerPolynomial(
         degree=n,
         coefficients=coeffs,

@@ -76,16 +76,8 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.shape[1]
 
-    def projector(self) -> np.ndarray:
-        """The n x n orthogonal projection matrix onto the subspace."""
-        return self.basis @ self.basis.T
-
     def __repr__(self) -> str:
         return f"Subspace(ambient_dim={self.ambient_dim}, dim={self.dim})"
-
-
-def full_space(n: int) -> Subspace:
-    return Subspace(n, np.eye(n))
 
 
 def zero_subspace(n: int) -> Subspace:

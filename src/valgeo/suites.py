@@ -108,8 +108,16 @@ def load_config_file(path: str) -> dict:
     return out
 
 
+_CONFIG_KEYS = ("seed", "samples", "dim", "dmax", "out", "format", "bodies")
+
+
 def config_from_sources(file_values: dict | None = None, **cli_values) -> RunConfig:
-    """Build a RunConfig with CLI flags taking precedence over file values."""
+    """Build a RunConfig with CLI flags taking precedence over file values.
+
+    A key outside ``_CONFIG_KEYS`` and ``tol.<name>`` raises ValueError.  The
+    names after ``tol.`` are not checked: which ones a suite reads is known
+    only when it runs.
+    """
     cfg = RunConfig()
     merged: dict = {}
     tolerances: dict[str, float] = {}
@@ -119,8 +127,11 @@ def config_from_sources(file_values: dict | None = None, **cli_values) -> RunCon
                 continue
             if key.startswith("tol."):
                 tolerances[key[4:]] = float(value)
-            else:
+            elif key in _CONFIG_KEYS:
                 merged[key] = value
+            else:
+                raise ValueError(f"unknown config key {key!r}; known keys are "
+                                 f"{', '.join(_CONFIG_KEYS)} and tol.<name>")
     if "seed" in merged:
         cfg.seed = int(merged["seed"])
     if "samples" in merged:
@@ -694,7 +705,7 @@ def _lambda_suite(cfg: RunConfig) -> tuple[list[dict], dict]:
     rtol = cfg.tol("lambda", 0.03)
     cube = B.make_cube(3)
     try:
-        est = V.lambda_apply(V.Lambda(V.IntrinsicVolume(3)), cube, None, budget,
+        est = V.lambda_apply(V.Lambda(V.IntrinsicVolume(3)), cube, budget,
                              SeededSampler(cfg.seed, 95))
         records.append(check_rel("lambda/vol3-on-cube", est.value, 6.0, rtol))
     except PolynomialFitError as exc:
@@ -718,7 +729,7 @@ def _lambda_suite(cfg: RunConfig) -> tuple[list[dict], dict]:
     # shadow is the zonotope with perimeter 2 sum_i |F^T e_i|.
     f = haar_subspace(3, 2, SeededSampler(cfg.seed, 99))
     expr = V.Lambda(V.ProjectionVal(f))
-    est = V.lambda_apply(expr, cube, None, budget, SeededSampler(cfg.seed, 100))
+    est = V.lambda_apply(expr, cube, budget, SeededSampler(cfg.seed, 100))
     expected = 2.0 * float(np.linalg.norm(f.basis, axis=1).sum())
     records.append(check_rel("lambda/projection-valuation-planar", est.value, expected, 1e-9))
     extras = {

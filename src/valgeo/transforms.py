@@ -41,7 +41,6 @@ from .grassmann import (
     haar_bases_batch,
     haar_unit_vectors,
     orthocomplement,
-    orthonormal_basis,
     unit_vectors_orthogonal_to,
 )
 
@@ -234,25 +233,6 @@ def funk_radon_eigen(n: int, d: int) -> float:
         lambda t: gegenbauer_normalized(n, d, rho * t), n - 1, d
     )
     return mean / float(gegenbauer_normalized(n, d, rho0))
-
-
-def radon_funk_eigen_mc(n: int, d: int, n_samples: int, s: SeededSampler) -> Estimate:
-    """Radon eigenvalue measured through ``radon_apply`` on a zonal harmonic.
-
-    Averages the zonal harmonic over lines inside a hyperplane in generic
-    position relative to the pole and divides by the value at the normal
-    line, so the estimate carries real Monte-Carlo variance.
-    """
-    axis = np.zeros(n)
-    axis[0] = 1.0
-    f = zonal_harmonic(n, d, axis)
-    normal = np.zeros(n)
-    normal[0] = math.cos(0.9)
-    normal[1] = math.sin(0.9)
-    h = orthocomplement(orthonormal_basis(normal.reshape(n, 1)))
-    est = radon_apply(f, n - 1, h, n_samples, s)
-    denom = float(gegenbauer_normalized(n, d, math.cos(0.9)))
-    return Estimate(est.value / denom, est.stderr / abs(denom))
 
 
 # ---------------------------------------------------------------------------

@@ -226,7 +226,7 @@ def evaluate(expr: ValuationExpr, body: BodySpec, budget: int, s: SeededSampler)
         if isinstance(body, Ball):
             raise ScopeError("Lambda is evaluated on polytopes (parallel bodies of "
                              "subspace balls are not subspace balls)")
-        return lambda_apply(expr, body, None, budget, s)
+        return lambda_apply(expr, body, budget, s)
     if isinstance(expr, CustomVal):
         return expr.evaluator(body, budget, s)
     raise TypeError(f"unknown expression {expr!r}")
@@ -557,14 +557,15 @@ def parallel_valuation_values(
     raise ScopeError(f"parallel-body evaluation not supported for {type(expr).__name__}")
 
 
-def lambda_apply(expr: Lambda, body: Polytope, eps_grid, budget: int,
+def lambda_apply(expr: Lambda, body: Polytope, budget: int,
                  s: SeededSampler, max_residual: float = 0.02) -> Estimate:
     """Evaluate (possibly nested) Lambda expressions by polynomial fitting.
 
-    phi(K + eps D) is a polynomial of degree deg(phi) in eps; m nested
-    Lambda layers return m! times its eps^m coefficient.  The fit residual
-    is a built-in diagnostic: residuals above ``max_residual`` raise
-    PolynomialFitError (the sample budget was too small for the grid).
+    phi(K + eps D) is a polynomial of degree deg(phi) in eps, sampled on
+    ``default_epsilon_grid(body, deg + 3, span=0.6)``; m nested Lambda layers
+    return m! times its eps^m coefficient.  The fit residual is a built-in
+    diagnostic: residuals above ``max_residual`` raise PolynomialFitError
+    (the sample budget was too small for the grid).
     """
     layers = 0
     base: ValuationExpr = expr
@@ -572,22 +573,13 @@ def lambda_apply(expr: Lambda, body: Polytope, eps_grid, budget: int,
         layers += 1
         base = base.inner
     d = base.degree
-    if eps_grid is None:
-        eps_grid = default_epsilon_grid(body, d + 3, span=0.6)
-    eps_grid = np.asarray(eps_grid, dtype=float)
-    if len(np.unique(eps_grid)) < d + 2:
-        raise ValueError(f"need at least {d + 2} distinct grid points")
+    eps_grid = default_epsilon_grid(body, d + 3, span=0.6)
     values, stderrs = parallel_valuation_values(base, body, eps_grid, budget, s)
-    coeffs, residual, _cond = fit_polynomial(eps_grid, values, d)
+    coeffs, residual, _cond, coeff_stderr = fit_polynomial(eps_grid, values, stderrs, d)
     if residual > max_residual:
         raise PolynomialFitError(
             f"fit residual {residual:.3g} exceeds {max_residual:.3g}; raise the budget"
         )
-    # Propagate the per-point standard errors through the pseudo-inverse.
-    scale = float(np.abs(eps_grid).max()) or 1.0
-    design = np.vander(eps_grid / scale, d + 1, increasing=True)
-    pinv = np.linalg.pinv(design)
-    coeff_stderr = np.sqrt((pinv**2) @ stderrs**2) / scale ** np.arange(d + 1)
     value = math.factorial(layers) * coeffs[layers]
     stderr = math.factorial(layers) * float(coeff_stderr[layers])
     return Estimate(float(value), stderr)
@@ -607,17 +599,6 @@ class ProportionalityReport:
     skipped: list[int]
     values_a: list[Estimate]
     values_b: list[Estimate]
-
-    def to_dict(self) -> dict:
-        return {
-            "ratios": self.ratios.tolist(),
-            "mean_ratio": self.mean_ratio,
-            "spread": self.spread,
-            "proportional": self.proportional,
-            "skipped": self.skipped,
-            "values_a": [[e.value, e.stderr] for e in self.values_a],
-            "values_b": [[e.value, e.stderr] for e in self.values_b],
-        }
 
 
 def proportionality_check(a: ValuationExpr, b: ValuationExpr, bodies, budget: int,

@@ -14,6 +14,7 @@ from valgeo.base import mc_chunks, unit_ball_volume
 from valgeo.errors import ConditioningWarning, DimensionError, ScopeError
 from valgeo.grassmann import (
     SeededSampler,
+    Subspace,
     _transposed_products,
     coordinate_subspace,
     haar_bases_batch,
@@ -21,7 +22,6 @@ from valgeo.grassmann import (
     haar_unit_vectors,
     orthocomplement,
     orthonormal_basis,
-    full_space,
 )
 
 
@@ -336,7 +336,7 @@ class TestCauchyShadows:
 class TestProjection:
     def test_full_space_identity(self, sampler):
         p = B.make_random_polytope(3, 12, sampler)
-        q = B.project(p, full_space(3))
+        q = B.project(p, Subspace(3, np.eye(3)))
         assert B.hull_volume(q) == pytest.approx(B.hull_volume(p), rel=1e-10)
 
     def test_cube_to_square(self):
@@ -394,7 +394,7 @@ class TestVolumes:
         vol, err = _old_box_count(p, t, lo, hi, 20_000, s, engine())
         assert tuple(B.mc_hull_volume(p, 20_000, s, method=method)) == (vol[0], err[0])
         if method == "qmc":
-            grid = B.default_epsilon_grid(p, 6)
+            grid = B.default_epsilon_grid(p, 6, span=1.0)
             eps = grid.max()
             old = _old_box_count(p, grid, lo - eps, hi + eps, 20_000, s, engine())
             new = B.parallel_body_volumes(p, grid, 20_000, s)
@@ -653,7 +653,8 @@ class TestOracles:
         assert B.box_intrinsic_volumes([2.0, 5.0])[0] == 1.0
 
     def test_exact_polytope_intrinsic_volumes_match_box(self):
-        got = B.polytope_intrinsic_volumes(B.make_box([1.0, 2.0, 3.0])).values
+        box = B.Polytope(3, B.make_cube(3).vertices * [1.0, 2.0, 3.0])
+        got = B.polytope_intrinsic_volumes(box).values
         assert np.allclose(got, B.box_intrinsic_volumes([1, 2, 3]).values, atol=1e-9)
 
     def test_exact_simplex3(self):
@@ -674,7 +675,7 @@ class TestOracles:
         # angle 0, which V_1 leaves out; every edge angle is pi/2 to rounding.
         rng = np.random.default_rng(seed)
         q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-        p = B.Polytope(3, B.make_box([1.0, 2.0, 3.0]).vertices @ q.T + rng.uniform(-5, 5, 3))
+        p = B.Polytope(3, (B.make_cube(3).vertices * [1.0, 2.0, 3.0]) @ q.T + rng.uniform(-5, 5, 3))
         assert B.polytope_intrinsic_volumes(p).values == pytest.approx([1.0, 6.0, 11.0, 6.0],
                                                                          rel=1e-12)
 
@@ -697,7 +698,7 @@ class TestOracles:
     def test_exact_oracles_homogeneous(self, seed, m, kind, lam):
         p = _random_body(seed, m, kind)
         assume(p.affine_dim == 3)
-        scaled = B.scale(p, lam)
+        scaled = B.Polytope(3, p.vertices * lam)
         assert B.polytope_intrinsic_volumes(scaled).values == pytest.approx(
             lam ** np.arange(4) * B.polytope_intrinsic_volumes(p).values, rel=1e-10)
         assert B.surface_area(scaled) == pytest.approx(lam**2 * B.surface_area(p), rel=1e-10)
@@ -746,7 +747,7 @@ class TestFaceRecord:
         B.hull_volume(p)
         B.surface_area(p)
         B.polytope_intrinsic_volumes(p)
-        B.shadow_volume(p, [0.0, 0.6, 0.8])
+        B.cauchy_shadow_volumes(p, np.array([[0.0, 0.6, 0.8]]))
         B.contains_points(p, np.random.default_rng(8).standard_normal((50, 3)))
         B.mc_hull_volume(p, 512, SeededSampler(9))
         assert calls == [p.vertices.shape]
@@ -991,7 +992,7 @@ class TestKubota:
 
     def test_ball_all_degrees(self):
         oracle = B.ball_intrinsic_volumes(4)
-        full = B.Ball(full_space(4))
+        full = B.Ball(Subspace(4, np.eye(4)))
         for k in range(5):
             est = B.kubota_estimate(full, k, 256, SeededSampler(13))
             assert est.value == pytest.approx(oracle[k], rel=1e-9)
@@ -1019,11 +1020,11 @@ class TestKubota:
         u = haar_unit_vectors(3, 1, sampler)[0]
         h = orthocomplement(orthonormal_basis(u.reshape(3, 1)))
         direct = B.hull_volume(B.project(p, h))
-        assert B.shadow_volume(p, u) == pytest.approx(direct, rel=1e-10)
+        assert B.cauchy_shadow_volumes(p, u[None])[0] == pytest.approx(direct, rel=1e-10)
 
     def test_valuation_additivity(self):
         # Split the cube by a hyperplane; intersection is a flat box.
-        left = B.make_box([0.5, 1.0, 1.0])
+        left = B.Polytope(3, B.make_cube(3).vertices * [0.5, 1.0, 1.0])
         right = B.Polytope(3, left.vertices + np.array([0.5, 0.0, 0.0]))
         union = B.box_intrinsic_volumes([1.0, 1.0, 1.0])
         inter = B.box_intrinsic_volumes([0.0, 1.0, 1.0])
@@ -1042,7 +1043,7 @@ class TestKubota:
 
     def test_homogeneity(self):
         p = B.make_simplex(3)
-        q = B.scale(p, 2.0)
+        q = B.Polytope(3, 2.0 * p.vertices)
         est1 = B.kubota_estimate(p, 2, 30_000, SeededSampler(41))
         est2 = B.kubota_estimate(q, 2, 30_000, SeededSampler(41))
         assert est2.value == pytest.approx(4.0 * est1.value, rel=1e-9)
@@ -1051,6 +1052,12 @@ class TestKubota:
         a = B.kubota_estimate(B.make_cube(3), 2, 5000, SeededSampler(77))
         b = B.kubota_estimate(B.make_cube(3), 2, 5000, SeededSampler(77))
         assert a == b
+
+
+def _steiner_intrinsic_volumes(sp):
+    """V_0 .. V_n read off a Steiner fit: the eps^m coefficient is kappa_m V_{n-m}."""
+    n = sp.degree
+    return np.array([sp.coefficients[n - j] / unit_ball_volume(n - j) for j in range(n + 1)])
 
 
 class TestSteinerFit:
@@ -1063,17 +1070,18 @@ class TestSteinerFit:
 
     def test_square_closed_form(self):
         sq = B.make_cube(2)
-        grid = B.default_epsilon_grid(sq, 6)
+        grid = B.default_epsilon_grid(sq, 6, span=1.0)
         sp = B.steiner_fit(sq, grid, 1 << 17, SeededSampler(52))
         assert sp.coefficients[0] == pytest.approx(1.0, rel=0.02)
         assert sp.coefficients[1] == pytest.approx(4.0, rel=0.02)
         assert sp.coefficients[2] == pytest.approx(math.pi, rel=0.02)
-        iv = sp.intrinsic_volumes()
+        iv = _steiner_intrinsic_volumes(sp)
         assert iv[1] == pytest.approx(2.0, rel=0.02)  # half-perimeter convention
 
     def test_constant_term_is_volume(self, sampler):
         p = B.make_random_polytope(2, 10, sampler)
-        sp = B.steiner_fit(p, B.default_epsilon_grid(p, 6), 1 << 16, SeededSampler(53))
+        grid = B.default_epsilon_grid(p, 6, span=1.0)
+        sp = B.steiner_fit(p, grid, 1 << 16, SeededSampler(53))
         assert sp.coefficients[0] == pytest.approx(B.hull_volume(p), rel=0.05)
 
     def test_ill_conditioned_grid_warns(self):
@@ -1085,6 +1093,18 @@ class TestSteinerFit:
     def test_grid_validation(self, sampler):
         with pytest.raises(ValueError):
             B.steiner_fit(B.make_cube(2), [0.0, 0.1], 100, sampler)
+
+    def test_fit_propagates_equal_stderrs(self):
+        # Equal errors sigma on y give coefficient errors
+        # sigma sqrt(diag((A^T A)^-1)) for the rescaled Vandermonde matrix A,
+        # divided by x_scale^k for the coefficient of x^k.
+        x = B.default_epsilon_grid(B.make_cube(3), 6, span=0.6)
+        y = 1.0 + 2.0 * x - x**2 + 0.5 * x**3
+        sigma = 0.01
+        *_, stderrs = B.fit_polynomial(x, y, np.full(x.size, sigma), 3)
+        a = np.vander(x / x.max(), 4, increasing=True)
+        expected = sigma * np.sqrt(np.diag(np.linalg.inv(a.T @ a))) / x.max() ** np.arange(4)
+        np.testing.assert_allclose(stderrs, expected, rtol=1e-12)
 
     def test_parallel_volumes_monotone(self, sampler):
         p = B.make_simplex(2)
@@ -1110,11 +1130,12 @@ class TestSteinerFit:
         for degree in range(n + 1):
             assert np.array_equal(B.default_epsilon_grid(p, degree + 3, span=0.6),
                                   old(0.3, degree + 3, d or 1.0))
-        assert np.array_equal(B.default_epsilon_grid(p), old(0.5, n + 3, d or 1.0))
+        assert np.array_equal(B.default_epsilon_grid(p, n + 3, span=1.0),
+                              old(0.5, n + 3, d or 1.0))
 
     def test_determinism(self):
         p = B.make_cube(2)
-        grid = B.default_epsilon_grid(p, 5)
+        grid = B.default_epsilon_grid(p, 5, span=1.0)
         a = B.steiner_fit(p, grid, 8192, SeededSampler(55)).coefficients
         b = B.steiner_fit(p, grid, 8192, SeededSampler(55)).coefficients
         assert np.array_equal(a, b)
@@ -1123,7 +1144,7 @@ class TestSteinerFit:
     def test_volumes_within_four_stderr_of_steiner_polynomial(self, body):
         p = B.make_cube(3) if body == "cube3" else B.make_random_polytope(3, 30, SeededSampler(60))
         iv = B.polytope_intrinsic_volumes(p).values
-        grid = B.default_epsilon_grid(p, 6)
+        grid = B.default_epsilon_grid(p, 6, span=1.0)
         sp = B.steiner_fit(p, grid, 1 << 14, SeededSampler(59))
         exact = sum(unit_ball_volume(m) * iv[3 - m] * grid**m for m in range(4))
         assert np.all(sp.volume_stderrs > 0)
@@ -1132,8 +1153,8 @@ class TestSteinerFit:
     def test_agrees_with_kubota(self):
         # The two independent intrinsic-volume routes agree on a test body.
         p = B.make_crosspolytope(3)
-        grid = B.default_epsilon_grid(p, 7)
-        iv = B.steiner_fit(p, grid, 1 << 17, SeededSampler(56)).intrinsic_volumes()
+        grid = B.default_epsilon_grid(p, 7, span=1.0)
+        iv = _steiner_intrinsic_volumes(B.steiner_fit(p, grid, 1 << 17, SeededSampler(56)))
         for k in (1, 2):
             kub = B.kubota_estimate(p, k, 60_000, SeededSampler(57 + k))
             assert kub.value == pytest.approx(iv[k], rel=0.02)

@@ -4,17 +4,47 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from scipy import special
+
 from valgeo._harmonics import (
     even_harmonic_blocks,
     gegenbauer_normalized,
-    harmonic_dimension,
     kernel_mean_quadrature,
     monomial_exponents,
     monomials,
     sphere_moment,
-    sphere_quadrature,
 )
 from valgeo.errors import ScopeError
+
+
+def harmonic_dimension(n: int, d: int) -> int:
+    """dim of the spherical harmonics of degree d on S^{n-1}."""
+    if d == 0:
+        return 1
+    return math.comb(d + n - 1, n - 1) - math.comb(d + n - 3, n - 1)
+
+
+def sphere_quadrature(n: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric node set and probability weights on S^{n-1}.
+
+    Exact for all polynomials up to the given degree.  Built recursively:
+    S^{m-1} = Gauss-Jacobi nodes in the first coordinate times a rule on
+    S^{m-2}; the base circle rule is a uniform (even) grid.
+    """
+    if n == 2:
+        m = degree + 2 + (degree % 2)  # even count, exact past the degree
+        theta = 2.0 * math.pi * np.arange(m) / m
+        nodes = np.column_stack([np.cos(theta), np.sin(theta)])
+        return nodes, np.full(m, 1.0 / m)
+    sub_nodes, sub_weights = sphere_quadrature(n - 1, degree)
+    a = (n - 3) / 2.0
+    t, wt = special.roots_jacobi(degree // 2 + 2, a, a)
+    wt = wt / wt.sum()
+    r = np.sqrt(np.maximum(1.0 - t**2, 0.0))
+    nodes = np.concatenate(
+        [np.column_stack([np.full(len(sub_nodes), ti), ri * sub_nodes]) for ti, ri in zip(t, r)]
+    )
+    return nodes, np.concatenate([wi * sub_weights for wi in wt])
 
 
 class TestMoments:

@@ -60,6 +60,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             config_from_sources({"format": "xml"})
 
+    def test_unknown_key_raises(self):
+        # A mistyped key used to be dropped, so the run went ahead at the
+        # default budget.  Names after "tol." are not checked.
+        with pytest.raises(ValueError, match="sampels"):
+            config_from_sources({"sampels": "16"})
+        assert config_from_sources({"tol.no-such-check": "0.5"}).tol("no-such-check", 1.0) == 0.5
+
     def test_dim_list_parsing(self):
         cfg = config_from_sources({"dim": "3, 4"})
         assert cfg.dimensions == [3, 4]
@@ -217,6 +224,22 @@ class TestSuites:
         assert {name.split("/")[1] for name in failed} == {"square", "simplex2", "cube3",
                                                            "simplex3"}
 
+    def test_hadwiger_product_catches_a_volume_error(self, monkeypatch):
+        # Criterion 5.  The rejection count of the product body's volume is
+        # within 0.5% of the product formula on seeds 1234, 5, 9 and 77 at
+        # the default budget; volumes 3% too large put it 2.7-3.5% off, and
+        # no other hadwiger record counts points.
+        box_volumes = B._box_volumes
+
+        def larger(*args):
+            vols, stderrs = box_volumes(*args)
+            return 1.03 * vols, stderrs
+
+        monkeypatch.setattr(B, "_box_volumes", larger)
+        report = run_suite("hadwiger", RunConfig(seed=1234))
+        failed = [r["name"] for r in report.records if not r["pass"]]
+        assert failed == ["hadwiger/product-vs-rejection-mc"]
+
     # Criterion 6's fitted-scalar residual against a non-proportional error
     # of a few percent on the formula side: the formula at L times
     # 1 + c L_11^2, with L_11 the (1, 1) entry of L's basis.  With c = 0.2
@@ -367,6 +390,12 @@ class TestCli:
         bad.write_text("seed 7\n")
         code = main(["claim23", "--config", str(bad)])
         assert code == 2
+
+    def test_exit_two_on_unknown_config_key(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("sampels = 16\n")
+        assert main(["claim23", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "sampels" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["claim23", "--dim", "3"],

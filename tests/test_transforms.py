@@ -5,6 +5,7 @@ import pytest
 from scipy.special import eval_chebyu, eval_legendre
 
 from valgeo import transforms as T
+from valgeo._harmonics import gegenbauer_normalized
 from valgeo.errors import DimensionError, ScopeError
 from valgeo.grassmann import (
     SeededSampler,
@@ -12,6 +13,7 @@ from valgeo.grassmann import (
     coordinate_subspace,
     haar_bases_batch,
     haar_subspace,
+    orthocomplement,
     orthonormal_basis,
 )
 
@@ -174,9 +176,16 @@ class TestFunkHeckeOracles:
             assert T.funk_radon_eigen(4, d) == pytest.approx(expected, abs=1e-10)
 
     def test_radon_eigen_mc(self):
+        # radon_apply on a zonal harmonic, averaged over lines in a plane
+        # in generic position to the pole and divided by the value at the
+        # plane's normal line, estimates the Radon eigenvalue.
+        axis = np.array([1.0, 0.0, 0.0])
+        normal = np.array([math.cos(0.9), math.sin(0.9), 0.0])
+        h = orthocomplement(orthonormal_basis(normal.reshape(3, 1)))
         for d in (2, 4):
-            est = T.radon_funk_eigen_mc(3, d, 30000, SeededSampler(14))
-            assert abs(est.value - T.funk_radon_eigen(3, d)) < 4 * est.stderr
+            est = T.radon_apply(T.zonal_harmonic(3, d, axis), 2, h, 30000, SeededSampler(14))
+            denom = float(gegenbauer_normalized(3, d, math.cos(0.9)))
+            assert abs(est.value / denom - T.funk_radon_eigen(3, d)) < 4 * est.stderr / abs(denom)
 
 
 class TestEvenHarmonicBasisAPI:

@@ -111,7 +111,7 @@ class TestEvaluate:
 
     def test_translation_invariance(self):
         cube = B.make_cube(3)
-        moved = B.translate(cube, [0.3, -1.2, 0.7])
+        moved = B.Polytope(3, cube.vertices + [0.3, -1.2, 0.7])
         a = V.evaluate(V.IntrinsicVolume(2), cube, 20_000, SeededSampler(5))
         b = V.evaluate(V.IntrinsicVolume(2), moved, 20_000, SeededSampler(5))
         assert a.value == pytest.approx(b.value, rel=1e-10)
@@ -119,13 +119,15 @@ class TestEvaluate:
     def test_evenness(self):
         p = B.make_random_polytope(3, 12, SeededSampler(6))
         a = V.evaluate(V.IntrinsicVolume(2), p, 20_000, SeededSampler(7))
-        b = V.evaluate(V.IntrinsicVolume(2), B.negate(p), 20_000, SeededSampler(7))
+        q = B.Polytope(3, -p.vertices)
+        b = V.evaluate(V.IntrinsicVolume(2), q, 20_000, SeededSampler(7))
         assert a.value == pytest.approx(b.value, rel=1e-10)
 
     def test_homogeneity(self):
         p = B.make_simplex(3)
         a = V.evaluate(V.IntrinsicVolume(2), p, 20_000, SeededSampler(8))
-        b = V.evaluate(V.IntrinsicVolume(2), B.scale(p, 1.7), 20_000, SeededSampler(8))
+        q = B.Polytope(3, 1.7 * p.vertices)
+        b = V.evaluate(V.IntrinsicVolume(2), q, 20_000, SeededSampler(8))
         assert b.value == pytest.approx(1.7**2 * a.value, rel=1e-10)
 
 
@@ -353,7 +355,7 @@ class TestLemma24:
 class TestLambda:
     def test_volume_on_cube(self):
         est = V.lambda_apply(
-            V.Lambda(V.IntrinsicVolume(3)), B.make_cube(3), None, 1 << 16,
+            V.Lambda(V.IntrinsicVolume(3)), B.make_cube(3), 1 << 16,
             SeededSampler(60),
         )
         assert est.value == pytest.approx(6.0, rel=0.03)
@@ -365,7 +367,7 @@ class TestLambda:
             (B.make_cube(3), B.make_simplex(3), B.make_random_polytope(3, 16, SeededSampler(61)))
         ):
             est = V.lambda_apply(
-                V.Lambda(V.IntrinsicVolume(1)), body, None, 20_000, SeededSampler(62 + j)
+                V.Lambda(V.IntrinsicVolume(1)), body, 20_000, SeededSampler(62 + j)
             )
             vals.append(est.value)
         assert max(vals) - min(vals) < 0.03 * abs(np.mean(vals))
@@ -375,7 +377,7 @@ class TestLambda:
     def test_nested_lambda(self):
         # vol(square + eps D) = 1 + 4 eps + pi eps^2, so Lambda^2 = 2 pi.
         est = V.lambda_apply(
-            V.Lambda(V.Lambda(V.IntrinsicVolume(2))), B.make_cube(2), None, 1 << 16,
+            V.Lambda(V.Lambda(V.IntrinsicVolume(2))), B.make_cube(2), 1 << 16,
             SeededSampler(70),
         )
         assert est.value == pytest.approx(2 * math.pi, rel=0.05)
@@ -383,27 +385,27 @@ class TestLambda:
     def test_projection_val_planar_exact(self):
         f = haar_subspace(3, 2, SeededSampler(71))
         cube = B.make_cube(3)
-        est = V.lambda_apply(V.Lambda(V.ProjectionVal(f)), cube, None, 100, SeededSampler(72))
+        est = V.lambda_apply(V.Lambda(V.ProjectionVal(f)), cube, 100, SeededSampler(72))
         shadow = B.project(cube, f)
         assert est.value == pytest.approx(ConvexHull(shadow.vertices).area, rel=1e-9)
 
     def test_projection_val_of_another_dimension_raises(self):
         f = haar_subspace(4, 2, SeededSampler(71))
         with pytest.raises(DimensionError, match="ambient dimensions differ"):
-            V.lambda_apply(V.Lambda(V.ProjectionVal(f)), B.make_cube(3), None, 100,
+            V.lambda_apply(V.Lambda(V.ProjectionVal(f)), B.make_cube(3), 100,
                            SeededSampler(72))
 
     def test_fit_error_on_impossible_residual(self):
         with pytest.raises(PolynomialFitError):
             V.lambda_apply(
-                V.Lambda(V.IntrinsicVolume(3)), B.make_cube(3), None, 4096,
+                V.Lambda(V.IntrinsicVolume(3)), B.make_cube(3), 4096,
                 SeededSampler(73), max_residual=1e-12,
             )
 
     def test_scope_error_middle_degree(self):
         with pytest.raises(ScopeError):
             V.lambda_apply(
-                V.Lambda(V.IntrinsicVolume(3)), B.make_cube(4), None, 1000,
+                V.Lambda(V.IntrinsicVolume(3)), B.make_cube(4), 1000,
                 SeededSampler(74),
             )
 
@@ -493,7 +495,8 @@ class TestExprJson:
     def test_projection_round_trip(self, sampler):
         f = haar_subspace(4, 2, sampler)
         rebuilt = V.expr_from_json(V.expr_to_json(V.ProjectionVal(f)))
-        assert np.allclose(rebuilt.subspace.projector(), f.projector(), atol=1e-12)
+        assert np.allclose(rebuilt.subspace.basis @ rebuilt.subspace.basis.T, f.basis @ f.basis.T,
+                           atol=1e-12)
 
     def test_custom_not_serializable(self):
         with pytest.raises(ValueError):
