@@ -5,9 +5,8 @@ For each body whose membership the suites count, it draws one chunk of points
 from the box the suite samples and decides dist(x, P) <= t for the suite's
 thresholds twice: with ``hull_distances`` (the pure-NumPy Wolfe kernel) on
 every point, and with ``bodies._within``, which brackets each distance from
-P's face record ``p.faces`` (exactly, from facets and edges, in R^2 and R^3)
-and sends only
-the points it cannot decide, plus a 1-in-64 audit sample, to
+P's facets and edges (exactly in R^2 and R^3) and sends only the points it
+cannot decide, plus a 1-in-64 audit sample, to
 ``hull_distances``.  It prints the best time of a few repeats for each, the
 speedup and the certified fraction, and exits with an error if the two
 membership matrices differ anywhere.  Run:
@@ -92,7 +91,7 @@ def run(c: int, repeats: int) -> dict:
         t_wolfe = best_time(lambda: B.hull_distances(pts, p.vertices)[None] <= t[:, None],
                             repeats)
         t_cert = best_time(lambda: B._within(p, pts, t), repeats)
-        edges = 0 if faces.edges is None else faces.edges.shape[0]
+        edges = p.edges.shape[0]
         print(f"{name:<18} {faces.a.shape[0]:>6} {edges:>5} {t_wolfe * 1e3:>9.2f} "
               f"{t_cert * 1e3:>9.2f} {t_wolfe / t_cert:>6.1f}x {share:>15.3f}")
         rows.append({"body": name, "facets": int(faces.a.shape[0]), "edges": edges,

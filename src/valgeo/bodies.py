@@ -1,20 +1,22 @@
 """Polytope geometry: projections, exact volumes, Steiner fits, Kubota MC.
 
-Polytopes are stored by their extreme points.  Exact volumes, areas, edges
-and facets come from one Qhull call per polytope, kept as ``Polytope.faces``
-(intended range n <= 6).  ``shadow_measures`` chooses how a Monte-Carlo
-chunk of shadows vol_k(P M_t) is measured: widths for k = 1; Cauchy's
-formula for k = 2 when n = 3, P is full dimensional and no perimeter is
-wanted; for every other k = 2 an edge test that picks the shadow's boundary
-among P's edges with small matmuls of Plucker coordinates, in coordinates of
-P's affine hull for flat P, with the rows it finds tied measured by Qhull
-per image; Qhull per image for k >= 3.  The one caller that bypasses it is
-Kubota for k = n - 1, which draws unit normals for Cauchy's formula.
-Minkowski-ball volumes vol(K + eps D) are estimated by Monte-Carlo
-membership, decided exactly from facets and edges in R^2 and R^3, by facet
-and vertex bounds where they are conclusive in higher dimensions, and by the
-min-norm-point kernel elsewhere; the Cauchy-Kubota estimator is calibrated
-to be exact on the unit ball.
+Polytopes are stored by their extreme points.  Exact volumes, areas and
+facets come from one Qhull call per polytope, kept as ``Polytope.faces``
+(intended range n <= 6); the edges in every dimension come from that
+record by one rule (``_simplex_edges``), and one table per body
+(``_EdgeTables``) serves every reader of their segments.  ``shadow_measures``
+chooses how a Monte-Carlo chunk of shadows vol_k(P M_t) is measured: widths
+for k = 1; Cauchy's formula for k = 2 when n = 3, P is full dimensional and
+no perimeter is wanted; for every other k = 2 an edge test that picks the
+shadow's boundary among P's edges with small matmuls of Plucker
+coordinates, in coordinates of P's affine hull for flat P, with the rows it
+finds tied measured by Qhull per image; Qhull per image for k >= 3.  The one
+caller that bypasses it is Kubota for k = n - 1, which draws unit normals
+for Cauchy's formula.  Minkowski-ball volumes vol(K + eps D) are estimated
+by Monte-Carlo membership, decided exactly from facets and edges in R^2 and
+R^3, by facet and edge bounds where they are conclusive in higher
+dimensions, and by the min-norm-point kernel elsewhere; the Cauchy-Kubota
+estimator is calibrated to be exact on the unit ball.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError, cKDTree
+from scipy.spatial.distance import pdist
 
 from . import trace
 from ._kernels import hull_distances
@@ -87,11 +90,7 @@ class Polytope:
         return self.vertices.min(axis=0), self.vertices.max(axis=0)
 
     def diameter(self) -> float:
-        v = self.vertices
-        if v.shape[0] == 1:
-            return 0.0
-        d2 = np.sum((v[:, None, :] - v[None, :, :]) ** 2, axis=-1)
-        return float(np.sqrt(d2.max()))
+        return float(pdist(self.vertices).max(initial=0.0))
 
     @cached_property
     def faces(self) -> "FaceRecord | None":
@@ -102,15 +101,15 @@ class Polytope:
 
     @cached_property
     def edges(self) -> np.ndarray | None:
-        """P's edges as vertex index pairs, None for flat P and n < 2: those of
-        ``faces`` in R^2 and R^3, from R^4 on ``_simplex_edges``, built on
-        first use (membership never needs them there)."""
+        """P's edges as vertex index pairs (u, v), u < v, in ascending order,
+        read-only; None for flat P and n < 2.  Built on first use from
+        ``faces`` by ``_simplex_edges``."""
         f = self.faces
         if f is None:
             return None
-        if f.edges is not None:
-            return f.edges
-        return _simplex_edges(f.simplices, f.facets, self.n_vertices)
+        edges = _simplex_edges(f.simplices, f.facets, self.n_vertices)
+        edges.setflags(write=False)
+        return edges
 
     @cached_property
     def _flat(self) -> tuple["Polytope", np.ndarray]:
@@ -128,7 +127,7 @@ class Polytope:
 
     @cached_property
     def _edge_tables(self) -> "_EdgeTables":
-        """The tables of ``_edge_shadows``, built on the first planar shadow."""
+        """P's ``_EdgeTables``, built on first use."""
         return _build_edge_tables(self)
 
     def __repr__(self) -> str:
@@ -144,21 +143,14 @@ class FaceRecord:
 
     Qhull triangulates non-simplicial facets: a and b merge the rows that
     agree to 1e-12 (offsets relative to 1 + max|v|) into the first of them,
-    while normals and areas keep every simplex.  The edge fields are None
-    where undefined (angles in R^2, all of them for n >= 4, where
-    ``Polytope.edges`` finds the edges from the simplices).
+    while normals and areas keep every simplex.  ``Polytope.edges`` and
+    ``_EdgeTables`` are built from simplices and facets.
     """
 
     a: np.ndarray          # P = {x : a x <= b}; rows are unit facet normals
     b: np.ndarray
     margin: float          # _within's decision margin, 1e-9 (1 + max|v|)
     certifies: bool        # no vertex breaks a x <= b by more than rounding
-    edges: np.ndarray | None   # vertex index pairs: R^2 facets, R^3 sides between merged facets
-    angles: np.ndarray | None  # exterior angle at each R^3 edge, atan2(|n_i x n_j|, n_i . n_j)
-    projectors: np.ndarray | None  # (E, n) rows step / |step|^2
-    offsets: np.ndarray | None     # (E, 1) projectors . origins
-    origins: np.ndarray | None     # (n, E): edge e is origins[:, e] + s steps[:, e], s in [0, 1]
-    steps: np.ndarray | None
     simplices: np.ndarray  # Qhull's simplices as vertex index rows, and the merged
     facets: np.ndarray     # facet (0, 1, ... in order of a's rows) each belongs to
     normals: np.ndarray    # unit normals and (n-1)-areas of Qhull's simplices (Cauchy's formula)
@@ -173,15 +165,20 @@ class FaceRecord:
 
 
 class _EdgeTables(NamedTuple):
-    """Per-body tables of ``_edge_shadows`` for the E edges (a, b) of a
-    full-dimensional P, with step s = b - a.  Wedges are Plucker vectors
-    (pairs i < j in ``np.triu_indices`` order), so pi . (x ^ y) = det[x M; y M]
-    for the Plucker vector pi of a map M (Cauchy-Binet)."""
+    """Per-body tables of the E edges (a, b) of a full-dimensional P, with
+    step s = b - a; arrays read-only.  ``_edge_shadows`` reads wedges,
+    triangles and steps, ``_nearest_segment_distances`` the segments.
+    Wedges are Plucker vectors (pairs i < j in ``np.triu_indices`` order), so
+    pi . (x ^ y) = det[x M; y M] for the Plucker vector pi of a map M
+    (Cauchy-Binet)."""
 
     wedges: np.ndarray     # (D, C, E): s ^ (w - a) / (|s| |w - a|) for the other
                            # neighbours w of a, padded to D by repeating the first
     triangles: np.ndarray  # (C, E): (a - o) ^ (b - o), o the vertex centroid
+    origins: np.ndarray    # (n, E): edge e is origins[:, e] + r steps[:, e], r in [0, 1]
     steps: np.ndarray      # (n, E)
+    projectors: np.ndarray  # (E, n) rows s / |s|^2
+    offsets: np.ndarray    # (E, 1) projectors . a
 
 
 @dataclass(frozen=True)
@@ -449,9 +446,15 @@ def _build_edge_tables(p: Polytope) -> _EdgeTables:
     side = v[others] - v[a]
     scale = np.linalg.norm(step, axis=1) * np.linalg.norm(side, axis=2)
     o = v.mean(axis=0)
-    return _EdgeTables(wedges=np.ascontiguousarray(wedge(step, side) / scale[:, None]),
-                       triangles=np.ascontiguousarray(wedge(v[a] - o, v[b] - o)),
-                       steps=np.ascontiguousarray(step.T))
+    projectors = step / np.einsum("ij,ij->i", step, step)[:, None]
+    tables = _EdgeTables(wedges=np.ascontiguousarray(wedge(step, side) / scale[:, None]),
+                         triangles=np.ascontiguousarray(wedge(v[a] - o, v[b] - o)),
+                         origins=np.ascontiguousarray(v[a].T),
+                         steps=np.ascontiguousarray(step.T), projectors=projectors,
+                         offsets=np.einsum("ij,ij->i", projectors, v[a])[:, None])
+    for array in tables:
+        array.setflags(write=False)
+    return tables
 
 
 def _edge_shadows(p: Polytope, maps: np.ndarray,
@@ -549,22 +552,6 @@ def _face_record(p: Polytope) -> FaceRecord:
     first = label == np.arange(eq.shape[0])
     a, b = eq[first, :-1], -eq[first, -1]
     margin = _MARGIN * _hull_scale(p)
-    edges = angles = projectors = offsets = origins = steps = None
-    if n == 2:
-        edges = hull.simplices
-    elif n == 3:
-        nbr = hull.neighbors
-        across = (np.arange(nbr.shape[0])[:, None] < nbr) & (label[:, None] != label[nbr])
-        tri, slot = np.nonzero(across)  # each edge once, seen from its lower-numbered triangle
-        edges = hull.simplices[tri[:, None], (slot[:, None] + [1, 2]) % 3]
-        u, w = eq[tri, :3], eq[nbr[tri, slot], :3]
-        angles = np.arctan2(np.linalg.norm(np.cross(u, w), axis=1), np.einsum("ij,ij->i", u, w))
-    if edges is not None:
-        origin = p.vertices[edges[:, 0]]
-        step = p.vertices[edges[:, 1]] - origin
-        projectors = step / np.einsum("ij,ij->i", step, step)[:, None]
-        offsets = np.einsum("ij,ij->i", projectors, origin)[:, None]
-        origins, steps = origin.T.copy(), step.T.copy()
     # A simplicial facet's area is sqrt(det G) / (n-1)! for the Gram matrix G
     # of its edge vectors from its first vertex; one stack holds all of them.
     corners = p.vertices[hull.simplices]
@@ -573,8 +560,6 @@ def _face_record(p: Polytope) -> FaceRecord:
     return FaceRecord(
         a=a, b=b, margin=margin,
         certifies=bool((p.vertices @ a.T - b).max() <= 1e-3 * margin),
-        edges=edges, angles=angles,
-        projectors=projectors, offsets=offsets, origins=origins, steps=steps,
         simplices=hull.simplices, facets=np.cumsum(first)[label] - 1,
         normals=eq[:, :n], areas=np.sqrt(np.maximum(dets, 0.0)) / math.factorial(n - 1),
         volume=float(hull.volume), area=float(hull.area),
@@ -582,15 +567,17 @@ def _face_record(p: Polytope) -> FaceRecord:
 
 
 def _simplex_edges(simplices: np.ndarray, facets: np.ndarray, n_vertices: int) -> np.ndarray:
-    """The edges of a full-dimensional P in R^n, n >= 4, as vertex index pairs,
-    from Qhull's simplices and the merged facet of each (``FaceRecord``).
+    """The edges of a full-dimensional P in R^n, n >= 2, as vertex index
+    pairs (u, v), u < v, in ascending order, from Qhull's simplices and the
+    merged facet of each (``FaceRecord``).
 
     Every edge of P is a side of one of the simplices.  A side (u, v) is
     kept when the merged facets containing both u and v have no other vertex
     in common: the smallest face holding u and v is the intersection of those
-    facets, and it is an edge exactly when its only vertices are u and v.
-    A facet's vertices are those of its simplices.  Pairs go through in
-    blocks of about ``_PAIR_BLOCK`` pair-facet entries.
+    facets, and it is an edge exactly when its only vertices are u and v
+    (Ziegler, Lectures on Polytopes, 2.2).  A facet's vertices are those of
+    its simplices.  Pairs go through in blocks of about ``_PAIR_BLOCK``
+    pair-facet entries.
     """
     on = np.zeros((n_vertices, facets.max() + 1), dtype=bool)
     on[simplices, facets[:, None]] = True
@@ -642,7 +629,7 @@ def _within(p: Polytope, points: np.ndarray, thresholds: np.ndarray) -> np.ndarr
     if faces is not None:
         m = faces.margin
         lower, upper = np.empty(count), np.empty(count)
-        step = max(1, _FACET_BLOCK // max(faces.a.shape[0], p.n_vertices))
+        step = max(1, _FACET_BLOCK // faces.a.shape[0])
         for lo in range(0, count, step):
             block = slice(lo, lo + step)
             lower[block], upper[block] = _bracket(p, pts[block], t.max())
@@ -674,19 +661,20 @@ def _bracket(p: Polytope, x: np.ndarray, t_max: float) -> tuple[np.ndarray, np.n
     * upper: 0 if every violation is <= -m (x lies inside P).  Otherwise
       |viol_k| if the projection y = x - viol_k a_k onto that facet's
       hyperplane satisfies every other facet (y then lies in P), else the
-      distance to the nearest edge segment in R^2 and R^3, and to the
-      nearest vertex for n >= 4.  The violations of y are
-      viol - viol_k (A a_k), so y is never formed.  Their test has no
-      margin: a y that rounding moves across another facet lies within
-      rounding of an edge, where the two distances agree.
+      distance to the nearest edge segment (``_nearest_segment_distances``),
+      which is never above the distance to the nearest vertex.  The
+      violations of y are viol - viol_k (A a_k), so y is never formed.
+      Their test has no margin: a y that rounding moves across another
+      facet lies within rounding of an edge, where the two distances agree.
 
     In R^2 and R^3 the nearest point of P to an outside x lies in the
     relative interior of a facet, and then y is that point, or on an edge
     (Ericson 2004, ch. 5), so the upper bound is the distance and lower is
     raised to it.  From R^4 on it may lie inside a 2-face, nearer than every
-    edge, so there the edges are not used.  Points beyond every threshold by
-    the lower bound alone (lower >= t_max + m) get upper = inf.  Arrays are laid out (facets,
-    edges or vertices, points), so that reductions run along the long axis.
+    edge, so there lower is not raised.  Points beyond every threshold by
+    the lower bound alone (lower >= t_max + m) get upper = inf.  Arrays are
+    laid out (facets or edges, points), so that reductions run along the
+    long axis.
     """
     f = p.faces
     a, m = f.a, f.margin
@@ -705,44 +693,31 @@ def _bracket(p: Polytope, x: np.ndarray, t_max: float) -> tuple[np.ndarray, np.n
         off_facet = np.flatnonzero((moved > 0.0).any(axis=0))  # projection leaves P
         if off_facet.size:
             xo = np.take(x, need[off_facet], axis=0).T
-            bound[off_facet] = (_nearest_segment_distances(f, xo) if exact
-                                else _nearest_vertex_distances(p.vertices, xo))
+            bound[off_facet] = _nearest_segment_distances(p._edge_tables, xo)
         upper[need] = bound
         if exact:
             lower[need] = np.where(top > 0.0, bound, 0.0)
     return lower, upper
 
 
-def _nearest_vertex_distances(v: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """min_j |x - v_j| for each column of the (n, N) array x.
-
-    The nearest vertex minimises |v|^2 - 2 x.v (|x|^2 is left out), which
-    needs no (V, N, n) temporary; its distance is then taken as |x - v|,
-    which keeps full relative accuracy near a vertex.
-    """
-    nearest = np.argmin(np.einsum("ij,ij->i", v, v)[:, None] - 2.0 * (v @ x), axis=0)
-    diff = x - np.take(v, nearest, axis=0).T
-    return np.sqrt(np.einsum("ij,ij->j", diff, diff))
-
-
-def _nearest_segment_distances(f: FaceRecord, x: np.ndarray) -> np.ndarray:
+def _nearest_segment_distances(t: _EdgeTables, x: np.ndarray) -> np.ndarray:
     """Distance from each column of the (n, N) array x to P's nearest edge.
 
-    The segments are the face record f's.  The foot of x on a segment is
-    origin + s step, where s = projector . x - offset, the projection of
+    The segments are those of P's edge tables t.  The foot of x on a segment
+    is origin + s step, where s = projector . x - offset, the projection of
     x - origin onto the segment, is clamped to [0, 1].  The (E, N) residuals
     are formed one coordinate at a time and updated in place, in blocks of
     about ``_SEGMENT_BLOCK`` point-edge pairs, which keeps them in cache.
     """
     out = np.empty(x.shape[1])
-    width = max(1, _SEGMENT_BLOCK // f.origins.shape[1])
+    width = max(1, _SEGMENT_BLOCK // t.origins.shape[1])
     for lo in range(0, x.shape[1], width):
         xb = x[:, lo:lo + width]
-        s = f.projectors @ xb
-        s -= f.offsets
+        s = t.projectors @ xb
+        s -= t.offsets
         np.clip(s, 0.0, 1.0, out=s)
         dist2 = np.zeros_like(s)
-        for xc, oc, sc in zip(xb, f.origins, f.steps):
+        for xc, oc, sc in zip(xb, t.origins, t.steps):
             r = s * sc[:, None]
             r += oc[:, None]
             r -= xc
@@ -847,8 +822,9 @@ def polytope_intrinsic_volumes(p: Polytope) -> IntrinsicVolumeVector:
 
     Classical closed forms: V_{n-1} is half the surface measure, and in R^3
     the mean-width term is the edge sum V_1 = sum_e len(e) theta(e) / (2 pi)
-    with theta the exterior (normal) angle, over ``p.faces``' merged edges,
-    so the diagonals inside Qhull's triangulated facets are left out.
+    over ``p.edges``, with theta = atan2(|n_i x n_j|, n_i . n_j) the exterior
+    (normal) angle between the unit normals of the two merged facets that
+    hold the edge.
     """
     n = p.ambient_dim
     if p.affine_dim < n:
@@ -858,8 +834,17 @@ def polytope_intrinsic_volumes(p: Polytope) -> IntrinsicVolumeVector:
     f = p.faces
     if n == 2:
         return IntrinsicVolumeVector(values=np.array([1.0, f.area / 2.0, f.volume]))
-    lengths = np.linalg.norm(p.vertices[f.edges[:, 1]] - p.vertices[f.edges[:, 0]], axis=1)
-    v1 = float(lengths @ f.angles) / (2.0 * math.pi)
+    u, w = p.edges.T
+    on = np.zeros((p.n_vertices, f.a.shape[0]), dtype=bool)
+    on[f.simplices, f.facets[:, None]] = True
+    common = on[u] & on[w]
+    if not (np.count_nonzero(common, axis=1) == 2).all():
+        raise ValueError("an R^3 edge must lie on exactly two merged facets")
+    pair = np.nonzero(common)[1].reshape(-1, 2)  # the two facets of each edge
+    x, y = f.a[pair[:, 0]], f.a[pair[:, 1]]
+    angles = np.arctan2(np.linalg.norm(np.cross(x, y), axis=1), np.einsum("ij,ij->i", x, y))
+    lengths = np.linalg.norm(p.vertices[w] - p.vertices[u], axis=1)
+    v1 = float(lengths @ angles) / (2.0 * math.pi)
     return IntrinsicVolumeVector(
         values=np.array([1.0, v1, surface_area(p) / 2.0, f.volume])
     )

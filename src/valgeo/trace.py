@@ -2,15 +2,15 @@
 ``valuations`` and the Wolfe kernel.
 
 Every membership count (``contains_points``, ``mc_hull_volume``,
-``parallel_body_volumes``) first tries to decide each point from P's facets,
-and in R^2 and R^3 from its edges, and sends only the points it cannot
-decide to the Wolfe kernel.  Each call adds its totals here, in points:
+``parallel_body_volumes``) first tries to decide each point from P's facets
+and edges, and sends only the points it cannot decide to the Wolfe kernel.  Each call adds its totals here, in points:
 
 * ``certified_inside``: decided without Wolfe, within every threshold;
 * ``certified_outside``: decided without Wolfe, beyond at least one threshold;
 * ``sent_to_wolfe``: not decidable, so measured by ``hull_distances``: points
-  of flat bodies, of bodies in R^4 and above whose bounds do not settle
-  them, and points within the decision margin of a threshold;
+  of flat bodies, of bodies in R^4 and above whose facet and nearest-edge
+  bounds do not settle them, and points within the decision margin of a
+  threshold;
 * ``audited``: decided points measured by ``hull_distances`` as well, as a check;
 * ``audit_mismatches``: audited points where the certificate and Wolfe disagree.
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -414,6 +415,14 @@ def _wolfe_within(p, points, thresholds):
     return B.hull_distances(points, p.vertices)[None] <= np.asarray(thresholds)[:, None]
 
 
+def _nearest_vertex_distances(v, x):
+    """min_j |x - v_j| for each column of the (n, N) array x: the upper bound
+    the bracket used off the facets from R^4 on, before the edges."""
+    nearest = np.argmin(np.einsum("ij,ij->i", v, v)[:, None] - 2.0 * (v @ x), axis=0)
+    diff = x - np.take(v, nearest, axis=0).T
+    return np.sqrt(np.einsum("ij,ij->j", diff, diff))
+
+
 def _facet_points(p, rng, count):
     """Random points of P's facets, each with its facet's outward unit normal."""
     hull = ConvexHull(p.vertices)
@@ -513,7 +522,8 @@ class TestCertifiedMembership:
 
     def test_bracket_holds_off_edges_in_r4(self):
         # The nearest point of cube4 to these points lies inside a 2-face,
-        # nearer than any edge, so the edge distance would overshoot.
+        # nearer than any edge, so the edge distance overshoots: it is an
+        # upper bound only, and lower stays at the facet violation.
         p = B.make_cube(4)
         x = np.array([[0.5, 0.5, 1.5, 1.5], [0.5, 0.5, -0.5, 1.5], [0.3, 0.6, 1.2, -0.7]])
         exact = np.array([math.sqrt(0.5), math.sqrt(0.5), math.hypot(0.2, 0.7)])
@@ -522,6 +532,31 @@ class TestCertifiedMembership:
         np.testing.assert_allclose(wolfe, exact, rtol=1e-9)
         assert (lower <= wolfe + 1e-12).all() and (wolfe <= upper + 1e-12).all()
         np.testing.assert_allclose(lower, [0.5, 0.5, 0.7], rtol=1e-12)  # facet violations
+        # Random bodies in R^4 and R^5: where a point's projection onto its
+        # most violated facet leaves P, the upper bound is the distance to
+        # the nearest edge, which lies between Wolfe's distance and the
+        # nearest vertex's, and is below the latter for most such points.
+        rng = np.random.default_rng(21)
+        for n, kind in itertools.product((4, 5), ("gaussian", "sphere", "lattice")):
+            if kind == "lattice":
+                raw = rng.integers(0, 3, size=(4 * n, n)).astype(float)
+            else:
+                raw = rng.standard_normal((4 * n, n))
+                if kind == "sphere":
+                    raw /= np.linalg.norm(raw, axis=1, keepdims=True)
+            p = B.Polytope(n, raw)
+            x = p.vertices.mean(axis=0) + 0.5 * np.ptp(p.vertices) * rng.standard_normal((400, n))
+            lower, upper = B._bracket(p, x, np.inf)
+            top = (p.faces.a @ x.T - p.faces.b[:, None]).max(axis=0)  # as _bracket has it
+            off = (top > 0.0) & (upper != top)
+            assert np.count_nonzero(off) >= 200
+            edge = B._nearest_segment_distances(p._edge_tables, x[off].T)
+            vertex = _nearest_vertex_distances(p.vertices, x[off].T)
+            wolfe = B.hull_distances(x, p.vertices)
+            assert np.array_equal(upper[off], edge)
+            assert (edge >= wolfe[off] - 1e-12).all() and (edge <= vertex + 1e-12).all()
+            assert np.count_nonzero(edge < vertex - 1e-9) > np.count_nonzero(off) // 2
+            assert (lower <= wolfe + 1e-12).all() and (wolfe <= upper + 1e-12).all()
 
     def test_margin_sends_uncertain_points_to_wolfe(self):
         p = B.make_cube(3)
@@ -753,11 +788,17 @@ class TestFaceRecord:
         assert calls == [p.vertices.shape]
 
     def test_record_is_read_only(self):
-        f = B.make_cube(3).faces
-        for array in (f.a, f.edges, f.steps, f.normals, f.areas):
-            assert not array.flags.writeable
+        # So are the edges and every edge-table array, in every dimension:
+        # a write would corrupt every later shadow and distance of the body.
+        for n in (2, 3, 4):
+            p = B.make_cube(n)
+            f = p.faces
+            for array in (f.a, f.normals, f.areas, p.edges, *p._edge_tables):
+                assert not array.flags.writeable
         with pytest.raises(ValueError):
             f.a[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            p.edges[0, 0] = 1
 
     @pytest.mark.parametrize("p", [B.make_cube(2), B.make_simplex(2), B.make_cube(3),
                                    B.make_crosspolytope(3), B.make_cube(4)], ids=repr)
@@ -765,12 +806,15 @@ class TestFaceRecord:
         hull, f = ConvexHull(p.vertices), p.faces
         assert (f.volume, f.area) == (hull.volume, hull.area)
         assert f.areas.sum() == pytest.approx(hull.area, rel=1e-12)
-        n = p.ambient_dim
-        assert (f.edges is None, f.angles is None) == (n >= 4, n != 3)
-        if f.edges is not None:
-            v = p.vertices
-            assert np.array_equal(f.origins, v[f.edges[:, 0]].T)
-            assert np.allclose(f.origins + f.steps, v[f.edges[:, 1]].T, rtol=0, atol=1e-15)
+        # Edge table column e is a segment from one end of edge e to the other.
+        t, v = p._edge_tables, p.vertices
+        start = np.argmin(((v[:, :, None] - t.origins) ** 2).sum(axis=1), axis=0)
+        end = np.argmin(((v[:, :, None] - t.origins - t.steps) ** 2).sum(axis=1), axis=0)
+        assert np.array_equal(t.origins, v[start].T)
+        assert np.allclose(t.origins + t.steps, v[end].T, rtol=0, atol=1e-15)
+        assert np.array_equal(np.sort(np.column_stack([start, end]), axis=1), p.edges)
+        np.testing.assert_allclose(np.einsum("ei,ie->e", t.projectors, t.steps), 1.0, rtol=1e-15)
+        assert np.array_equal(t.offsets[:, 0], np.einsum("ei,ie->e", t.projectors, t.origins))
 
     @pytest.mark.parametrize("p", [
         B.make_cube(3), B.make_cube(5), B.make_crosspolytope(4),
@@ -895,7 +939,75 @@ class TestShadowMeasures:
             B.shadow_measures(p, maps, steiner=True)
 
 
+def _lattice_edges(p):
+    """Reference edges of a full-dimensional P, ascending: every vertex pair
+    whose merged facets in common (as Python sets) share no third vertex,
+    tried over all pairs rather than the sides of Qhull's simplices."""
+    f = p.faces
+    held = [set() for _ in range(p.n_vertices)]  # merged facets on each vertex
+    for simplex, facet in zip(f.simplices.tolist(), f.facets.tolist()):
+        for vertex in simplex:
+            held[vertex].add(facet)
+    edges = []
+    for u, v in itertools.combinations(range(p.n_vertices), 2):
+        common = held[u] & held[v]
+        if common and sum(common <= held[w] for w in range(p.n_vertices)) == 2:
+            edges.append((u, v))
+    return np.array(edges, dtype=np.intp).reshape(-1, 2)
+
+
+def _walked_edges(p):
+    """Reference edges of a full-dimensional P in R^2 or R^3, with the
+    exterior angle at each R^3 edge: Qhull's facets in R^2; in R^3 the
+    sides between neighbouring triangles of different merged facets, each
+    seen once from its lower-numbered triangle, with the angle between
+    those triangles' normals."""
+    hull, f = ConvexHull(p.vertices), p.faces
+    if p.ambient_dim == 2:
+        return hull.simplices, None
+    nbr, eq = hull.neighbors, hull.equations
+    across = (np.arange(len(nbr))[:, None] < nbr) & (f.facets[:, None] != f.facets[nbr])
+    tri, slot = np.nonzero(across)
+    edges = hull.simplices[tri[:, None], (slot[:, None] + [1, 2]) % 3]
+    u, w = eq[tri, :3], eq[nbr[tri, slot], :3]
+    return edges, np.arctan2(np.linalg.norm(np.cross(u, w), axis=1), np.einsum("ij,ij->i", u, w))
+
+
 class TestEdgeShadows:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 6),
+        m=st.integers(4, 30),
+        kind=st.sampled_from(["sphere", "gaussian", "lattice", "cube", "cross"]),
+    )
+    def test_edges_match_the_references(self, seed, n, m, kind):
+        # p.edges is the face lattice's list, in order; in R^2 and R^3 it is
+        # also the neighbour walk's set, and V_1 from its exterior angles is
+        # the walk's.  Lattice clouds have merged facets.
+        rng = np.random.default_rng(seed)
+        if kind in ("cube", "cross"):
+            q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            body = B.make_cube(n) if kind == "cube" else B.make_crosspolytope(n)
+            raw = body.vertices @ q.T
+        elif kind == "lattice":
+            raw = rng.integers(0, 3, size=(m + n, n)).astype(float)
+        else:
+            raw = rng.standard_normal((m + n, n))
+            if kind == "sphere":
+                raw /= np.linalg.norm(raw, axis=1, keepdims=True)
+        p = B.Polytope(n, raw)
+        assume(p.affine_dim == n)
+        assert np.array_equal(p.edges, _lattice_edges(p))
+        if n <= 3:
+            edges, angles = _walked_edges(p)
+            assert {tuple(sorted(e)) for e in edges.tolist()} == set(map(tuple, p.edges.tolist()))
+            assert len(edges) == len(p.edges)
+        if n == 3:
+            lengths = np.linalg.norm(p.vertices[edges[:, 1]] - p.vertices[edges[:, 0]], axis=1)
+            v1 = float(lengths @ angles) / (2.0 * math.pi)
+            assert B.polytope_intrinsic_volumes(p)[1] == pytest.approx(v1, rel=1e-12, abs=0)
+
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
