@@ -12,25 +12,17 @@ at or below 1e-12, or the script exits with an error.  Run:
 """
 
 import argparse
-import time
 
 import numpy as np
 
 from valgeo.base import MC_CHUNK
 from valgeo.grassmann import SeededSampler, haar_frames, signed_qr_batch
 
+from _common import best_time
+
 SHAPES = [(2, 1), (3, 1), (4, 1), (4, 2), (4, 3), (5, 2), (6, 3)]
 TOL = 1e-12
 SEED = 1234  # the suites' default seed
-
-
-def best_time(fn, g: np.ndarray, repeats: int) -> float:
-    times = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn(g)
-        times.append(time.perf_counter() - t0)
-    return min(times)
 
 
 def run(c: int, repeats: int) -> None:
@@ -43,8 +35,8 @@ def run(c: int, repeats: int) -> None:
         frames = haar_frames(g)
         diff = float(np.abs(frames - signed_qr_batch(g)).max())
         ortho = float(np.abs(np.swapaxes(frames, 1, 2) @ frames - np.eye(k)).max())
-        t_qr = best_time(signed_qr_batch, g, repeats)
-        t_gs = best_time(haar_frames, g, repeats)
+        t_qr = best_time(lambda: signed_qr_batch(g), repeats)
+        t_gs = best_time(lambda: haar_frames(g), repeats)
         print(f"{str((n, k)):<8} {t_qr * 1e3:>9.3f} {t_gs * 1e3:>9.3f} {t_qr / t_gs:>6.1f}x "
               f"{diff:>9.1e} {ortho:>9.1e}")
         worst = max(worst, diff, ortho)

@@ -20,10 +20,6 @@ machine.
 import argparse
 import json
 import math
-import os
-import platform
-import subprocess
-import time
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +28,8 @@ from scipy.stats import qmc
 from valgeo import bodies as B, trace
 from valgeo.base import MC_CHUNK
 from valgeo.grassmann import SeededSampler, orthonormal_basis, coordinate_subspace
+
+from _common import best_time, machine
 
 SEED = 1234  # the suites' default seed, at which every BENCH_*.json row was recorded
 
@@ -65,15 +63,6 @@ def cases():
         yield name, p, grid, lo - grid.max(), hi - lo + 2.0 * grid.max()
 
 
-def best_time(fn, repeats: int) -> float:
-    times = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return min(times)
-
-
 def run(c: int, repeats: int) -> dict:
     print(f"{c} points per body; best of {repeats}, milliseconds per chunk")
     print(f"{'body':<18} {'facets':>6} {'edges':>5} {'wolfe':>9} {'certified':>9} "
@@ -102,18 +91,6 @@ def run(c: int, repeats: int) -> dict:
         raise SystemExit(f"bench_membership: {disagreements} membership entries differ "
                          f"from Wolfe's")
     return {"points": c, "seed": SEED, "repeats": repeats, "bodies": rows}
-
-
-def machine() -> dict:
-    try:
-        rev = subprocess.run(["git", "describe", "--always", "--dirty"], capture_output=True,
-                             text=True, cwd=Path(__file__).resolve().parent).stdout.strip()
-    except OSError:
-        rev = ""
-    return {"git": rev or "unknown", "machine": platform.machine(),
-            "processor": platform.processor(), "cpus": os.cpu_count(),
-            "python": platform.python_version(), "numpy": np.__version__,
-            "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS", "default")}
 
 
 if __name__ == "__main__":

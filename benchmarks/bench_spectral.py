@@ -52,10 +52,6 @@ revision and the machine, keeping the file's other entries.
 
 import argparse
 import json
-import os
-import platform
-import subprocess
-import time
 from pathlib import Path
 
 import numpy as np
@@ -83,17 +79,10 @@ from valgeo.grassmann import (
 from valgeo.suites import _angle_laws, _claim23_gaps
 from valgeo.transforms import operator_matrix_even
 
+from _common import best_time, machine
+
 TOL = 1e-12
 SEED = 1234  # the suites' default seed, at which every BENCH_*.json row was recorded
-
-
-def best_time(fn, repeats: int) -> float:
-    times = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return min(times)
 
 
 def per_block_operator(n: int, d_max: int, n_samples: int,
@@ -286,18 +275,6 @@ def run(c: int, repeats: int) -> dict:
     if failed:
         raise SystemExit("bench_spectral: disagreement " + "; ".join(failed))
     return {"rows_per_chunk": c, "seed": SEED, "repeats": repeats, "cases": rows}
-
-
-def machine() -> dict:
-    try:
-        rev = subprocess.run(["git", "describe", "--always", "--dirty"], capture_output=True,
-                             text=True, cwd=Path(__file__).resolve().parent).stdout.strip()
-    except OSError:
-        rev = ""
-    return {"git": rev or "unknown", "machine": platform.machine(),
-            "processor": platform.processor(), "cpus": os.cpu_count(),
-            "python": platform.python_version(), "numpy": np.__version__,
-            "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS", "default")}
 
 
 if __name__ == "__main__":

@@ -24,19 +24,17 @@ trajectory of suite times.
 import argparse
 import hashlib
 import json
-import os
-import platform
 import statistics
-import subprocess
 import tempfile
 import time
 from pathlib import Path
 
-import numpy as np
 import scipy.stats  # noqa: F401  (see the docstring)
 
 from valgeo import trace
 from valgeo.suites import SUITE_NAMES, RunConfig, run_suite
+
+from _common import machine
 
 
 def run_once(name: str, samples: int | None) -> tuple[float, dict, dict]:
@@ -73,18 +71,6 @@ def run(samples: int | None, repeats: int) -> dict:
     if unstable:
         raise SystemExit(f"bench_suites: two runs wrote different bytes for {', '.join(unstable)}")
     return {"seed": seed, "samples": samples, "repeats": repeats, "suites": suites}
-
-
-def machine() -> dict:
-    try:
-        rev = subprocess.run(["git", "describe", "--always", "--dirty"], capture_output=True,
-                             text=True, cwd=Path(__file__).resolve().parent).stdout.strip()
-    except OSError:
-        rev = ""
-    return {"git": rev or "unknown", "machine": platform.machine(),
-            "processor": platform.processor(), "cpus": os.cpu_count(),
-            "python": platform.python_version(), "numpy": np.__version__,
-            "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS", "default")}
 
 
 if __name__ == "__main__":

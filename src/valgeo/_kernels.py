@@ -1,4 +1,4 @@
-"""Pure-NumPy min-norm-point kernel (Wolfe's algorithm).
+"""The hull-distance kernel: Wolfe's min-norm-point algorithm in pure NumPy.
 
 ``dist(x, conv(V))`` is the norm of the minimum-norm point of ``conv(V - x)``.
 Wolfe's algorithm maintains a "corral" of affinely independent vertices whose
@@ -6,13 +6,21 @@ affine minimizer has positive barycentric coordinates; it terminates after
 finitely many corrals.  ``hull_distances`` runs the iteration for a whole
 block of points at once, so the Python overhead is paid per round, not per
 point.
+
+Membership counts in R^2 and R^3 are decided exactly from facets and edges
+(``bodies._within``), so this kernel measures only their 1-in-64 audit
+sample and points within the decision margin of a threshold, flat bodies,
+points of bodies in R^4 and above that facet and edge bounds leave open, and
+direct calls to ``hull_distances`` and ``bodies.dist_to_polytope``.
+``BACKEND`` names the kernel in traces and benchmark records; it is always
+``"python"``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .. import trace
+from . import trace
 
 BACKEND = "python"
 BLOCK_FLOATS = 1 << 16

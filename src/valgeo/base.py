@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -56,3 +56,13 @@ def mc_chunks(n_samples: int, s: SeededSampler) -> Iterator[tuple[slice, int, Se
     for j, start in enumerate(range(0, n_samples, MC_CHUNK)):
         stop = min(start + MC_CHUNK, n_samples)
         yield slice(start, stop), stop - start, s.substream(j)
+
+
+def mc_samples(n_samples: int, s: SeededSampler,
+               draw: Callable[[int, SeededSampler], np.ndarray]) -> np.ndarray:
+    """The per-sample values that every averaging estimator reads: the
+    (count, ...) arrays ``draw(count, sub)`` of the chunks of
+    ``mc_chunks(n_samples, s)``, stacked in chunk order into one
+    (n_samples, ...) array (an empty (0,) array for n_samples = 0)."""
+    chunks = [draw(c, sub) for _, c, sub in mc_chunks(n_samples, s)]
+    return np.concatenate(chunks) if chunks else np.empty(0)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -33,16 +33,16 @@ from scipy.spatial.distance import pdist
 
 from . import trace
 from ._kernels import hull_distances
-from .base import Estimate, mc_chunks, mean_and_stderr, unit_ball_volume
+from .base import Estimate, mc_chunks, mc_samples, mean_and_stderr, unit_ball_volume
 from .errors import ConditioningWarning, DimensionError, ScopeError
-from .grassmann import (SeededSampler, Subspace, _plucker, _subsets, _transposed_products,
-                        haar_bases_batch, haar_unit_vectors)
+from .grassmann import (SeededSampler, Subspace, _haar_maps, _map_ball_volume, _plucker,
+                        _subsets, _transposed_products, haar_bases_batch, haar_unit_vectors)
 
 _DEDUP_TOL = 1e-9
 _AFFINE_TOL = 1e-9
 _EDGE_BLOCK = 1 << 17  # _edge_shadows: map-wedge products per row block
 _CAUCHY_BLOCK = 1 << 17  # cauchy_shadow_volumes: direction-facet products per row block
-_CONTAINS_TOL = 1e-9   # contains_points: dist <= tol * (1 + max|v|)
+_CONTAINS_TOL = 1e-9   # mc_hull_volume: dist <= tol * (1 + max|v|)
 _MARGIN = 1e-9         # _within decides a point only this far (times 1 + max|v|) from a threshold
 _COPLANAR_TOL = 1e-12  # facet rows merged by _face_record
 _AUDIT_STRIDE = 64     # _within also sends every 64th decided point to Wolfe
@@ -533,11 +533,6 @@ def _hull_scale(p: Polytope) -> float:
     return 1.0 + float(np.abs(p.vertices).max())
 
 
-def contains_points(p: Polytope, points: np.ndarray, tol: float = _CONTAINS_TOL) -> np.ndarray:
-    """dist(x, P) <= tol * (1 + max|v|) for each row x of ``points``."""
-    return _within(p, points, np.array([tol * _hull_scale(p)]))[0]
-
-
 def _face_record(p: Polytope) -> FaceRecord:
     """Build ``p.faces`` from one Qhull call; see ``FaceRecord``."""
     hull = ConvexHull(p.vertices)
@@ -768,8 +763,8 @@ def mc_hull_volume(p: Polytope, n_samples: int, s: SeededSampler,
                    method: str = "mc") -> Estimate:
     """Rejection-sampling volume estimate (independent of Qhull volumes).
 
-    ``_box_volumes`` counts the points of P's bounding box that
-    ``contains_points`` would count, by plain uniform points
+    ``_box_volumes`` counts the points of P's bounding box within
+    ``_CONTAINS_TOL`` (1 + max|v|) of P, by plain uniform points
     (``method="mc"``) or a seeded scrambled Sobol net (``method="qmc"``).
     Only the facet inequalities and edges of ``p.faces`` are read, never its
     volume, so the estimate stays independent of Qhull volumes.
@@ -903,61 +898,55 @@ def cauchy_shadow_volumes(p: Polytope, dirs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _kubota_samples_polytope(p: Polytope, k: int, n_samples: int, s: SeededSampler) -> np.ndarray:
+def _kubota_draw_polytope(p: Polytope, k: int, count: int, s: SeededSampler) -> np.ndarray:
+    """``count`` shadow volumes vol_k(P | E) on Haar k-subspaces E."""
     n = p.ambient_dim
-    vals = np.empty(n_samples)
-    use_cauchy = k == n - 1 and k >= 2 and p.affine_dim == n
-    for rows, c, sub in mc_chunks(n_samples, s):
-        if use_cauchy:  # one unit normal per sample is cheaper to draw than an (n-1)-frame
-            vals[rows] = cauchy_shadow_volumes(p, haar_unit_vectors(n, c, sub))
-        elif k == 1:
-            vals[rows] = shadow_measures(p, haar_unit_vectors(n, c, sub)[..., None])
-        else:
-            vals[rows] = shadow_measures(p, haar_bases_batch(n, k, c, sub))
-    return vals
+    if k == n - 1 and k >= 2 and p.affine_dim == n:
+        # one unit normal per sample is cheaper to draw than an (n-1)-frame
+        return cauchy_shadow_volumes(p, haar_unit_vectors(n, count, s))
+    return shadow_measures(p, _haar_maps(n, k, count, s))
 
 
-def _kubota_samples_ball(b: Ball, k: int, n_samples: int, s: SeededSampler) -> np.ndarray:
-    n = b.ambient_dim
-    l = b.dim
-    if l < k:
-        return np.zeros(n_samples)
-    kappa_k = unit_ball_volume(k)
-    vals = np.empty(n_samples)
-    for rows, c, sub in mc_chunks(n_samples, s):
-        bases = haar_bases_batch(n, k, c, sub)
-        m = _transposed_products(bases, b.subspace.basis)
-        if k == 1:  # the one singular value of a (1, l) product is its norm
-            vals[rows] = kappa_k * np.clip(np.linalg.norm(m[:, 0], axis=1), 0.0, 1.0)
-        else:
-            sv = np.linalg.svd(m, compute_uv=False)
-            vals[rows] = kappa_k * np.prod(np.clip(sv, 0.0, 1.0), axis=1)
-    return vals
+def _kubota_draw_ball(b: Ball, k: int, count: int, s: SeededSampler) -> np.ndarray:
+    """``count`` shadow volumes of a subspace ball on Haar k-frames, from the
+    clipped singular values of each frame against L's basis (for k = 1 too:
+    this draw and its rounding are not ``_haar_maps``'s or
+    ``_map_ball_volume``'s, and kubota's reports read it)."""
+    m = _transposed_products(haar_bases_batch(b.ambient_dim, k, count, s), b.subspace.basis)
+    if k == 1:  # the one singular value of a (1, l) product is its norm
+        return unit_ball_volume(k) * np.clip(np.linalg.norm(m[:, 0], axis=1), 0.0, 1.0)
+    sv = np.linalg.svd(m, compute_uv=False)
+    return unit_ball_volume(k) * np.prod(np.clip(sv, 0.0, 1.0), axis=1)
+
+
+def _shadow_volumes(body: Polytope | Ball, maps: np.ndarray) -> np.ndarray:
+    """vol_k of the body's image under each map of a (c, n, k) stack:
+    ``_map_ball_volume`` for a subspace ball, ``shadow_measures`` for a
+    polytope."""
+    if isinstance(body, Ball):
+        return _map_ball_volume(np.swapaxes(maps, 1, 2), body.subspace.basis, maps.shape[2])
+    return shadow_measures(body, maps)
 
 
 def kubota_estimate(body, k: int, n_samples: int, s: SeededSampler) -> Estimate:
     """Monte-Carlo intrinsic volume V_k via mean projection volumes.
 
     Averages vol_k of projections onto Haar-random k-subspaces and rescales
-    by ``kubota_coefficient``.  Exact (zero variance) for k = 0 and k = n.
+    by ``kubota_coefficient``.  Exact (zero variance) for k = 0 and k = n,
+    and for a subspace ball of dimension below k.
     """
     n = body.ambient_dim
     if not 0 <= k <= n:
         raise DimensionError(f"need 0 <= k <= n, got k={k}, n={n}")
     if k == 0:
         return Estimate(1.0, 0.0)
-    c = kubota_coefficient(n, k)
+    if isinstance(body, Ball) and body.dim < k:
+        return Estimate(0.0, 0.0)
     if k == n:
-        if isinstance(body, Ball):
-            vol = unit_ball_volume(n) if body.dim == n else 0.0
-        else:
-            vol = hull_volume(body)
-        return Estimate(vol, 0.0)
-    if isinstance(body, Ball):
-        vals = _kubota_samples_ball(body, k, n_samples, s)
-    else:
-        vals = _kubota_samples_polytope(body, k, n_samples, s)
-    est = mean_and_stderr(vals)
+        return Estimate(unit_ball_volume(n) if isinstance(body, Ball) else hull_volume(body), 0.0)
+    draw = _kubota_draw_ball if isinstance(body, Ball) else _kubota_draw_polytope
+    est = mean_and_stderr(mc_samples(n_samples, s, partial(draw, body, k)))
+    c = kubota_coefficient(n, k)
     return Estimate(c * est.value, c * est.stderr)
 
 

@@ -380,6 +380,16 @@ def haar_bases_batch(n: int, k: int, count: int, s: SeededSampler) -> np.ndarray
     return haar_frames(s.standard_normal((count, n, k)))
 
 
+def _haar_maps(n: int, k: int, count: int, s: SeededSampler) -> np.ndarray:
+    """(count, n, k) Haar bases drawn as a projection estimator reads them:
+    ``haar_unit_vectors`` as columns for k = 1, ``haar_bases_batch`` else.
+    The two draws of a line differ in their last bits, so this choice is part
+    of every seeded result that reads it."""
+    if k == 1:
+        return haar_unit_vectors(n, count, s)[..., None]
+    return haar_bases_batch(n, k, count, s)
+
+
 def unit_vectors_orthogonal_to(v: np.ndarray, s: SeededSampler) -> np.ndarray:
     """For each row v_i, a uniform unit vector in the hyperplane v_i^perp."""
     v = np.asarray(v, dtype=float)

@@ -1,8 +1,7 @@
 """Process-wide counters of the paths and numerical fallbacks of ``bodies``,
 ``valuations`` and the Wolfe kernel.
 
-Every membership count (``contains_points``, ``mc_hull_volume``,
-``parallel_body_volumes``) first tries to decide each point from P's facets
+Every membership count (``mc_hull_volume``, ``parallel_body_volumes``) first tries to decide each point from P's facets
 and edges, and sends only the points it cannot decide to the Wolfe kernel.  Each call adds its totals here, in points:
 
 * ``certified_inside``: decided without Wolfe, within every threshold;

@@ -31,7 +31,7 @@ from ._harmonics import (
     kernel_mean_quadrature,
     monomials,
 )
-from .base import Estimate, mc_chunks, mean_and_stderr
+from .base import Estimate, mc_chunks, mc_samples, mean_and_stderr
 from .errors import DimensionError, PrecisionError, ScopeError
 from .grassmann import (
     SeededSampler,
@@ -130,14 +130,13 @@ def radon_apply(f: GFunction, j: int, h: Subspace, n_samples: int, s: SeededSamp
     if i == j:
         raise DimensionError("Radon transform requires i != j")
     comp = orthocomplement(h).basis
-    vals = np.empty(n_samples)
-    for rows, c, sub in mc_chunks(n_samples, s):
+
+    def draw(c: int, sub: SeededSampler) -> np.ndarray:
         if j < i:
-            bases = _containing_bases(h, comp, i, c, sub)
-        else:
-            bases = h.basis @ haar_bases_batch(j, i, c, sub)
-        vals[rows] = f.eval_bases(bases)
-    return mean_and_stderr(vals)
+            return f.eval_bases(_containing_bases(h, comp, i, c, sub))
+        return f.eval_bases(h.basis @ haar_bases_batch(j, i, c, sub))
+
+    return mean_and_stderr(mc_samples(n_samples, s, draw))
 
 
 def cosine_apply(f: GFunction, j: int, e: Subspace, n_samples: int, s: SeededSampler) -> Estimate:
@@ -153,11 +152,12 @@ def cosine_apply(f: GFunction, j: int, e: Subspace, n_samples: int, s: SeededSam
         raise DimensionError("cosine transform needs 1 <= i, j <= n-1")
     if e.dim != j or e.ambient_dim != n:
         raise DimensionError(f"E must lie in Gr_{j}(R^{n})")
-    vals = np.empty(n_samples)
-    for rows, c, sub in mc_chunks(n_samples, s):
+
+    def draw(c: int, sub: SeededSampler) -> np.ndarray:
         bases = haar_bases_batch(n, i, c, sub)
-        vals[rows] = cos_from_products(np.swapaxes(bases, 1, 2) @ e.basis) * f.eval_bases(bases)
-    return mean_and_stderr(vals)
+        return cos_from_products(np.swapaxes(bases, 1, 2) @ e.basis) * f.eval_bases(bases)
+
+    return mean_and_stderr(mc_samples(n_samples, s, draw))
 
 
 # ---------------------------------------------------------------------------

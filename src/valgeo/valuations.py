@@ -17,10 +17,11 @@ from typing import Callable
 
 import numpy as np
 
-from .base import Estimate, mc_chunks, mean_and_stderr, unit_ball_volume
+from .base import Estimate, mc_chunks, mc_samples, mean_and_stderr, unit_ball_volume
 from .bodies import (
     Ball,
     Polytope,
+    _shadow_volumes,
     ball_intrinsic_volumes,
     default_epsilon_grid,
     fit_polynomial,
@@ -38,6 +39,7 @@ from .grassmann import (
     _check_orthonormal,
     _complement,
     _cos,
+    _haar_maps,
     _map_ball_volume,
     _plucker,
     _stack,
@@ -176,18 +178,11 @@ def product_projection(f1: Subspace, f2: Subspace, k: Polytope) -> float:
 
 
 def _crofton_eval(expr: CroftonVal, body: BodySpec, budget: int, s: SeededSampler) -> Estimate:
-    n = body.ambient_dim
-    i = expr.i
-    vals = np.empty(budget)
-    for rows, c, sub in mc_chunks(budget, s):
-        bases = haar_bases_batch(n, i, c, sub)
-        fvals = expr.f.eval_bases(bases)
-        if isinstance(body, Ball):
-            vols = _map_ball_volume(np.swapaxes(bases, 1, 2), body.subspace.basis, i)
-        else:
-            vols = shadow_measures(body, bases)
-        vals[rows] = fvals * vols
-    return mean_and_stderr(vals)
+    def draw(c: int, sub: SeededSampler) -> np.ndarray:
+        bases = haar_bases_batch(body.ambient_dim, expr.i, c, sub)
+        return expr.f.eval_bases(bases) * _shadow_volumes(body, bases)
+
+    return mean_and_stderr(mc_samples(budget, s, draw))
 
 
 def evaluate(expr: ValuationExpr, body: BodySpec, budget: int, s: SeededSampler) -> Estimate:
@@ -484,23 +479,6 @@ def fit_proportionality(direct: np.ndarray, formula: np.ndarray) -> tuple[float,
 # ---------------------------------------------------------------------------
 
 
-def _shadow_steiner_coeff_samples(
-    body: Polytope, k: int, n_samples: int, s: SeededSampler
-) -> np.ndarray:
-    """Per-sample eps-polynomial coefficients of vol_k(Pr_E K + eps D_E).
-
-    For k <= 2 the planar Steiner formula is exact per sample:
-    length + 2 eps (k=1); area + perimeter eps + pi eps^2 (k=2).
-    Returns an (n_samples, k+1) coefficient array.
-    """
-    n = body.ambient_dim
-    coeffs = np.zeros((n_samples, k + 1))
-    for rows, c, sub in mc_chunks(n_samples, s):
-        maps = haar_unit_vectors(n, c, sub)[..., None] if k == 1 else haar_bases_batch(n, k, c, sub)
-        coeffs[rows] = shadow_measures(body, maps, steiner=True)
-    return coeffs
-
-
 def parallel_valuation_values(
     expr: ValuationExpr, body: Polytope, eps_grid: np.ndarray, budget: int,
     s: SeededSampler,
@@ -529,7 +507,10 @@ def parallel_valuation_values(
         if k == n:
             return parallel_body_volumes(body, eps_grid, budget, s)
         if k <= 2:
-            coeffs = _shadow_steiner_coeff_samples(body, k, budget, s)
+            # the planar Steiner formula of each shadow vol_k(Pr_E K + eps D_E):
+            # length + 2 eps (k = 1); area + perimeter eps + pi eps^2 (k = 2)
+            coeffs = mc_samples(budget, s, lambda c, sub: shadow_measures(
+                body, _haar_maps(n, k, c, sub), steiner=True))
             return from_coeff_samples(coeffs, kubota_coefficient(n, k))
         raise ScopeError(
             f"parallel-body evaluation of V_{k} in R^{n} needs k <= 2 or k = n"
@@ -546,11 +527,13 @@ def parallel_valuation_values(
         i = expr.i
         if i > 2:
             raise ScopeError("parallel-body Crofton evaluation needs i <= 2")
-        vals = np.zeros((budget, len(eps_grid)))
-        for rows, c, sub in mc_chunks(budget, s):
+
+        def draw(c: int, sub: SeededSampler) -> np.ndarray:
             bases = haar_bases_batch(n, i, c, sub)
             coeffs = shadow_measures(body, bases, steiner=True)
-            vals[rows] = expr.f.eval_bases(bases)[:, None] * steiner_values(coeffs)
+            return expr.f.eval_bases(bases)[:, None] * steiner_values(coeffs)
+
+        vals = mc_samples(budget, s, draw)
         mean = vals.mean(axis=0)
         stderr = vals.std(axis=0, ddof=1) / math.sqrt(budget)
         return mean, stderr
@@ -652,14 +635,11 @@ def v1_power(n: int, p: int) -> CustomVal:
     c1p = kubota_coefficient(n, 1) ** p
 
     def ev(body: BodySpec, budget: int, s: SeededSampler) -> Estimate:
-        vals = np.empty(budget)
-        for rows, c, sub in mc_chunks(budget, s):
+        def draw(c: int, sub: SeededSampler) -> np.ndarray:
             dirs = haar_unit_vectors(n, c * p, sub).reshape(c, p, n)
-            if isinstance(body, Ball):
-                vals[rows] = _map_ball_volume(dirs, body.subspace.basis, p)
-            else:
-                vals[rows] = shadow_measures(body, np.swapaxes(dirs, 1, 2))
-        est = mean_and_stderr(vals)
+            return _shadow_volumes(body, np.swapaxes(dirs, 1, 2))
+
+        est = mean_and_stderr(mc_samples(budget, s, draw))
         return Estimate(c1p * est.value, c1p * est.stderr)
 
     return CustomVal(evaluator=ev, deg=p, name=f"V1^{p}")

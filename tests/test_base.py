@@ -9,7 +9,8 @@ from scipy.spatial import ConvexHull
 from valgeo import bodies as B
 from valgeo import transforms as T
 from valgeo import valuations as V
-from valgeo.base import MC_CHUNK, Estimate, mc_chunks, mean_and_stderr, unit_ball_volume
+from valgeo.base import (MC_CHUNK, Estimate, mc_chunks, mc_samples, mean_and_stderr,
+                         unit_ball_volume)
 from valgeo.grassmann import (
     SeededSampler,
     Subspace,
@@ -43,6 +44,21 @@ def test_mc_chunks_layout(n):
         assert np.array_equal(sub.uniform(size=4), s.substream(j).uniform(size=4))
         start += c
     assert start == n
+
+
+@pytest.mark.parametrize("n", [1, MC_CHUNK, 2 * MC_CHUNK + 5])
+@pytest.mark.parametrize("row_shape", [(), (3,)])
+def test_mc_samples_matches_hand_loop(n, row_shape):
+    def draw(c, sub):
+        return sub.standard_normal((c, *row_shape))
+
+    s = SeededSampler(5, stream_id=3)
+    want = np.empty((n, *row_shape))
+    for rows, c, sub in mc_chunks(n, s):
+        want[rows] = draw(c, sub)
+    got = mc_samples(n, s, draw)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def _old_lemma24_direct(f, i, k, l, n_samples, s):

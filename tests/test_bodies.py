@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from scipy.spatial import ConvexHull, QhullError
 
 from valgeo import bodies as B, trace
-from valgeo.base import mc_chunks, unit_ball_volume
+from valgeo.base import mc_chunks, mean_and_stderr, unit_ball_volume
 from valgeo.errors import ConditioningWarning, DimensionError, ScopeError
 from valgeo.grassmann import (
     SeededSampler,
@@ -410,6 +410,12 @@ class TestVolumes:
         assert B.hull_volume(p) == pytest.approx(2.5)
 
 
+def _contains(p, points):
+    """dist(x, P) <= 1e-9 (1 + max|v|) for each row x: the membership that
+    ``mc_hull_volume`` counts."""
+    return B._within(p, points, np.array([1e-9 * B._hull_scale(p)]))[0]
+
+
 def _wolfe_within(p, points, thresholds):
     """The membership matrix the certificate must reproduce: Wolfe only."""
     return B.hull_distances(points, p.vertices)[None] <= np.asarray(thresholds)[:, None]
@@ -466,7 +472,7 @@ class TestCertifiedMembership:
                            + [p.vertices, lo - t[-1] + rng.random((500, n)) * (hi - lo + 2 * t[-1])])
         got = B._within(p, points, t)
         assert np.array_equal(got, _wolfe_within(p, points, t))
-        assert np.array_equal(B.contains_points(p, points), _wolfe_within(p, points, t[:1])[0])
+        assert np.array_equal(_contains(p, points), _wolfe_within(p, points, t[:1])[0])
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -615,7 +621,7 @@ class TestCertifiedMembership:
         assert est == (box_vol * frac, box_vol * math.sqrt(frac * (1.0 - frac) / n_samples))
         # Points on the body itself are inside, through Wolfe.
         on = np.random.default_rng(5).dirichlet(np.ones(len(vertices)), 50) @ p.vertices
-        assert B.contains_points(p, on).all()
+        assert _contains(p, on).all()
 
 
 class TestMinkowskiSegment:
@@ -783,7 +789,7 @@ class TestFaceRecord:
         B.surface_area(p)
         B.polytope_intrinsic_volumes(p)
         B.cauchy_shadow_volumes(p, np.array([[0.0, 0.6, 0.8]]))
-        B.contains_points(p, np.random.default_rng(8).standard_normal((50, 3)))
+        _contains(p, np.random.default_rng(8).standard_normal((50, 3)))
         B.mc_hull_volume(p, 512, SeededSampler(9))
         assert calls == [p.vertices.shape]
 
@@ -1118,10 +1124,14 @@ class TestKubota:
         with pytest.raises(DimensionError):
             B.kubota_estimate(B.make_cube(3), 4, 10, sampler)
 
-    def test_ball_lines_take_the_norm(self):
+    def test_ball_lines_take_the_norm(self, monkeypatch):
         # For k = 1 the one singular value of the (1, l) product is its norm.
         ball = B.Ball(haar_subspace(4, 2, SeededSampler(14)))
-        got = B._kubota_samples_ball(ball, 1, 4096, SeededSampler(15))
+        seen = []
+        monkeypatch.setattr(B, "mean_and_stderr",
+                            lambda vals: (seen.append(vals.copy()), mean_and_stderr(vals))[1])
+        B.kubota_estimate(ball, 1, 4096, SeededSampler(15))
+        (got,) = seen
         m = _transposed_products(haar_bases_batch(4, 1, 4096, SeededSampler(15).substream(0)),
                                  ball.subspace.basis)
         svd = 2.0 * np.clip(np.linalg.svd(m, compute_uv=False)[:, 0], 0.0, 1.0)

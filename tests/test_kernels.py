@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from valgeo import bodies, trace
-from valgeo._kernels import BACKEND, hull_distances, pywolfe
+import valgeo
+from valgeo import _kernels, bodies, trace
+from valgeo._kernels import BACKEND, hull_distances
 from valgeo.suites import RunConfig, run_suite
 
 
@@ -47,7 +48,7 @@ def scalar_min_norm_point(w, max_iter=1000):
         corral.append(jstar)
         lam = np.append(lam, 0.0)
         while True:
-            alpha = pywolfe._affine_minimizer(w[corral])
+            alpha = _kernels._affine_minimizer(w[corral])
             if alpha.min() > 1e-12:
                 lam, x = alpha, alpha @ w[corral]
                 break
@@ -129,15 +130,15 @@ class TestBackends:
                 verts = np.round(verts)  # repeated and lattice vertices
             pts = rng.normal(size=(40, n)) * 1.5
             expected = [np.linalg.norm(scalar_min_norm_point(verts - p)) for p in pts]
-            assert np.abs(pywolfe.hull_distances(pts, verts) - expected).max() < 1e-12
+            assert np.abs(_kernels.hull_distances(pts, verts) - expected).max() < 1e-12
 
     def test_blocks_are_independent(self, rng, monkeypatch):
         verts = rng.normal(size=(12, 3))
         pts = rng.normal(size=(200, 3)) * 1.5
-        whole = pywolfe.hull_distances(pts, verts)
-        monkeypatch.setattr(pywolfe, "BLOCK_FLOATS", 7 * verts.size)
-        blocked = pywolfe.hull_distances(pts, verts)
-        single = [pywolfe.hull_distances(p[None], verts)[0] for p in pts]
+        whole = _kernels.hull_distances(pts, verts)
+        monkeypatch.setattr(_kernels, "BLOCK_FLOATS", 7 * verts.size)
+        blocked = _kernels.hull_distances(pts, verts)
+        single = [_kernels.hull_distances(p[None], verts)[0] for p in pts]
         assert np.abs(blocked - whole).max() < 1e-15
         assert np.abs(np.array(single) - whole).max() < 1e-15
 
@@ -146,9 +147,9 @@ class TestBackends:
         repeated = np.array([[1.0, 0.0], [1.0, 0.0]])
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 0.0]], [0, 0, 1.0])
-        alpha = pywolfe._affine_minimizers(np.stack([good, repeated]))
-        assert np.array_equal(alpha[0], pywolfe._affine_minimizer(good))
-        assert np.array_equal(alpha[1], pywolfe._affine_minimizer(repeated))
+        alpha = _kernels._affine_minimizers(np.stack([good, repeated]))
+        assert np.array_equal(alpha[0], _kernels._affine_minimizer(good))
+        assert np.array_equal(alpha[1], _kernels._affine_minimizer(repeated))
         assert alpha.sum(axis=1) == pytest.approx([1.0, 1.0], abs=1e-9)
 
     def test_ridge_retries_are_counted(self):
@@ -158,9 +159,9 @@ class TestBackends:
         good = np.array([[1.0, 0.0], [0.0, 1.0]])
         repeated = np.array([[1.0, 0.0], [1.0, 0.0]])
         trace.reset()
-        pywolfe._affine_minimizer(good)
+        _kernels._affine_minimizer(good)
         assert trace.counters["wolfe_ridge_retries"] == 0
-        alpha = pywolfe._affine_minimizers(np.stack([repeated, good, repeated]))
+        alpha = _kernels._affine_minimizers(np.stack([repeated, good, repeated]))
         assert trace.counters["wolfe_ridge_retries"] == 2
         assert alpha.sum(axis=1) == pytest.approx([1.0, 1.0, 1.0], abs=1e-9)
 
@@ -184,8 +185,9 @@ class TestBackends:
             hull_distances(np.array([[3.0]]), np.eye(2))
 
     def test_backend_name(self):
-        assert BACKEND == "python"
-        assert hull_distances is pywolfe.hull_distances
+        assert valgeo.KERNEL_BACKEND == BACKEND == "python"
+        # the one kernel that the bodies module and a tracer of it both bind
+        assert bodies.hull_distances is hull_distances
 
 
 def suite_report(suite, samples):

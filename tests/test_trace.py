@@ -58,7 +58,7 @@ def test_counters_add_up_per_call():
     p = B.make_simplex(3)
     pts = np.random.default_rng(2).uniform(-0.5, 1.5, size=(1000, 3))
     trace.reset()
-    B.contains_points(p, pts)
+    B._within(p, pts, np.array([1e-9 * B._hull_scale(p)]))
     c = dict(trace.counters)
     assert certified(c) + c["sent_to_wolfe"] == len(pts)
     assert c["audited"] == len(range(0, len(pts), 64))
