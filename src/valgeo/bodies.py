@@ -201,7 +201,8 @@ class SteinerPolynomial:
     """Fit of vol(K + eps D) = sum_m coefficients[m] * eps^m.
 
     The coefficient of eps^m is kappa_m * V_{n-m}(K), so intrinsic volumes
-    are read off by dividing by ball volumes.
+    are read off by dividing by ball volumes.  ``coefficient_stderrs`` are
+    the volumes' standard errors propagated through the least-squares fit.
     """
 
     degree: int
@@ -211,6 +212,7 @@ class SteinerPolynomial:
     grid: np.ndarray | None = None
     volumes: np.ndarray | None = None
     volume_stderrs: np.ndarray | None = None
+    coefficient_stderrs: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -735,6 +737,8 @@ def _box_volumes(p: Polytope, thresholds: np.ndarray, lo: np.ndarray, hi: np.nda
     """
     if method not in ("mc", "qmc"):
         raise ValueError(f"unknown method {method!r}")
+    if n_samples < 1:
+        raise ValueError("no samples")
     widths = hi - lo
     box_vol = float(np.prod(widths))
     if box_vol == 0.0:
@@ -1022,7 +1026,7 @@ def steiner_fit(
     if len(np.unique(eps_grid)) < n + 1:
         raise ValueError(f"need at least {n + 1} distinct grid points")
     vols, stderrs = parallel_body_volumes(p, eps_grid, n_samples, s)
-    coeffs, residual, cond, _ = fit_polynomial(eps_grid, vols, stderrs, n)
+    coeffs, residual, cond, coeff_stderrs = fit_polynomial(eps_grid, vols, stderrs, n)
     return SteinerPolynomial(
         degree=n,
         coefficients=coeffs,
@@ -1031,4 +1035,5 @@ def steiner_fit(
         grid=eps_grid,
         volumes=vols,
         volume_stderrs=stderrs,
+        coefficient_stderrs=coeff_stderrs,
     )

@@ -61,6 +61,15 @@ _DEFAULT_SAMPLES = {
     "lambda": 131_072,
 }
 
+# The acceptance tolerance of every check, by the name that ``tol.<name>``
+# overrides.
+_TOLERANCES = {
+    "angle_laws": 1e-10, "angle_mc": 0.01, "kubota": 0.02, "steiner": 0.02,
+    "segment_derivative": 1e-6, "claim23": 1e-9, "lemma22": 0.03, "lemma24": 0.03,
+    "leakage": 1e-2, "funk_hecke": 1e-6, "hadwiger": 0.03, "product_mc": 0.02,
+    "lambda": 0.03,
+}
+
 # Only these suites read --dim; the others run in fixed dimensions.
 _DEFAULT_DIMENSIONS = {
     "angles": [3, 4, 5, 6],
@@ -90,8 +99,8 @@ class RunConfig:
             return self.dimensions
         return _DEFAULT_DIMENSIONS.get(suite, [3])
 
-    def tol(self, name: str, default: float) -> float:
-        return float(self.tolerances.get(name, default))
+    def tol(self, name: str) -> float:
+        return float(self.tolerances.get(name, _TOLERANCES[name]))
 
 
 def load_config_file(path: str) -> dict:
@@ -114,9 +123,8 @@ _CONFIG_KEYS = ("seed", "samples", "dim", "dmax", "out", "format", "bodies")
 def config_from_sources(file_values: dict | None = None, **cli_values) -> RunConfig:
     """Build a RunConfig with CLI flags taking precedence over file values.
 
-    A key outside ``_CONFIG_KEYS`` and ``tol.<name>`` raises ValueError.  The
-    names after ``tol.`` are not checked: which ones a suite reads is known
-    only when it runs.
+    A key outside ``_CONFIG_KEYS`` and ``tol.<name>``, or a ``<name>`` outside
+    ``_TOLERANCES``, raises ValueError.
     """
     cfg = RunConfig()
     merged: dict = {}
@@ -126,6 +134,9 @@ def config_from_sources(file_values: dict | None = None, **cli_values) -> RunCon
             if value is None:
                 continue
             if key.startswith("tol."):
+                if key[4:] not in _TOLERANCES:
+                    raise ValueError(f"unknown tolerance {key!r}; known names are "
+                                     f"{', '.join(_TOLERANCES)}")
                 tolerances[key[4:]] = float(value)
             elif key in _CONFIG_KEYS:
                 merged[key] = value
@@ -314,8 +325,8 @@ def _angle_laws(n: int, s: SeededSampler) -> tuple[float, float, float, float]:
 
 def _angles_suite(cfg: RunConfig) -> tuple[list[dict], dict]:
     records = []
-    tol = cfg.tol("angle_laws", 1e-10)
-    mc_tol = cfg.tol("angle_mc", 0.01)
+    tol = cfg.tol("angle_laws")
+    mc_tol = cfg.tol("angle_mc")
     for n in cfg.dims("angles"):
         laws = _angle_laws(n, SeededSampler(cfg.seed, stream_id=n))
         for law, dev in zip(("symmetry", "complement", "branch-agreement", "range"), laws):
@@ -339,7 +350,7 @@ def _angles_suite(cfg: RunConfig) -> tuple[list[dict], dict]:
 def _kubota_suite(cfg: RunConfig) -> tuple[list[dict], dict]:
     records = []
     n_samples = cfg.budget("kubota")
-    rtol = cfg.tol("kubota", 0.02)
+    rtol = cfg.tol("kubota")
     cases = [(3, B.make_cube(3), (1, 2)), (4, B.make_cube(4), (1, 2, 3))]
     for n, cube, ks in cases:
         oracle = B.box_intrinsic_volumes([1.0] * n)
@@ -385,8 +396,8 @@ def _kubota_suite(cfg: RunConfig) -> tuple[list[dict], dict]:
 def _steiner_suite(cfg: RunConfig) -> tuple[list[dict], dict]:
     records = []
     n_samples = cfg.budget("steiner")
-    rtol = cfg.tol("steiner", 0.02)
-    exact_tol = cfg.tol("segment_derivative", 1e-6)
+    rtol = cfg.tol("steiner")
+    exact_tol = cfg.tol("segment_derivative")
     # The R^3 bodies are shared by all three case lists, so each is
     # hull-reduced and gets its face record once.
     cube3, simplex3 = B.make_cube(3), B.make_simplex(3)
@@ -479,7 +490,7 @@ def _claim23_gaps(n: int, trials: int, s: SeededSampler) -> np.ndarray:
 
 def _claim23_suite(cfg: RunConfig) -> tuple[list[dict], dict]:
     records = []
-    rtol = cfg.tol("claim23", 1e-9)
+    rtol = cfg.tol("claim23")
     trials = cfg.samples if cfg.samples is not None else 100
     for n in cfg.dims("claim23"):
         worst = float(_claim23_gaps(n, trials, SeededSampler(cfg.seed, stream_id=50 + n)).max())
@@ -505,7 +516,7 @@ def _claim23_suite(cfg: RunConfig) -> tuple[list[dict], dict]:
 def _lemma22_suite(cfg: RunConfig) -> tuple[list[dict], dict]:
     records = []
     n_samples = cfg.budget("lemma22")
-    rtol = cfg.tol("lemma22", 0.03)
+    rtol = cfg.tol("lemma22")
     n, i, k = 4, 1, 1
     s = SeededSampler(cfg.seed, 60)
     f = haar_subspace(n, i, s)
@@ -543,7 +554,7 @@ def _lemma22_suite(cfg: RunConfig) -> tuple[list[dict], dict]:
 def _lemma24_suite(cfg: RunConfig) -> tuple[list[dict], dict]:
     records = []
     n_samples = cfg.budget("lemma24")
-    rtol = cfg.tol("lemma24", 0.03)
+    rtol = cfg.tol("lemma24")
     n, i, k = 4, 1, 1
     axis = np.array([1.0, 0.5, -0.25, 0.7])
     f = T.zonal_harmonic(n, 2, axis)
@@ -578,8 +589,8 @@ def _lefschetz_suite(cfg: RunConfig) -> tuple[list[dict], dict]:
     records = []
     n = cfg.dims("lefschetz")[0]
     n_samples = cfg.budget("lefschetz")
-    leak_tol = cfg.tol("leakage", 1e-2)
-    quad_tol = cfg.tol("funk_hecke", 1e-6)
+    leak_tol = cfg.tol("leakage")
+    quad_tol = cfg.tol("funk_hecke")
     report, op = T.lefschetz_probe(n, cfg.dmax, n_samples, SeededSampler(cfg.seed, 80))
     if n == 3:
         records.append(
@@ -659,8 +670,8 @@ def _load_bodies(cfg: RunConfig, n: int, fallback_seed: int) -> list[tuple[str, 
 def _hadwiger_suite(cfg: RunConfig) -> tuple[list[dict], dict]:
     records = []
     n_samples = cfg.budget("hadwiger")
-    spread_tol = cfg.tol("hadwiger", 0.03)
-    product_tol = cfg.tol("product_mc", 0.02)
+    spread_tol = cfg.tol("hadwiger")
+    product_tol = cfg.tol("product_mc")
     bodies = _load_bodies(cfg, 3, cfg.seed)
     rep = V.proportionality_check(
         V.v1_power(3, 2), V.IntrinsicVolume(2), [p for _, p in bodies],
@@ -702,7 +713,7 @@ def _hadwiger_suite(cfg: RunConfig) -> tuple[list[dict], dict]:
 def _lambda_suite(cfg: RunConfig) -> tuple[list[dict], dict]:
     records = []
     budget = cfg.budget("lambda")
-    rtol = cfg.tol("lambda", 0.03)
+    rtol = cfg.tol("lambda")
     cube = B.make_cube(3)
     try:
         est = V.lambda_apply(V.Lambda(V.IntrinsicVolume(3)), cube, budget,

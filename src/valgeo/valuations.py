@@ -24,13 +24,12 @@ from .bodies import (
     _shadow_volumes,
     ball_intrinsic_volumes,
     default_epsilon_grid,
-    fit_polynomial,
     hull_volume,
     kubota_coefficient,
     kubota_estimate,
-    parallel_body_volumes,
     project,
     shadow_measures,
+    steiner_fit,
 )
 from .errors import DimensionError, PolynomialFitError, ScopeError
 from .grassmann import (
@@ -475,80 +474,52 @@ def fit_proportionality(direct: np.ndarray, formula: np.ndarray) -> tuple[float,
 
 
 # ---------------------------------------------------------------------------
-# Lambda: polynomial fit on outer parallel bodies
+# Lambda: the eps^m coefficient of phi(K + eps D)
 # ---------------------------------------------------------------------------
 
 
-def parallel_valuation_values(
-    expr: ValuationExpr, body: Polytope, eps_grid: np.ndarray, budget: int,
-    s: SeededSampler,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Values (and standard errors) of expr(K + eps D) on a grid of radii."""
+def _steiner_coefficient_rows(expr: ValuationExpr, body: Polytope, budget: int,
+                              s: SeededSampler) -> np.ndarray:
+    """Per-sample coefficients of expr(K + eps D) in eps, already scaled:
+    a (rows, deg + 1) array whose column means are the exact polynomial's.
+
+    Each row is the planar Steiner polynomial of one shadow (``shadow_measures``
+    with ``steiner``): V_k (k <= 2) reads Kubota's constant times it on
+    ``budget`` Haar k-frames, a Crofton valuation (i <= 2) f(F) times it on
+    ``budget`` Haar F, and a projection valuation (dim F <= 2) the one exact
+    row of its own F.  At budget 0 the sampled routes give no rows.
+    """
     n = body.ambient_dim
-    eps_grid = np.asarray(eps_grid, dtype=float)
+    d = expr.degree
+    if isinstance(expr, IntrinsicVolume) and d <= 2:
+        c = kubota_coefficient(n, d)
+        rows = mc_samples(budget, s, lambda count, sub: c * shadow_measures(
+            body, _haar_maps(n, d, count, sub), steiner=True))
+    elif isinstance(expr, CroftonVal) and d <= 2:
+        def draw(count: int, sub: SeededSampler) -> np.ndarray:
+            bases = haar_bases_batch(n, d, count, sub)
+            return expr.f.eval_bases(bases)[:, None] * shadow_measures(body, bases, steiner=True)
 
-    def from_coeff_samples(coeffs: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
-        powers = eps_grid[None, :] ** np.arange(coeffs.shape[1])[:, None]
-        mean_c = coeffs.mean(axis=0)
-        values = scale * (mean_c @ powers)
-        centered = coeffs - mean_c
-        cov = centered.T @ centered / (coeffs.shape[0] * max(coeffs.shape[0] - 1, 1))
-        var = np.einsum("pe,pq,qe->e", powers, cov, powers)
-        return values, scale * np.sqrt(np.maximum(var, 0.0))
-
-    def steiner_values(coeffs: np.ndarray) -> np.ndarray:
-        # sum_j coeffs[..., j] eps^j over the grid, one term at a time
-        return sum(coeffs[..., j, None] * eps_grid**j for j in range(coeffs.shape[-1]))
-
-    if isinstance(expr, IntrinsicVolume):
-        k = expr.k
-        if k == 0:
-            return np.ones_like(eps_grid), np.zeros_like(eps_grid)
-        if k == n:
-            return parallel_body_volumes(body, eps_grid, budget, s)
-        if k <= 2:
-            # the planar Steiner formula of each shadow vol_k(Pr_E K + eps D_E):
-            # length + 2 eps (k = 1); area + perimeter eps + pi eps^2 (k = 2)
-            coeffs = mc_samples(budget, s, lambda c, sub: shadow_measures(
-                body, _haar_maps(n, k, c, sub), steiner=True))
-            return from_coeff_samples(coeffs, kubota_coefficient(n, k))
-        raise ScopeError(
-            f"parallel-body evaluation of V_{k} in R^{n} needs k <= 2 or k = n"
-        )
-    if isinstance(expr, ProjectionVal):
-        f = expr.subspace
-        if f.dim == 0:
-            return np.ones_like(eps_grid), np.zeros_like(eps_grid)
-        if f.dim <= 2:
-            (coeffs,) = shadow_measures(body, f.basis[None], steiner=True)
-            return steiner_values(coeffs), np.zeros_like(eps_grid)
-        return parallel_body_volumes(project(body, f), eps_grid, budget, s)
-    if isinstance(expr, CroftonVal):
-        i = expr.i
-        if i > 2:
-            raise ScopeError("parallel-body Crofton evaluation needs i <= 2")
-
-        def draw(c: int, sub: SeededSampler) -> np.ndarray:
-            bases = haar_bases_batch(n, i, c, sub)
-            coeffs = shadow_measures(body, bases, steiner=True)
-            return expr.f.eval_bases(bases)[:, None] * steiner_values(coeffs)
-
-        vals = mc_samples(budget, s, draw)
-        mean = vals.mean(axis=0)
-        stderr = vals.std(axis=0, ddof=1) / math.sqrt(budget)
-        return mean, stderr
-    raise ScopeError(f"parallel-body evaluation not supported for {type(expr).__name__}")
+        rows = mc_samples(budget, s, draw)
+    elif isinstance(expr, ProjectionVal) and d <= 2:
+        rows = shadow_measures(body, expr.subspace.basis[None], steiner=True)
+    else:
+        raise ScopeError(f"Lambda of {type(expr).__name__} of degree {d} in R^{n} needs "
+                         "degree <= 2 or a membership volume")
+    return rows.reshape(-1, d + 1)
 
 
 def lambda_apply(expr: Lambda, body: Polytope, budget: int,
                  s: SeededSampler, max_residual: float = 0.02) -> Estimate:
-    """Evaluate (possibly nested) Lambda expressions by polynomial fitting.
+    """Evaluate (possibly nested) Lambda expressions from the Steiner
+    polynomial phi(K + eps D) of degree deg(phi) in eps: m nested Lambda
+    layers return m! times its eps^m coefficient.
 
-    phi(K + eps D) is a polynomial of degree deg(phi) in eps, sampled on
-    ``default_epsilon_grid(body, deg + 3, span=0.6)``; m nested Lambda layers
-    return m! times its eps^m coefficient.  The fit residual is a built-in
-    diagnostic: residuals above ``max_residual`` raise PolynomialFitError
-    (the sample budget was too small for the grid).
+    V_n and projection valuations with dim F > 2 are membership volumes, fitted
+    by ``steiner_fit`` on ``default_epsilon_grid(body, deg + 3, span=0.6)``;
+    fit residuals above ``max_residual`` raise PolynomialFitError (the sample
+    budget was too small for the grid).  Every other inner expression takes
+    the mean of its ``_steiner_coefficient_rows``.
     """
     layers = 0
     base: ValuationExpr = expr
@@ -556,16 +527,21 @@ def lambda_apply(expr: Lambda, body: Polytope, budget: int,
         layers += 1
         base = base.inner
     d = base.degree
-    eps_grid = default_epsilon_grid(body, d + 3, span=0.6)
-    values, stderrs = parallel_valuation_values(base, body, eps_grid, budget, s)
-    coeffs, residual, _cond, coeff_stderr = fit_polynomial(eps_grid, values, stderrs, d)
-    if residual > max_residual:
+    scale = math.factorial(layers)
+    if isinstance(base, IntrinsicVolume) and d == body.ambient_dim:
+        target = body
+    elif isinstance(base, ProjectionVal) and d > 2:
+        target = project(body, base.subspace)
+    else:
+        est = mean_and_stderr(_steiner_coefficient_rows(base, body, budget, s)[:, layers])
+        return Estimate(scale * est.value, scale * est.stderr)
+    fit = steiner_fit(target, default_epsilon_grid(body, d + 3, span=0.6), budget, s)
+    if fit.fit_residual > max_residual:
         raise PolynomialFitError(
-            f"fit residual {residual:.3g} exceeds {max_residual:.3g}; raise the budget"
+            f"fit residual {fit.fit_residual:.3g} exceeds {max_residual:.3g}; raise the budget"
         )
-    value = math.factorial(layers) * coeffs[layers]
-    stderr = math.factorial(layers) * float(coeff_stderr[layers])
-    return Estimate(float(value), stderr)
+    return Estimate(float(scale * fit.coefficients[layers]),
+                    scale * float(fit.coefficient_stderrs[layers]))
 
 
 # ---------------------------------------------------------------------------

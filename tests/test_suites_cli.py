@@ -37,7 +37,7 @@ class TestConfig:
         assert cfg.seed == 7
         assert cfg.samples == 500
         assert cfg.fmt == "csv"
-        assert cfg.tol("kubota", 0.02) == 0.5
+        assert cfg.tol("kubota") == 0.5
 
     def test_cli_overrides_file(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -56,16 +56,17 @@ class TestConfig:
         with pytest.raises(ValueError):
             config_from_sources({"samples": "0"})
         with pytest.raises(ValueError):
-            config_from_sources({"tol.x": "-1"})
+            config_from_sources({"tol.kubota": "-1"})
         with pytest.raises(ValueError):
             config_from_sources({"format": "xml"})
 
     def test_unknown_key_raises(self):
         # A mistyped key used to be dropped, so the run went ahead at the
-        # default budget.  Names after "tol." are not checked.
+        # default budget or tolerance.
         with pytest.raises(ValueError, match="sampels"):
             config_from_sources({"sampels": "16"})
-        assert config_from_sources({"tol.no-such-check": "0.5"}).tol("no-such-check", 1.0) == 0.5
+        with pytest.raises(ValueError, match="tol.kubata"):
+            config_from_sources({"tol.kubata": "0.5"})
 
     def test_dim_list_parsing(self):
         cfg = config_from_sources({"dim": "3, 4"})
@@ -396,6 +397,13 @@ class TestCli:
         cfg.write_text("sampels = 16\n")
         assert main(["claim23", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert "sampels" in capsys.readouterr().err
+
+    def test_exit_two_on_unknown_tolerance(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tol.kubata = 0.01\n")
+        assert main(["kubota", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "tol.kubata" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*_report.*"))
 
     @pytest.mark.parametrize("argv", [
         ["claim23", "--dim", "3"],

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -415,6 +416,49 @@ class TestLambda:
                 V.Lambda(V.IntrinsicVolume(2)), B.Ball(haar_subspace(3, 2, sampler)),
                 100, sampler,
             )
+
+    @pytest.mark.parametrize("name", ["cube", "simplex"])
+    def test_lambda_v2_stderr_matches_spread(self, name):
+        # Each seed's value is a mean of iid per-sample perimeters, so the
+        # reported standard error should match the spread across seeds.
+        body = B.make_cube(3) if name == "cube" else B.make_simplex(3)
+        ests = [V.lambda_apply(V.Lambda(V.IntrinsicVolume(2)), body, 2048, SeededSampler(900 + j))
+                for j in range(40)]
+        spread = np.std([e.value for e in ests], ddof=1)
+        assert 0.7 <= np.median([e.stderr for e in ests]) / spread <= 1.4
+
+    def test_lambda_v1_is_exact(self):
+        # Every shadow of every body has width polynomial w + 2 eps.
+        for j, body in enumerate(
+            (B.make_cube(3), B.make_simplex(3), B.make_random_polytope(3, 16, SeededSampler(61)))
+        ):
+            est = V.lambda_apply(V.Lambda(V.IntrinsicVolume(1)), body, 2048, SeededSampler(62 + j))
+            assert est.value == pytest.approx(4.0, rel=1e-15)
+            assert est.stderr == 0.0
+
+    def test_crofton_single_sample_has_zero_stderr(self):
+        expr = V.Lambda(V.CroftonVal(T.constant_gfunction(3, 1), 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = V.lambda_apply(expr, B.make_cube(3), 1, SeededSampler(63))
+        assert est == (2.0, 0.0)
+
+    @pytest.mark.parametrize("inner", [
+        V.IntrinsicVolume(1), V.IntrinsicVolume(2), V.IntrinsicVolume(3),
+        V.CroftonVal(T.constant_gfunction(3, 1), 1), V.CroftonVal(T.constant_gfunction(3, 2), 2),
+    ])
+    def test_no_samples_raises(self, inner):
+        with pytest.raises(ValueError, match="no samples"):
+            V.lambda_apply(V.Lambda(inner), B.make_cube(3), 0, SeededSampler(64))
+
+    def test_projection_val_membership_route(self):
+        # dim F = 3 takes steiner_fit on the shadow: Lambda vol_3 is its surface area.
+        f = haar_subspace(4, 3, SeededSampler(65))
+        cube = B.make_cube(4)
+        est = V.lambda_apply(V.Lambda(V.ProjectionVal(f)), cube, 1 << 16, SeededSampler(66))
+        area = ConvexHull(B.project(cube, f).vertices).area
+        assert est.value == pytest.approx(area, rel=0.03)
+        assert est.stderr > 0.0
 
 
 class TestProportionality:
