@@ -11,10 +11,11 @@ digest ``sha256sum`` gives for the file the command line writes) and the
 ``trace.counters`` values that are not zero.  It exits with an error if two
 runs of a suite write different bytes in any file.  ``scipy.stats`` is
 imported before the first suite, so that its one-time import is not charged
-to whichever suite runs first.  Run with one BLAS thread:
+to whichever suite runs first.  The script sets OpenBLAS, OpenMP and MKL to
+one thread before NumPy is imported, because the lefschetz report's bytes
+depend on the BLAS thread count:
 
-    OPENBLAS_NUM_THREADS=1 python benchmarks/bench_suites.py [--samples N] [--repeats R]
-        [--json FILE]
+    python benchmarks/bench_suites.py [--samples N] [--repeats R] [--json FILE]
 
 ``--json FILE`` appends one row, with the git revision and the machine, to
 the list of rows in FILE (a new file starts the list), so the file keeps a
@@ -24,17 +25,21 @@ trajectory of suite times.
 import argparse
 import hashlib
 import json
+import os
 import statistics
 import tempfile
 import time
 from pathlib import Path
 
-import scipy.stats  # noqa: F401  (see the docstring)
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"  # before NumPy is imported (see the docstring)
 
-from valgeo import trace
-from valgeo.suites import SUITE_NAMES, RunConfig, run_suite
+import scipy.stats  # noqa: E402,F401  (see the docstring)
 
-from _common import machine
+from valgeo import trace  # noqa: E402
+from valgeo.suites import SUITE_NAMES, RunConfig, run_suite  # noqa: E402
+
+from _common import machine  # noqa: E402
 
 
 def run_once(name: str, samples: int | None) -> tuple[float, dict, dict]:

@@ -24,6 +24,7 @@ from . import trace
 
 BACKEND = "python"
 BLOCK_FLOATS = 1 << 16
+MAX_ITER = 1000  # Wolfe rounds before a row stops unconverged
 
 
 def _affine_minimizer(w: np.ndarray) -> np.ndarray:
@@ -69,14 +70,14 @@ def _affine_minimizers(w: np.ndarray) -> np.ndarray:
         return np.stack([_affine_minimizer(row) for row in w])
 
 
-def _min_norm_points(w: np.ndarray, max_iter: int = 1000) -> np.ndarray:
+def _min_norm_points(w: np.ndarray) -> np.ndarray:
     """Minimum-norm point of conv of each ``(m, n)`` vertex set in a ``(b, m, n)`` stack.
 
     Every row runs its own Wolfe iteration; the rows advance in lock-step,
     one major cycle per round, and a row leaves the round once it has
     converged. A row's corral is kept in slots ``0 .. size-1`` in the order
     the vertices entered it, and minor cycles are solved for all rows with
-    the same corral size at once.  A row still live after ``max_iter``
+    the same corral size at once.  A row still live after ``MAX_ITER``
     rounds returns its current iterate and adds one to
     ``trace.counters["wolfe_max_iter_rows"]``.
     """
@@ -94,7 +95,7 @@ def _min_norm_points(w: np.ndarray, max_iter: int = 1000) -> np.ndarray:
     entering = np.zeros(b, dtype=np.intp)
     slots = np.arange(m)
     live = rows
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         if not live.size:
             break
         xl = x[live]
@@ -151,7 +152,7 @@ def _min_norm_points(w: np.ndarray, max_iter: int = 1000) -> np.ndarray:
     return x
 
 
-def hull_distances(points: np.ndarray, vertices: np.ndarray, max_iter: int = 1000) -> np.ndarray:
+def hull_distances(points: np.ndarray, vertices: np.ndarray) -> np.ndarray:
     """Euclidean distance from each row of ``points`` to conv(vertices).
 
     Points are processed in blocks of about ``BLOCK_FLOATS`` translated
@@ -168,6 +169,6 @@ def hull_distances(points: np.ndarray, vertices: np.ndarray, max_iter: int = 100
     out = np.empty(pts.shape[0])
     block = max(1, BLOCK_FLOATS // v.size)
     for start in range(0, pts.shape[0], block):
-        x = _min_norm_points(v[None] - pts[start:start + block, None], max_iter)
+        x = _min_norm_points(v[None] - pts[start:start + block, None])
         out[start:start + block] = np.sqrt(np.einsum("ij,ij->i", x, x))
     return out

@@ -13,10 +13,6 @@ class ScopeError(ValueError):
     """Requested configuration is outside the supported desk-scale scope."""
 
 
-class PrecisionError(RuntimeError):
-    """A quadrature or iterative solve failed to reach its tolerance."""
-
-
 class PolynomialFitError(RuntimeError):
     """Polynomial fit residual exceeds threshold (sample budget too small)."""
 

@@ -190,14 +190,17 @@ class SuiteReport:
 
     def to_json(self) -> str:
         # Wall time is volatile and deliberately excluded so that reruns with
-        # the same seed are byte-identical.
+        # the same seed are byte-identical.  Strict JSON has no NaN: a check
+        # that could not be computed reads "observed": null.
+        records = [{**r, "observed": r["observed"] if math.isfinite(r["observed"]) else None}
+                   for r in self.records]
         payload = {
             "suite": self.suite,
             "seed": self.seed,
             "passed": self.passed,
-            "records": self.records,
+            "records": records,
         }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
     def to_csv(self) -> str:
         lines = ["name,expected,observed,tolerance,pass"]
@@ -653,6 +656,8 @@ def _read_bodies_file(path: str, n: int) -> list[dict]:
             raise ValueError(f"body {idx} has ambient dim {dim}, expected {n}")
         if vertices.ndim != 2 or vertices.shape[0] == 0 or vertices.shape[1] != n:
             raise ValueError(f"body {idx} needs a non-empty list of {n}-vectors as vertices")
+        if not np.isfinite(vertices).all():
+            raise ValueError(f"body {idx} has a non-finite vertex coordinate")
     return payload
 
 

@@ -46,8 +46,8 @@ whatever the dimensions, so the cosine has no fallback to count.
 
 Stops without a certificate and fallbacks of the Wolfe kernel count too:
 
-* ``wolfe_max_iter_rows``: rows still live after ``max_iter`` rounds, whose
-  distance is the current iterate's, not a converged one;
+* ``wolfe_max_iter_rows``: rows still live after ``_kernels.MAX_ITER``
+  rounds, whose distance is the current iterate's, not a converged one;
 * ``wolfe_stalled_rows``: rows stopped with a gap above the tolerance
   because the entering vertex is already in the corral;
 * ``wolfe_ridge_retries``: corral systems solved again with a ridge after a

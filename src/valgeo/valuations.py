@@ -235,36 +235,27 @@ def klain_function(expr: ValuationExpr, budget: int = 4096,
                    s: SeededSampler | None = None, ambient_dim: int | None = None) -> GFunction:
     """The Klain function L -> phi(D_L) on Gr_deg, as an evaluable GFunction.
 
-    Closed forms are used for intrinsic volumes, projection valuations and
-    stacked products, on a whole stack of L's at once.  Other expressions
-    are estimated once per L by Monte-Carlo with a fixed derived stream, so
-    the returned evaluator is a pure function of L.
+    Each L is evaluated as ``evaluate(expr, Ball(L), ...)``: closed forms for
+    intrinsic volumes, projection valuations and stacked products, and
+    Monte-Carlo with a fixed derived stream otherwise, so the returned
+    evaluator is a pure function of L.  Projection valuations and products
+    carry their ambient dimension; other expressions need ``ambient_dim``.
     """
-    deg = expr.degree
-    n = ambient_dim
-    if isinstance(expr, (ProjectionVal, ProductProj)):
-        # Both map D_L through a fixed linear map m.
-        if isinstance(expr, ProjectionVal):
-            n, m = expr.subspace.ambient_dim, expr.subspace.basis.T
-        else:
-            n, m = expr.f1.ambient_dim, np.vstack([expr.f1.basis.T, expr.f2.basis.T])
-
-        def ev(bases: np.ndarray) -> np.ndarray:
-            return _map_ball_volume(m, bases, deg)
-    elif isinstance(expr, IntrinsicVolume):
-        const = unit_ball_volume(deg)
-
-        def ev(bases: np.ndarray) -> np.ndarray:
-            return np.full(len(bases), const)
+    if isinstance(expr, ProjectionVal):
+        n = expr.subspace.ambient_dim
+    elif isinstance(expr, ProductProj):
+        n = expr.f1.ambient_dim
     else:
-        base = s if s is not None else SeededSampler(0)
-
-        def ev(bases: np.ndarray) -> np.ndarray:
-            return np.array([evaluate(expr, Ball(Subspace(n, b)), budget, base.substream(0)).value
-                             for b in bases])
+        n = ambient_dim
     if n is None:
         raise DimensionError("ambient_dim required for this expression type")
-    return GFunction(n, deg, ev, name=f"klain({type(expr).__name__})")
+    base = s if s is not None else SeededSampler(0)
+
+    def ev(bases: np.ndarray) -> np.ndarray:
+        return np.array([evaluate(expr, Ball(Subspace(n, b)), budget, base.substream(0)).value
+                         for b in bases])
+
+    return GFunction(n, expr.degree, ev, name=f"klain({type(expr).__name__})")
 
 
 # ---------------------------------------------------------------------------
@@ -509,15 +500,17 @@ def _steiner_coefficient_rows(expr: ValuationExpr, body: Polytope, budget: int,
     return rows.reshape(-1, d + 1)
 
 
-def lambda_apply(expr: Lambda, body: Polytope, budget: int,
-                 s: SeededSampler, max_residual: float = 0.02) -> Estimate:
+_MAX_FIT_RESIDUAL = 0.02
+
+
+def lambda_apply(expr: Lambda, body: Polytope, budget: int, s: SeededSampler) -> Estimate:
     """Evaluate (possibly nested) Lambda expressions from the Steiner
     polynomial phi(K + eps D) of degree deg(phi) in eps: m nested Lambda
     layers return m! times its eps^m coefficient.
 
     V_n and projection valuations with dim F > 2 are membership volumes, fitted
     by ``steiner_fit`` on ``default_epsilon_grid(body, deg + 3, span=0.6)``;
-    fit residuals above ``max_residual`` raise PolynomialFitError (the sample
+    fit residuals above ``_MAX_FIT_RESIDUAL`` raise PolynomialFitError (the sample
     budget was too small for the grid).  Every other inner expression takes
     the mean of its ``_steiner_coefficient_rows``.
     """
@@ -536,9 +529,9 @@ def lambda_apply(expr: Lambda, body: Polytope, budget: int,
         est = mean_and_stderr(_steiner_coefficient_rows(base, body, budget, s)[:, layers])
         return Estimate(scale * est.value, scale * est.stderr)
     fit = steiner_fit(target, default_epsilon_grid(body, d + 3, span=0.6), budget, s)
-    if fit.fit_residual > max_residual:
+    if fit.fit_residual > _MAX_FIT_RESIDUAL:
         raise PolynomialFitError(
-            f"fit residual {fit.fit_residual:.3g} exceeds {max_residual:.3g}; raise the budget"
+            f"fit residual {fit.fit_residual:.3g} exceeds {_MAX_FIT_RESIDUAL:.3g}; raise the budget"
         )
     return Estimate(float(scale * fit.coefficients[layers]),
                     scale * float(fit.coefficient_stderrs[layers]))

@@ -300,11 +300,38 @@ class TestSuites:
         report = run_suite("lefschetz", RunConfig(seed=1234, samples=200_000))
         assert not report.passed
 
+    def test_lefschetz_oracles_catch_a_one_node_cosine_rule(self, monkeypatch):
+        # The cosine eigenvalue's Gauss-Jacobi rule cut to one node is exact
+        # only while G_d(sqrt(s)) is linear in s, that is for d <= 2.  The
+        # oracle products of d = 4, 6 and 8 then miss their scalars, and
+        # their magnitudes raise the injectivity floor above the smallest
+        # singular value; the funk-hecke records read d = 0 and 2 only.
+        rule = T.roots_jacobi
+        monkeypatch.setattr(T, "roots_jacobi", lambda npts, a, b: rule(1, a, b))
+        report = run_suite("lefschetz", RunConfig(seed=1234, samples=200_000))
+        failed = [r["name"] for r in report.records if not r["pass"]]
+        assert failed == [f"lefschetz/scalar-vs-oracle/d={d}" for d in (4, 6, 8)] + [
+            "lefschetz/injective-verdict"]
+        assert all(r["pass"] for r in report.records if "funk-hecke" in r["name"])
+
     def test_reports_byte_identical(self):
         cfg = RunConfig(seed=3, samples=2000, dimensions=[3])
         a = run_suite("angles", cfg).to_json()
         b = run_suite("angles", cfg).to_json()
         assert a == b
+
+    def test_failed_lambda_report_is_strict_json(self, tmp_path):
+        # At 64 samples the membership fits fail, and their records observe
+        # NaN in memory; the report writes null, so strict parsers read it.
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        with pytest.warns(UserWarning, match="raise the budget"):
+            assert main(["lambda", "--samples", "64", "--out", str(tmp_path)]) == 1
+        text = (tmp_path / "lambda_report.json").read_text()
+        records = json.loads(text, parse_constant=reject)["records"]
+        assert [r["name"] for r in records if r["observed"] is None] == [
+            "lambda/vol3-on-cube", "lambda/V3-degree-lowering-spread"]
 
     def test_wall_time_not_serialized(self):
         report = run_suite("claim23", RunConfig(samples=10))
@@ -434,6 +461,20 @@ class TestCli:
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"bodies = {path}\n")
         assert main(["lambda", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+    def test_exit_two_on_non_finite_bodies(self, tmp_path, capsys, literal):
+        # Python's json reads both literals as floats; the check names the
+        # body before any numerics.
+        cube = json.dumps(B.polytope_to_json(B.make_cube(3)))
+        bad = f'{{"ambient_dim": 3, "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, {literal}]]}}'
+        path = tmp_path / "bodies.json"
+        path.write_text(f"[{cube}, {bad}]")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"bodies = {path}\n")
+        for suite in ("hadwiger", "lambda"):
+            assert main([suite, "--config", str(cfg)]) == 2
+            assert "body 1 has a non-finite vertex" in capsys.readouterr().err
 
     def test_mid_suite_errors_not_masked(self, monkeypatch):
         # Only the up-front checks map to exit 2; a failure inside a suite

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 from scipy.special import eval_chebyu, eval_legendre
 
 from valgeo import transforms as T
-from valgeo._harmonics import gegenbauer_normalized
+from valgeo._harmonics import _weight_normalizer, gegenbauer_normalized
 from valgeo.errors import DimensionError, ScopeError
 from valgeo.grassmann import (
     SeededSampler,
@@ -147,7 +148,36 @@ class TestCosine:
         assert abs(a.value - b.value) < 4 * math.hypot(a.stderr, b.stderr)
 
 
+def adaptive_cosine_eigen(n, d):
+    """The cosine eigenvalue as adaptive QUADPACK quadrature of the even
+    integrand t G_d(t) (1 - t^2)^((n-3)/2) on [0, 1], an independent check of
+    the Gauss-Jacobi rule.  For n = 2 the weight (1 - t)^(-1/2) goes to
+    QUADPACK's algebraic end-point weight, leaving (1 + t)^(-1/2) in the
+    integrand."""
+    nu = (n - 3) / 2.0
+    if n == 2:
+        def g(t):
+            return t * gegenbauer_normalized(n, d, t) / math.sqrt(1.0 + t)
+
+        val, err = integrate.quad(g, 0.0, 1.0, weight="alg", wvar=(0.0, -0.5),
+                                  epsabs=1e-13, epsrel=1e-13, limit=200)
+    else:
+        def g(t):
+            return t * gegenbauer_normalized(n, d, t) * (1.0 - t * t) ** nu
+
+        val, err = integrate.quad(g, 0.0, 1.0, epsabs=1e-13, epsrel=1e-13, limit=200)
+    assert err <= 1e-9 * max(1.0, abs(val))
+    return 2.0 * val / _weight_normalizer(n)
+
+
 class TestFunkHeckeOracles:
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_gauss_jacobi_rule_matches_adaptive_quadrature(self, n):
+        # The rule is exact, so the two differ by rounding only (at most
+        # 1.1e-15, at n = 2 and d = 12).
+        for d in range(0, 13, 2):
+            assert abs(T.funk_hecke_cosine_eigen(n, d) - adaptive_cosine_eigen(n, d)) <= 2e-15
+
     def test_hand_values(self):
         assert T.funk_hecke_cosine_eigen(3, 0) == pytest.approx(0.5, abs=1e-9)
         assert T.funk_hecke_cosine_eigen(3, 2) == pytest.approx(0.125, abs=1e-9)

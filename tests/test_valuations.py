@@ -396,11 +396,12 @@ class TestLambda:
             V.lambda_apply(V.Lambda(V.ProjectionVal(f)), B.make_cube(3), 100,
                            SeededSampler(72))
 
-    def test_fit_error_on_impossible_residual(self):
+    def test_fit_error_on_impossible_residual(self, monkeypatch):
+        monkeypatch.setattr(V, "_MAX_FIT_RESIDUAL", 1e-12)
         with pytest.raises(PolynomialFitError):
             V.lambda_apply(
                 V.Lambda(V.IntrinsicVolume(3)), B.make_cube(3), 4096,
-                SeededSampler(73), max_residual=1e-12,
+                SeededSampler(73),
             )
 
     def test_scope_error_middle_degree(self):
