@@ -1,15 +1,17 @@
-"""Benchmark hull membership on one Monte-Carlo chunk: Wolfe on every point
-against the certified helper.
+"""Benchmark hull membership and hull distances on one Monte-Carlo chunk:
+Wolfe on every point against the certified helpers.
 
-For each body whose membership the suites count, it draws one chunk of points
-from the box the suite samples and decides dist(x, P) <= t for the suite's
-thresholds twice: with ``hull_distances`` (the pure-NumPy Wolfe kernel) on
-every point, and with ``bodies._within``, which brackets each distance from
-P's facets and edges (exactly in R^2 and R^3) and sends only the points it
-cannot decide, plus a 1-in-64 audit sample, to
-``hull_distances``.  It prints the best time of a few repeats for each, the
-speedup and the certified fraction, and exits with an error if the two
-membership matrices differ anywhere.  Run:
+For each body whose points the suites count or measure, it draws one chunk
+of points from the box the suite samples and computes, twice, what the suite
+reads: dist(x, P) <= t for the bodies of the rejection volumes, and the
+distance capped at eps = 0.6 diam(P) for the Steiner polynomials.  Once with
+``hull_distances`` (the pure-NumPy Wolfe kernel) on every point, and once
+with ``bodies._within`` or ``bodies._distances``, which bracket each distance
+from P's facets and edges (exactly in R^2 and R^3) and send only the points
+they cannot decide, plus a 1-in-64 audit sample, to ``hull_distances``.  It
+prints the best time of a few repeats for each, the speedup and the
+certified fraction, and exits with an error if a verdict differs anywhere or
+a distance by more than the decision margin.  Run:
 
     python benchmarks/bench_membership.py [--samples N] [--repeats R] [--json FILE]
 
@@ -48,19 +50,20 @@ def hadwiger_cube4() -> B.Polytope:
 
 
 def cases():
-    """(name, body, thresholds, sampling box lower corner, box widths)."""
+    """(name, body, threshold or cap, distances?, sampling box lower corner,
+    box widths)."""
     contains = [("angles polygon", B.make_random_polytope(2, 12, SeededSampler(SEED, 1))),
                 ("hadwiger cube4", hadwiger_cube4())]
     for name, p in contains:
         lo, hi = p.bounding_box()
-        yield name, p, np.array([1e-9 * B._hull_scale(p)]), lo, hi - lo
+        yield name, p, 1e-9 * B._hull_scale(p), False, lo, hi - lo
     parallel = [("steiner square", B.make_cube(2)), ("steiner simplex2", B.make_simplex(2)),
                 ("steiner cube3", B.make_cube(3)), ("steiner simplex3", B.make_simplex(3)),
                 ("steiner random3", B.make_random_polytope(3, 14, SeededSampler(SEED, 31)))]
     for name, p in parallel:
-        grid = B.default_epsilon_grid(p, p.ambient_dim + 4, span=0.8)  # the steiner suite's radii
+        eps = 0.6 * p.diameter()  # steiner_fit's cap and padding
         lo, hi = p.bounding_box()
-        yield name, p, grid, lo - grid.max(), hi - lo + 2.0 * grid.max()
+        yield name, p, eps, True, lo - eps, hi - lo + 2.0 * eps
 
 
 def run(c: int, repeats: int) -> dict:
@@ -68,27 +71,36 @@ def run(c: int, repeats: int) -> dict:
     print(f"{'body':<18} {'facets':>6} {'edges':>5} {'wolfe':>9} {'certified':>9} "
           f"{'speedup':>7} {'certified share':>15}")
     rows, disagreements = [], 0
-    for j, (name, p, t, lo, widths) in enumerate(cases()):
+    for j, (name, p, t, distances, lo, widths) in enumerate(cases()):
         engine = qmc.Sobol(d=p.ambient_dim, scramble=True, seed=SeededSampler(SEED, j).rng)
         pts = lo + engine.random(c) * widths
         faces = p.faces
-        wolfe = B.hull_distances(pts, p.vertices)[None] <= t[:, None]
+
+        def wolfe():
+            d = B.hull_distances(pts, p.vertices)
+            return np.minimum(d, t) if distances else d <= t
+
+        def certified():
+            return B._distances(p, pts, t) if distances else B._within(p, pts, t)
+
+        reference = wolfe()
         trace.reset()
-        certified = B._within(p, pts, t)
+        got = certified()
         share = 1.0 - trace.counters["sent_to_wolfe"] / c
-        disagreements += int(np.count_nonzero(certified != wolfe))
-        t_wolfe = best_time(lambda: B.hull_distances(pts, p.vertices)[None] <= t[:, None],
-                            repeats)
-        t_cert = best_time(lambda: B._within(p, pts, t), repeats)
+        differ = np.abs(got - reference) > faces.margin if distances else got != reference
+        disagreements += int(np.count_nonzero(differ))
+        t_wolfe = best_time(wolfe, repeats)
+        t_cert = best_time(certified, repeats)
         edges = p.edges.shape[0]
         print(f"{name:<18} {faces.a.shape[0]:>6} {edges:>5} {t_wolfe * 1e3:>9.2f} "
               f"{t_cert * 1e3:>9.2f} {t_wolfe / t_cert:>6.1f}x {share:>15.3f}")
         rows.append({"body": name, "facets": int(faces.a.shape[0]), "edges": edges,
-                     "thresholds": int(t.size), "wolfe_ms": round(t_wolfe * 1e3, 3),
+                     "reads": "distances" if distances else "membership",
+                     "wolfe_ms": round(t_wolfe * 1e3, 3),
                      "certified_ms": round(t_cert * 1e3, 3),
                      "certified_share": round(share, 4)})
     if disagreements:
-        raise SystemExit(f"bench_membership: {disagreements} membership entries differ "
+        raise SystemExit(f"bench_membership: {disagreements} verdicts or distances differ "
                          f"from Wolfe's")
     return {"points": c, "seed": SEED, "repeats": repeats, "bodies": rows}
 

@@ -7,11 +7,12 @@ finitely many corrals.  ``hull_distances`` runs the iteration for a whole
 block of points at once, so the Python overhead is paid per round, not per
 point.
 
-Membership counts in R^2 and R^3 are decided exactly from facets and edges
-(``bodies._within``), so this kernel measures only their 1-in-64 audit
-sample and points within the decision margin of a threshold, flat bodies,
-points of bodies in R^4 and above that facet and edge bounds leave open, and
-direct calls to ``hull_distances`` and ``bodies.dist_to_polytope``.
+Membership counts and the capped distances of Steiner polynomials in R^2
+and R^3 are decided exactly from facets and edges (``bodies._settle``), so
+this kernel measures only their 1-in-64 audit sample and points within the
+decision margin of a threshold, flat bodies, points of bodies in R^4 and
+above that facet and edge bounds leave open, and direct calls to
+``hull_distances`` and ``bodies.dist_to_polytope``.
 ``BACKEND`` names the kernel in traces and benchmark records; it is always
 ``"python"``.
 """

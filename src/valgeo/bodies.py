@@ -1,4 +1,4 @@
-"""Polytope geometry: projections, exact volumes, Steiner fits, Kubota MC.
+"""Polytope geometry: projections, exact volumes, Steiner polynomials, Kubota MC.
 
 Polytopes are stored by their extreme points.  Exact volumes, areas and
 facets come from one Qhull call per polytope, kept as ``Polytope.faces``
@@ -12,11 +12,12 @@ shadow's boundary among P's edges with small matmuls of Plucker
 coordinates, in coordinates of P's affine hull for flat P, with the rows it
 finds tied measured by Qhull per image; Qhull per image for k >= 3.  The one
 caller that bypasses it is Kubota for k = n - 1, which draws unit normals
-for Cauchy's formula.  Minkowski-ball volumes vol(K + eps D) are estimated
-by Monte-Carlo membership, decided exactly from facets and edges in R^2 and
-R^3, by facet and edge bounds where they are conclusive in higher
-dimensions, and by the min-norm-point kernel elsewhere; the Cauchy-Kubota
-estimator is calibrated to be exact on the unit ball.
+for Cauchy's formula.  Monte-Carlo hull volumes count membership, and the
+Steiner polynomial vol(K + eps D) comes from the moments of one capped
+distance dist(x, K) per point; both are decided exactly from facets and
+edges in R^2 and R^3, by facet and edge bounds where they are conclusive in
+higher dimensions, and by the min-norm-point kernel elsewhere.  The
+Cauchy-Kubota estimator is calibrated to be exact on the unit ball.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError, cKDTree
@@ -34,7 +35,7 @@ from scipy.spatial.distance import pdist
 from . import trace
 from ._kernels import hull_distances
 from .base import Estimate, mc_chunks, mc_samples, mean_and_stderr, unit_ball_volume
-from .errors import ConditioningWarning, DimensionError, ScopeError
+from .errors import DimensionError, ScopeError
 from .grassmann import (SeededSampler, Subspace, _haar_maps, _map_ball_volume, _plucker,
                         _subsets, _transposed_products, haar_bases_batch, haar_unit_vectors)
 
@@ -43,12 +44,13 @@ _AFFINE_TOL = 1e-9
 _EDGE_BLOCK = 1 << 17  # _edge_shadows: map-wedge products per row block
 _CAUCHY_BLOCK = 1 << 17  # cauchy_shadow_volumes: direction-facet products per row block
 _CONTAINS_TOL = 1e-9   # mc_hull_volume: dist <= tol * (1 + max|v|)
-_MARGIN = 1e-9         # _within decides a point only this far (times 1 + max|v|) from a threshold
+_MARGIN = 1e-9         # _settle decides a point only this far (times 1 + max|v|) from a threshold
 _COPLANAR_TOL = 1e-12  # facet rows merged by _face_record
-_AUDIT_STRIDE = 64     # _within also sends every 64th decided point to Wolfe
-_FACET_BLOCK = 1 << 17  # _within brackets points in blocks of this many point-facet pairs
+_AUDIT_STRIDE = 64     # _settle also sends every 64th decided point to Wolfe
+_FACET_BLOCK = 1 << 17  # _settle brackets points in blocks of this many point-facet pairs
 _SEGMENT_BLOCK = 1 << 14  # _nearest_segment_distances: point-edge pairs per block
 _PAIR_BLOCK = 1 << 17  # _simplex_edges: vertex-pair-facet entries per block
+_TEST_FUNCTIONS = 8    # steiner_fit: moment equations g_m(r) = (1 - r/eps)^(m+1), m < 8
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +151,7 @@ class FaceRecord:
 
     a: np.ndarray          # P = {x : a x <= b}; rows are unit facet normals
     b: np.ndarray
-    margin: float          # _within's decision margin, 1e-9 (1 + max|v|)
+    margin: float          # _settle's decision margin, 1e-9 (1 + max|v|)
     certifies: bool        # no vertex breaks a x <= b by more than rounding
     simplices: np.ndarray  # Qhull's simplices as vertex index rows, and the merged
     facets: np.ndarray     # facet (0, 1, ... in order of a's rows) each belongs to
@@ -198,20 +200,17 @@ class Ball:
 
 @dataclass(frozen=True)
 class SteinerPolynomial:
-    """Fit of vol(K + eps D) = sum_m coefficients[m] * eps^m.
+    """Estimate of vol(K + eps D) = sum_m coefficients[m] * eps^m.
 
     The coefficient of eps^m is kappa_m * V_{n-m}(K), so intrinsic volumes
-    are read off by dividing by ball volumes.  ``coefficient_stderrs`` are
-    the volumes' standard errors propagated through the least-squares fit.
+    are read off by dividing by ball volumes.  ``steiner_fit`` gives the
+    residual of its moment equations, relative and times their condition
+    number, and the coefficients' standard errors.
     """
 
     degree: int
     coefficients: np.ndarray
     fit_residual: float = 0.0
-    condition_number: float = 1.0
-    grid: np.ndarray | None = None
-    volumes: np.ndarray | None = None
-    volume_stderrs: np.ndarray | None = None
     coefficient_stderrs: np.ndarray | None = None
 
 
@@ -595,7 +594,7 @@ def _simplex_edges(simplices: np.ndarray, facets: np.ndarray, n_vertices: int) -
 
 def _certificate(p: Polytope) -> FaceRecord | None:
     """``p.faces`` if it certifies membership, else None, which sends every
-    point of ``_within`` to Wolfe: for flat P, when Qhull fails, and when a
+    point of ``_settle`` to Wolfe: for flat P, when Qhull fails, and when a
     vertex breaks a facet inequality by more than rounding."""
     try:
         faces = p.faces
@@ -604,47 +603,66 @@ def _certificate(p: Polytope) -> FaceRecord | None:
     return faces if faces is not None and faces.certifies else None
 
 
-def _within(p: Polytope, points: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-    """The (T, N) boolean matrix dist(points[i], P) <= thresholds[j].
+def _within(p: Polytope, points: np.ndarray, threshold: float) -> np.ndarray:
+    """dist(points[i], P) <= threshold for each row, as ``hull_distances``
+    decides it (``_settle``)."""
+    return _settle(p, points, threshold, False)
 
-    It equals ``hull_distances(points, p.vertices)[None] <= thresholds[:, None]``
-    but runs Wolfe only where it must.  Given ``_certificate(p)``,
-    ``_bracket`` bounds each point's distance from below and above, with
-    equal bounds outside bodies in R^2 and R^3.  A point is decided when every
-    threshold lies at least the margin m outside its bracket; the margin
-    covers rounding in the bounds and in Wolfe's own result.  The other
-    points, and every ``_AUDIT_STRIDE``-th point as a check, go to
-    ``hull_distances``, whose answer is the one returned for them.  The
-    totals are added to ``trace.counters``.
+
+def _distances(p: Polytope, points: np.ndarray, cap: float) -> np.ndarray:
+    """min(dist(points[i], P), cap) for each row, to within the margin
+    (``_settle``)."""
+    return _settle(p, points, cap, True)
+
+
+def _settle(p: Polytope, points: np.ndarray, t: float, distances: bool) -> np.ndarray:
+    """The verdicts dist(x, P) <= t, or with ``distances`` the distances
+    min(dist(x, P), t), for the rows x of ``points``, with Wolfe run only
+    where it must.
+
+    Given ``_certificate(p)``, ``_bracket`` bounds each point's distance from
+    below and above, with equal bounds outside bodies in R^2 and R^3.  A
+    verdict is decided when t lies at least the margin m outside the bracket,
+    a distance when the bounds agree within m (it reads the lower bound) or
+    the lower bound reaches t (it reads t); the margin covers rounding in the
+    bounds and in Wolfe's own result.  The other points, and every
+    ``_AUDIT_STRIDE``-th decided point as a check, go to ``hull_distances``,
+    whose answer is the one returned for them; an audited verdict mismatches
+    when it differs, an audited distance when it differs by more than m.  The
+    totals are added to ``trace.counters``, with a point inside when it lies
+    within t.
     """
     pts = np.asarray(points, dtype=float)
-    t = np.asarray(thresholds, dtype=float)[:, None]
     count = pts.shape[0]
-    out = np.zeros((t.shape[0], count), dtype=bool)
-    decided = np.zeros(count, dtype=bool)
+    lower, upper, m = np.zeros(count), np.full(count, np.inf), 0.0
     faces = _certificate(p)
     if faces is not None:
         m = faces.margin
-        lower, upper = np.empty(count), np.empty(count)
         step = max(1, _FACET_BLOCK // faces.a.shape[0])
         for lo in range(0, count, step):
             block = slice(lo, lo + step)
-            lower[block], upper[block] = _bracket(p, pts[block], t.max())
-        out[:] = t >= upper + m
-        decided = (out | (t <= lower - m)).all(axis=0)
+            lower[block], upper[block] = _bracket(p, pts[block], t)
+    if distances:
+        out = np.minimum(lower, t)
+        decided = (upper - lower <= m) | (lower >= t)
+    else:
+        out = t >= upper + m
+        decided = out | (t <= lower - m)
     audit = np.zeros(count, dtype=bool)
     audit[::_AUDIT_STRIDE] = True
     audit &= decided
     sent = np.flatnonzero(~decided | audit)
     mismatches = 0
     if sent.size:
-        wolfe = hull_distances(pts[sent], p.vertices)[None] <= t
-        mismatches = int(np.count_nonzero((wolfe != out[:, sent]).any(axis=0) & audit[sent]))
-        out[:, sent] = wolfe
-    within_all = out.all(axis=0)
+        wolfe = hull_distances(pts[sent], p.vertices)
+        wolfe = np.minimum(wolfe, t) if distances else wolfe <= t
+        differ = np.abs(wolfe - out[sent]) > m if distances else wolfe != out[sent]
+        mismatches = int(np.count_nonzero(differ & audit[sent]))
+        out[sent] = wolfe
+    inside = out < t if distances else out
     c = trace.counters
-    c["certified_inside"] += int(np.count_nonzero(decided & within_all))
-    c["certified_outside"] += int(np.count_nonzero(decided & ~within_all))
+    c["certified_inside"] += int(np.count_nonzero(decided & inside))
+    c["certified_outside"] += int(np.count_nonzero(decided & ~inside))
     c["sent_to_wolfe"] += count - int(np.count_nonzero(decided))
     c["audited"] += int(np.count_nonzero(audit))
     c["audit_mismatches"] += mismatches
@@ -724,43 +742,47 @@ def _nearest_segment_distances(t: _EdgeTables, x: np.ndarray) -> np.ndarray:
     return np.sqrt(out)
 
 
-def _box_volumes(p: Polytope, thresholds: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                 n_samples: int, s: SeededSampler, method: str) -> tuple[np.ndarray, np.ndarray]:
-    """Volumes of {x : dist(x, P) <= t} for each threshold t, and their
-    binomial standard errors, from ``n_samples`` points of the box [lo, hi].
-
-    Points are counted by ``_within``.  ``method="mc"`` draws chunk j
-    uniformly from ``s.substream(j)``, so the standard errors have their
-    usual meaning; ``method="qmc"`` draws every chunk from one scrambled Sobol
-    engine seeded from ``s.substream(0)``, for a tighter estimate whose
-    standard errors are then conservative.  A box of zero volume gives zeros.
-    """
+def _box_points(lo: np.ndarray, hi: np.ndarray, n_samples: int, s: SeededSampler,
+                method: str) -> Iterator[np.ndarray]:
+    """``n_samples`` points of the box [lo, hi], one ``mc_chunks`` chunk at a
+    time.  ``method="mc"`` draws chunk j uniformly from ``s.substream(j)``;
+    ``method="qmc"`` draws every chunk from one scrambled Sobol engine seeded
+    from ``s.substream(0)``.  The arguments are checked on the call."""
     if method not in ("mc", "qmc"):
         raise ValueError(f"unknown method {method!r}")
     if n_samples < 1:
         raise ValueError("no samples")
-    widths = hi - lo
-    box_vol = float(np.prod(widths))
-    if box_vol == 0.0:
-        return np.zeros(thresholds.size), np.zeros(thresholds.size)
     engine = None
     if method == "qmc":
         from scipy.stats import qmc
 
-        engine = qmc.Sobol(d=p.ambient_dim, scramble=True, seed=s.substream(0).rng)
-    counts = np.zeros(thresholds.size, dtype=np.int64)
-    for _, c, sub in mc_chunks(n_samples, s):
+        engine = qmc.Sobol(d=lo.size, scramble=True, seed=s.substream(0).rng)
+
+    def draw(c: int, sub: SeededSampler) -> np.ndarray:
         if engine is None:
-            u = sub.uniform(size=(c, p.ambient_dim))
-        else:
-            # Chunks are powers of two except possibly the last one; the
-            # slight imbalance there is irrelevant at these sample counts.
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", message=".*balance properties of Sobol.*")
-                u = engine.random(c)
-        counts += _within(p, lo + u * widths, thresholds).sum(axis=1)
-    frac = counts / n_samples
-    return box_vol * frac, box_vol * np.sqrt(np.maximum(frac * (1.0 - frac), 0.0) / n_samples)
+            return sub.uniform(size=(c, lo.size))
+        # Chunks are powers of two except possibly the last one; the slight
+        # imbalance there is irrelevant at these sample counts.
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", message=".*balance properties of Sobol.*")
+            return engine.random(c)
+
+    return (lo + draw(c, sub) * (hi - lo) for _, c, sub in mc_chunks(n_samples, s))
+
+
+def _box_volumes(p: Polytope, threshold: float, lo: np.ndarray, hi: np.ndarray,
+                 n_samples: int, s: SeededSampler, method: str) -> tuple[float, float]:
+    """The volume of {x : dist(x, P) <= threshold}, and its binomial standard
+    error, from ``n_samples`` points of the box [lo, hi] (``_box_points``),
+    counted by ``_within``.  Standard errors of ``method="qmc"`` are
+    conservative.  A box of zero volume gives zeros.
+    """
+    points = _box_points(lo, hi, n_samples, s, method)
+    box_vol = float(np.prod(hi - lo))
+    if box_vol == 0.0:
+        return 0.0, 0.0
+    frac = sum(np.count_nonzero(_within(p, x, threshold)) for x in points) / n_samples
+    return box_vol * frac, box_vol * math.sqrt(max(frac * (1.0 - frac), 0.0) / n_samples)
 
 
 def mc_hull_volume(p: Polytope, n_samples: int, s: SeededSampler,
@@ -774,9 +796,8 @@ def mc_hull_volume(p: Polytope, n_samples: int, s: SeededSampler,
     volume, so the estimate stays independent of Qhull volumes.
     """
     lo, hi = p.bounding_box()
-    threshold = np.array([_CONTAINS_TOL * _hull_scale(p)])
-    vols, stderrs = _box_volumes(p, threshold, lo, hi, n_samples, s, method)
-    return Estimate(float(vols[0]), float(stderrs[0]))
+    vol, stderr = _box_volumes(p, _CONTAINS_TOL * _hull_scale(p), lo, hi, n_samples, s, method)
+    return Estimate(float(vol), float(stderr))
 
 
 # ---------------------------------------------------------------------------
@@ -955,85 +976,58 @@ def kubota_estimate(body, k: int, n_samples: int, s: SeededSampler) -> Estimate:
 
 
 # ---------------------------------------------------------------------------
-# Steiner polynomial fit
+# Steiner polynomial from distance moments
 # ---------------------------------------------------------------------------
 
 
-def default_epsilon_grid(p: Polytope, count: int, span: float) -> np.ndarray:
-    """``count`` Chebyshev-spaced radii on [0, span diam(P)], in ascending
-    order; the spacing controls the fit's conditioning."""
-    d = p.diameter()
-    if d == 0.0:
-        d = 1.0
-    i = np.arange(count)
-    return np.sort(0.5 * span * d * (1.0 - np.cos((2 * i + 1) * np.pi / (2 * count))))
+def steiner_fit(p: Polytope, n_samples: int, s: SeededSampler) -> SteinerPolynomial:
+    """The Steiner polynomial vol(P + eps D) = sum_i c_i eps^i of P from the
+    moments of one capped distance per point.
 
+    X is uniform on P's bounding box padded by eps = 0.6 diam(P) (1 for a
+    point), of volume W, and R = min(dist(X, P), eps) (``_distances``), read
+    on ``n_samples`` points of one scrambled Sobol net (``_box_points``).
+    For r <= eps, W P(R <= r) = vol(P + r D) = sum_i c_i r^i (Schneider,
+    Convex Bodies, 2nd ed. 2014, 4.2), so each test function
+    g_m(r) = (1 - r/eps)^(m+1), m = 0 .. 7, which vanishes at eps, gives an
+    equation linear in the c_i with exact coefficients (Beta integrals):
 
-def parallel_body_volumes(
-    p: Polytope, eps_grid: np.ndarray, n_samples: int, s: SeededSampler
-) -> tuple[np.ndarray, np.ndarray]:
-    """Membership estimates of vol(P + eps D) on a grid of radii.
+        W E[g_m(R)] = sum_i c_i eps^i i! (m+1)! / (i+m+1)!.
 
-    One scrambled-Sobol point set of P's bounding box padded by max eps
-    (``_box_volumes``, seeded through the sampler, so fully reproducible)
-    serves the whole grid: the estimates are then monotone in eps, which
-    stabilizes the polynomial fit.
+    One least-squares solve of the 8 equations gives the c_i.  Its relative
+    residual stays small for any sample (the moments of every distribution
+    on [0, eps] lie near the model's), while the design's condition number
+    is about 1.8e3 for n = 3, so ``fit_residual`` is their product: the
+    relative change in the c_i that moments off by that much can cause.
+    ``coefficient_stderrs`` propagate the iid covariance of the per-point
+    g_m(R) through the solve; on the Sobol net they are conservative.
     """
-    eps_grid = np.asarray(eps_grid, dtype=float)
-    eps_max = float(eps_grid.max())
-    lo, hi = p.bounding_box()
-    return _box_volumes(p, eps_grid, lo - eps_max, hi + eps_max, n_samples, s, "qmc")
-
-
-def fit_polynomial(
-    x: np.ndarray, y: np.ndarray, y_stderrs: np.ndarray, degree: int
-) -> tuple[np.ndarray, float, float, np.ndarray]:
-    """Least-squares polynomial fit; returns (ascending coeffs, rel residual,
-    cond, coeff stderrs).
-
-    The abscissa is rescaled to [0, 1] before solving; the condition number
-    refers to the rescaled design matrix.  The standard errors of ``y`` are
-    propagated to the coefficients through its pseudo-inverse.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    x_scale = float(np.abs(x).max())
-    if x_scale == 0.0:
-        x_scale = 1.0
-    design = np.vander(x / x_scale, degree + 1, increasing=True)
-    cond = float(np.linalg.cond(design))
-    if cond > 1e8:
-        warnings.warn(
-            f"epsilon grid gives condition number {cond:.3g}", ConditioningWarning
-        )
-    sol, *_ = np.linalg.lstsq(design, y, rcond=None)
-    fitted = design @ sol
-    denom = float(np.linalg.norm(y))
-    residual = float(np.linalg.norm(y - fitted)) / (denom if denom > 0 else 1.0)
-    powers = x_scale ** np.arange(degree + 1)
-    coeff_stderrs = np.sqrt(np.linalg.pinv(design) ** 2 @ np.asarray(y_stderrs) ** 2) / powers
-    return sol / powers, residual, cond, coeff_stderrs
-
-
-def steiner_fit(
-    p: Polytope, eps_grid, n_samples: int, s: SeededSampler
-) -> SteinerPolynomial:
-    """Fit the Steiner polynomial of P from MC estimates of vol(P + eps D)."""
     n = p.ambient_dim
-    eps_grid = np.asarray(eps_grid, dtype=float)
-    if np.any(eps_grid < 0):
-        raise ValueError("epsilon grid must be nonnegative")
-    if len(np.unique(eps_grid)) < n + 1:
-        raise ValueError(f"need at least {n + 1} distinct grid points")
-    vols, stderrs = parallel_body_volumes(p, eps_grid, n_samples, s)
-    coeffs, residual, cond, coeff_stderrs = fit_polynomial(eps_grid, vols, stderrs, n)
-    return SteinerPolynomial(
-        degree=n,
-        coefficients=coeffs,
-        fit_residual=residual,
-        condition_number=cond,
-        grid=eps_grid,
-        volumes=vols,
-        volume_stderrs=stderrs,
-        coefficient_stderrs=coeff_stderrs,
-    )
+    eps = 0.6 * p.diameter() or 1.0
+    lo, hi = p.bounding_box()
+    lo, hi = lo - eps, hi + eps
+    sums, products = np.zeros(_TEST_FUNCTIONS), np.zeros((_TEST_FUNCTIONS, _TEST_FUNCTIONS))
+    for x in _box_points(lo, hi, n_samples, s, "qmc"):
+        g = np.empty((_TEST_FUNCTIONS, x.shape[0]))  # row m: g_m(R), point by point
+        g[0] = 1.0 - _distances(p, x, eps) / eps
+        for m in range(1, _TEST_FUNCTIONS):
+            np.multiply(g[m - 1], g[0], out=g[m])
+        sums += g.sum(axis=1)
+        products += g @ g.T
+    box_vol = float(np.prod(hi - lo))
+    mean = sums / n_samples
+    cov = box_vol**2 * (products / n_samples - np.outer(mean, mean)) / max(n_samples - 1, 1)
+    moments = box_vol * mean
+    f = math.factorial
+    design = np.array([[f(i) * f(m + 1) / f(i + m + 1) for i in range(n + 1)]
+                       for m in range(_TEST_FUNCTIONS)])
+    sol = np.linalg.lstsq(design, np.column_stack([moments, np.eye(_TEST_FUNCTIONS)]),
+                          rcond=None)[0]
+    scaled, pinv = sol[:, 0], sol[:, 1:]
+    powers = eps ** np.arange(n + 1)
+    relative = float(np.linalg.norm(moments - design @ scaled)) / (
+        float(np.linalg.norm(moments)) or 1.0)
+    stderrs = np.sqrt(np.maximum(np.einsum("ij,jk,ik->i", pinv, cov, pinv), 0.0))
+    return SteinerPolynomial(degree=n, coefficients=scaled / powers,
+                             fit_residual=float(np.linalg.cond(design)) * relative,
+                             coefficient_stderrs=stderrs / powers)

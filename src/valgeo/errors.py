@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 
 class RankError(ValueError):
@@ -14,8 +14,4 @@ class ScopeError(ValueError):
 
 
 class PolynomialFitError(RuntimeError):
-    """Polynomial fit residual exceeds threshold (sample budget too small)."""
-
-
-class ConditioningWarning(UserWarning):
-    """Least-squares design matrix is ill conditioned."""
+    """Steiner moment residual exceeds threshold (sample budget too small)."""

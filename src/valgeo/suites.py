@@ -203,13 +203,17 @@ class SuiteReport:
         return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
     def to_csv(self) -> str:
-        lines = ["name,expected,observed,tolerance,pass"]
-        for r in self.records:
-            lines.append(
-                f"{r['name']},{r['expected']!r},{r['observed']!r},"
-                f"{r['tolerance']!r},{int(r['pass'])}"
-            )
-        return "\n".join(lines) + "\n"
+        # csv quotes the names that hold a comma, such as funk-hecke(3,0).  Its
+        # modules load here, in the one method that needs them, not on import.
+        import csv
+        import io
+
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["name", "expected", "observed", "tolerance", "pass"])
+        writer.writerows([r["name"], r["expected"], r["observed"], r["tolerance"], int(r["pass"])]
+                         for r in self.records)
+        return out.getvalue()
 
 
 def _record(name: str, expected: float, observed: float, tolerance: float,
@@ -414,8 +418,7 @@ def _steiner_suite(cfg: RunConfig) -> tuple[list[dict], dict]:
     for idx, (name, p) in enumerate(bodies):
         n = p.ambient_dim
         oracle = B.polytope_intrinsic_volumes(p)
-        grid = B.default_epsilon_grid(p, n + 4, span=0.8)
-        sp = B.steiner_fit(p, grid, n_samples, SeededSampler(cfg.seed, 20 + idx))
+        sp = B.steiner_fit(p, n_samples, SeededSampler(cfg.seed, 20 + idx))
         for j in range(n + 1):
             expected = unit_ball_volume(n - j) * oracle[j]
             observed = sp.coefficients[n - j]

@@ -1,17 +1,22 @@
 """Process-wide counters of the paths and numerical fallbacks of ``bodies``,
 ``valuations`` and the Wolfe kernel.
 
-Every membership count (``mc_hull_volume``, ``parallel_body_volumes``) first tries to decide each point from P's facets
-and edges, and sends only the points it cannot decide to the Wolfe kernel.  Each call adds its totals here, in points:
+Every membership count (``mc_hull_volume``) and every capped distance
+(``steiner_fit``) is first decided, where it can be, from P's facets and
+edges, and only the points left open go to the Wolfe kernel.  Each call
+adds its totals here, in points, with t the count's threshold or the
+distances' cap:
 
-* ``certified_inside``: decided without Wolfe, within every threshold;
-* ``certified_outside``: decided without Wolfe, beyond at least one threshold;
+* ``certified_inside``: decided without Wolfe, within t;
+* ``certified_outside``: decided without Wolfe, beyond t;
 * ``sent_to_wolfe``: not decidable, so measured by ``hull_distances``: points
   of flat bodies, of bodies in R^4 and above whose facet and nearest-edge
   bounds do not settle them, and points within the decision margin of a
   threshold;
 * ``audited``: decided points measured by ``hull_distances`` as well, as a check;
-* ``audit_mismatches``: audited points where the certificate and Wolfe disagree.
+* ``audit_mismatches``: audited points where the certificate and Wolfe
+  disagree: a verdict that differs, or a distance that differs by more than
+  the margin.
 
 ``bodies.shadow_measures`` chooses how a Monte-Carlo shadow, vol_k of P's
 image under a (c, n, k) stack of maps, is measured: the width for k = 1;

@@ -23,7 +23,6 @@ from .bodies import (
     Polytope,
     _shadow_volumes,
     ball_intrinsic_volumes,
-    default_epsilon_grid,
     hull_volume,
     kubota_coefficient,
     kubota_estimate,
@@ -508,10 +507,11 @@ def lambda_apply(expr: Lambda, body: Polytope, budget: int, s: SeededSampler) ->
     polynomial phi(K + eps D) of degree deg(phi) in eps: m nested Lambda
     layers return m! times its eps^m coefficient.
 
-    V_n and projection valuations with dim F > 2 are membership volumes, fitted
-    by ``steiner_fit`` on ``default_epsilon_grid(body, deg + 3, span=0.6)``;
-    fit residuals above ``_MAX_FIT_RESIDUAL`` raise PolynomialFitError (the sample
-    budget was too small for the grid).  Every other inner expression takes
+    V_n and projection valuations with dim F > 2 are volumes, whose Steiner
+    polynomial ``steiner_fit`` reads from distance moments; a ``fit_residual``
+    (the moment equations' relative residual times their condition number)
+    above ``_MAX_FIT_RESIDUAL`` raises PolynomialFitError (the sample budget
+    was too small).  Every other inner expression takes
     the mean of its ``_steiner_coefficient_rows``.
     """
     layers = 0
@@ -528,7 +528,7 @@ def lambda_apply(expr: Lambda, body: Polytope, budget: int, s: SeededSampler) ->
     else:
         est = mean_and_stderr(_steiner_coefficient_rows(base, body, budget, s)[:, layers])
         return Estimate(scale * est.value, scale * est.stderr)
-    fit = steiner_fit(target, default_epsilon_grid(body, d + 3, span=0.6), budget, s)
+    fit = steiner_fit(target, budget, s)
     if fit.fit_residual > _MAX_FIT_RESIDUAL:
         raise PolynomialFitError(
             f"fit residual {fit.fit_residual:.3g} exceeds {_MAX_FIT_RESIDUAL:.3g}; raise the budget"

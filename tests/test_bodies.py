@@ -12,7 +12,7 @@ from scipy.spatial import ConvexHull, QhullError
 
 from valgeo import bodies as B, trace
 from valgeo.base import mc_chunks, mean_and_stderr, unit_ball_volume
-from valgeo.errors import ConditioningWarning, DimensionError, ScopeError
+from valgeo.errors import DimensionError, ScopeError
 from valgeo.grassmann import (
     SeededSampler,
     Subspace,
@@ -350,18 +350,18 @@ class TestProjection:
         assert B.hull_volume(q) == pytest.approx(math.sqrt(3), rel=1e-10)
 
 
-def _old_box_count(p, thresholds, lo, hi, n_samples, s, engine):
-    """The sampling loop that ``mc_hull_volume`` and ``parallel_body_volumes``
-    each wrote out before ``_box_volumes``: per-chunk uniform points, or one
-    Sobol engine for every chunk."""
+def _old_box_count(p, threshold, lo, hi, n_samples, s, engine):
+    """The sampling loop that ``mc_hull_volume`` and the former parallel-body
+    volumes each wrote out before ``_box_volumes``: per-chunk uniform points,
+    or one Sobol engine for every chunk."""
     widths = hi - lo
-    counts = np.zeros(len(thresholds), dtype=np.int64)
+    count = 0
     for _, c, sub in mc_chunks(n_samples, s):
         u = sub.uniform(size=(c, p.ambient_dim)) if engine is None else engine.random(c)
-        counts += B._within(p, lo + u * widths, np.asarray(thresholds)).sum(axis=1)
-    frac = counts / n_samples
+        count += int(np.count_nonzero(B._within(p, lo + u * widths, threshold)))
+    frac = count / n_samples
     box_vol = float(np.prod(widths))
-    return box_vol * frac, box_vol * np.sqrt(np.maximum(frac * (1.0 - frac), 0.0) / n_samples)
+    return box_vol * frac, box_vol * math.sqrt(max(frac * (1.0 - frac), 0.0) / n_samples)
 
 
 class TestVolumes:
@@ -391,15 +391,12 @@ class TestVolumes:
             return qmc.Sobol(d=3, scramble=True, seed=s.substream(0).rng) if method == "qmc" else None
 
         lo, hi = p.bounding_box()
-        t = [1e-9 * B._hull_scale(p)]
-        vol, err = _old_box_count(p, t, lo, hi, 20_000, s, engine())
-        assert tuple(B.mc_hull_volume(p, 20_000, s, method=method)) == (vol[0], err[0])
-        if method == "qmc":
-            grid = B.default_epsilon_grid(p, 6, span=1.0)
-            eps = grid.max()
-            old = _old_box_count(p, grid, lo - eps, hi + eps, 20_000, s, engine())
-            new = B.parallel_body_volumes(p, grid, 20_000, s)
-            assert all(np.array_equal(a, b) for a, b in zip(old, new))
+        t = 1e-9 * B._hull_scale(p)
+        old = _old_box_count(p, t, lo, hi, 20_000, s, engine())
+        assert tuple(B.mc_hull_volume(p, 20_000, s, method=method)) == old
+        eps = 0.5 * p.diameter()  # a padded box, as the parallel-body volumes drew
+        old = _old_box_count(p, eps, lo - eps, hi + eps, 20_000, s, engine())
+        assert B._box_volumes(p, eps, lo - eps, hi + eps, 20_000, s, method) == old
 
     def test_point_volume_convention(self):
         point = B.Polytope(0, np.zeros((1, 0)))
@@ -413,12 +410,32 @@ class TestVolumes:
 def _contains(p, points):
     """dist(x, P) <= 1e-9 (1 + max|v|) for each row x: the membership that
     ``mc_hull_volume`` counts."""
-    return B._within(p, points, np.array([1e-9 * B._hull_scale(p)]))[0]
+    return B._within(p, points, 1e-9 * B._hull_scale(p))
 
 
-def _wolfe_within(p, points, thresholds):
-    """The membership matrix the certificate must reproduce: Wolfe only."""
-    return B.hull_distances(points, p.vertices)[None] <= np.asarray(thresholds)[:, None]
+def _wolfe_within(p, points, threshold):
+    """The membership the certificate must reproduce: Wolfe only."""
+    return B.hull_distances(points, p.vertices) <= threshold
+
+
+def _membership_body(rng, n, m, kind):
+    """A random polytope in R^n: a rotated and shifted cube (non-simplicial
+    facets), a hull of m sphere, Gaussian or anisotropic Gaussian points, or
+    a flat body (m Gaussian points in a random hyperplane) or a point."""
+    if kind == "cube":
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        return B.Polytope(n, B.make_cube(n).vertices @ q.T + rng.uniform(-3, 3, n))
+    if kind == "point":
+        return B.Polytope(n, rng.uniform(-3, 3, (1, n)))
+    raw = rng.standard_normal((max(m, n + 1), n))
+    if kind == "sphere":
+        raw /= np.linalg.norm(raw, axis=1, keepdims=True)
+    elif kind == "anisotropic":
+        raw *= 10.0 ** rng.uniform(-2, 1, n)
+    elif kind == "flat":
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        raw = (raw[:, :-1] @ q[:, :-1].T) + rng.uniform(-3, 3, n)
+    return B.Polytope(n, raw)
 
 
 def _nearest_vertex_distances(v, x):
@@ -448,16 +465,7 @@ class TestCertifiedMembership:
     )
     def test_equals_wolfe(self, seed, n, m, kind):
         rng = np.random.default_rng(seed)
-        if kind == "cube":  # non-simplicial facets, rotated and shifted
-            q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-            raw = B.make_cube(n).vertices @ q.T + rng.uniform(-3, 3, n)
-        else:
-            raw = rng.standard_normal((max(m, n + 1), n))
-            if kind == "sphere":
-                raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-            elif kind == "anisotropic":
-                raw *= 10.0 ** rng.uniform(-2, 1, n)
-        p = B.Polytope(n, raw)
+        p = _membership_body(rng, n, m, kind)
         assume(p.affine_dim == n)
         scale = B._hull_scale(p)
         t = np.sort(np.concatenate([[1e-9 * scale], rng.uniform(0, 0.5, 3) * p.diameter()]))
@@ -470,9 +478,45 @@ class TestCertifiedMembership:
         lo, hi = p.bounding_box()
         points = np.vstack([on + d * normals for d in offsets]
                            + [p.vertices, lo - t[-1] + rng.random((500, n)) * (hi - lo + 2 * t[-1])])
-        got = B._within(p, points, t)
-        assert np.array_equal(got, _wolfe_within(p, points, t))
-        assert np.array_equal(_contains(p, points), _wolfe_within(p, points, t[:1])[0])
+        for threshold in t:
+            assert np.array_equal(B._within(p, points, threshold),
+                                  _wolfe_within(p, points, threshold))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 4),
+        m=st.integers(5, 20),
+        kind=st.sampled_from(["sphere", "gaussian", "anisotropic", "cube", "flat", "point"]),
+    )
+    def test_distances_equal_wolfe(self, seed, n, m, kind):
+        # The bodies of test_equals_wolfe, and flat bodies and points, which
+        # have no certificate and go to Wolfe whole.
+        rng = np.random.default_rng(seed)
+        p = _membership_body(rng, n, m, kind)
+        full = p.affine_dim == n
+        assume(full or kind in ("flat", "point"))
+        scale = B._hull_scale(p)
+        cap = rng.uniform(0.05, 1.0) * (p.diameter() or 1.0)
+        lo, hi = p.bounding_box()
+        points = [p.vertices, lo - cap + rng.random((500, n)) * (hi - lo + 2 * cap)]
+        if full:
+            on, normals = _facet_points(p, rng, 300)
+            points += [on + rng.uniform(-1e-12, 1e-12, (300, 1)) * scale * normals,
+                       on + cap * rng.uniform(0.5, 1.5, (300, 1)) * normals]
+        points = np.vstack(points)
+        trace.reset()
+        got = B._distances(p, points, cap)
+        wolfe = np.minimum(B.hull_distances(points, p.vertices), cap)
+        if not full:
+            assert np.array_equal(got, wolfe) and trace.counters["sent_to_wolfe"] == len(points)
+            return
+        # Wolfe stops once its duality gap is at most 1e-12 max|v - x|^2
+        # (see test_bracket_is_the_distance_in_r2_r3), which the margin
+        # does not cover next to P.
+        slack = 2e-12 * ((p.vertices[None] - points[:, None]) ** 2).sum(axis=2).max(axis=1)
+        assert (np.abs(got - wolfe) <= p.faces.margin + slack / (got + wolfe + 1e-300)).all()
+        assert got.max() <= cap
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -488,16 +532,7 @@ class TestCertifiedMembership:
         # u = a facet normal puts x on the boundary between that facet's
         # Voronoi region and z's; other u go deep into z's region.
         rng = np.random.default_rng(seed)
-        if kind == "cube":
-            q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-            raw = B.make_cube(n).vertices @ q.T + rng.uniform(-3, 3, n)
-        else:
-            raw = rng.standard_normal((max(m, n + 1), n))
-            if kind == "sphere":
-                raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-            elif kind == "anisotropic":
-                raw *= 10.0 ** rng.uniform(-2, 1, n)
-        p = B.Polytope(n, raw)
+        p = _membership_body(rng, n, m, kind)
         assume(p.affine_dim == n)
         a, b, scale = p.faces.a, p.faces.b, B._hull_scale(p)
         v = p.vertices
@@ -575,17 +610,21 @@ class TestCertifiedMembership:
             [0.5, 0.5, 1.1],             # 0.1 above the top facet's interior
             [3.0, 3.0, 3.0],             # far outside
         ])
+        expected = [[True, True, False, True, False, False], [True, True, True, True, True, False]]
+        # One point within the margin of each threshold goes to Wolfe; the
+        # first point is audited where it is decided.
+        paths = [(2, 3, 1, 0), (4, 1, 1, 1)]  # inside, outside, sent, audited
+        for threshold, verdicts, (inside, outside, sent, audited) in zip(t, expected, paths):
+            trace.reset()
+            assert B._within(p, points, threshold).tolist() == verdicts
+            assert trace.counters == {**dict.fromkeys(trace.COUNTERS, 0),
+                                      "certified_inside": inside, "certified_outside": outside,
+                                      "sent_to_wolfe": sent, "audited": audited}
+        # Distances need only agreeing bounds, which every point of cube3 has.
         trace.reset()
-        got = B._within(p, points, t)
-        assert got.tolist() == [[True, True, False, True, False, False],
-                                [True, True, True, True, True, False]]
-        assert trace.counters == {"certified_inside": 2, "certified_outside": 2,
-                                  "sent_to_wolfe": 2, "audited": 0, "audit_mismatches": 0,
-                                  "shadow_rows_cauchy": 0, "shadow_rows_edges": 0,
-                                  "shadow_rows_edge_ties": 0,
-                                  "shadow_rows_qhull": 0, "qhull_joggled": 0,
-                                  "wolfe_max_iter_rows": 0, "wolfe_stalled_rows": 0,
-                                  "wolfe_ridge_retries": 0, "wolfe_corral_resets": 0}
+        got = B._distances(p, points, 0.25)
+        np.testing.assert_allclose(got, [1e-12, 0.0, 0.25 - 1e-11, 0.0, 0.1, 0.25], atol=1e-15)
+        assert trace.counters["sent_to_wolfe"] == 0
 
     def test_coplanar_facets_merged(self):
         q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((4, 4)))
@@ -614,7 +653,7 @@ class TestCertifiedMembership:
         hits = 0
         for _, c, sub in mc_chunks(n_samples, SeededSampler(4)):
             pts = lo + sub.uniform(size=(c, p.ambient_dim)) * (hi - lo)
-            hits += int(np.count_nonzero(_wolfe_within(p, pts, [1e-9 * B._hull_scale(p)])))
+            hits += int(np.count_nonzero(_wolfe_within(p, pts, 1e-9 * B._hull_scale(p))))
         box_vol = float(np.prod(hi - lo))
         frac = hits / n_samples
         assert box_vol > 0.0
@@ -1185,15 +1224,13 @@ def _steiner_intrinsic_volumes(sp):
 class TestSteinerFit:
     def test_point_gives_ball_volume(self):
         p = B.Polytope(3, [[0.0, 0.0, 0.0]])
-        grid = np.linspace(0.2, 1.0, 6)
-        sp = B.steiner_fit(p, grid, 120_000, SeededSampler(51))
+        sp = B.steiner_fit(p, 120_000, SeededSampler(51))
         assert sp.coefficients[3] == pytest.approx(unit_ball_volume(3), rel=0.02)
         assert abs(sp.coefficients[0]) < 0.02
 
     def test_square_closed_form(self):
         sq = B.make_cube(2)
-        grid = B.default_epsilon_grid(sq, 6, span=1.0)
-        sp = B.steiner_fit(sq, grid, 1 << 17, SeededSampler(52))
+        sp = B.steiner_fit(sq, 1 << 17, SeededSampler(52))
         assert sp.coefficients[0] == pytest.approx(1.0, rel=0.02)
         assert sp.coefficients[1] == pytest.approx(4.0, rel=0.02)
         assert sp.coefficients[2] == pytest.approx(math.pi, rel=0.02)
@@ -1202,81 +1239,56 @@ class TestSteinerFit:
 
     def test_constant_term_is_volume(self, sampler):
         p = B.make_random_polytope(2, 10, sampler)
-        grid = B.default_epsilon_grid(p, 6, span=1.0)
-        sp = B.steiner_fit(p, grid, 1 << 16, SeededSampler(53))
+        sp = B.steiner_fit(p, 1 << 16, SeededSampler(53))
         assert sp.coefficients[0] == pytest.approx(B.hull_volume(p), rel=0.05)
 
-    def test_ill_conditioned_grid_warns(self):
-        sq = B.make_cube(2)
-        grid = np.array([1.0, 1.0 + 1e-9, 1.0 + 2e-9, 1.0 + 3e-9])
-        with pytest.warns(ConditioningWarning):
-            B.steiner_fit(sq, grid, 4096, SeededSampler(54))
+    def test_sample_validation(self, sampler):
+        with pytest.raises(ValueError, match="no samples"):
+            B.steiner_fit(B.make_cube(2), 0, sampler)
 
-    def test_grid_validation(self, sampler):
-        with pytest.raises(ValueError):
-            B.steiner_fit(B.make_cube(2), [0.0, 0.1], 100, sampler)
+    def test_design_integrates_the_test_functions(self):
+        # W E[g_m(D)] = sum_i c_i int_0^eps g_m(r) i r^(i-1) dr (c_0 at r = 0):
+        # the integral, by a fine midpoint rule, is the design entry
+        # eps^i i! (m+1)! / (i+m+1)! that steiner_fit solves with.
+        eps, f = 0.7, math.factorial
+        r = (np.arange(200_000) + 0.5) * eps / 200_000
+        for m, i in itertools.product(range(B._TEST_FUNCTIONS), range(1, 5)):
+            integral = np.sum((1.0 - r / eps) ** (m + 1) * i * r ** (i - 1)) * eps / 200_000
+            assert integral == pytest.approx(eps**i * f(i) * f(m + 1) / f(i + m + 1), rel=1e-8)
 
-    def test_fit_propagates_equal_stderrs(self):
-        # Equal errors sigma on y give coefficient errors
-        # sigma sqrt(diag((A^T A)^-1)) for the rescaled Vandermonde matrix A,
-        # divided by x_scale^k for the coefficient of x^k.
-        x = B.default_epsilon_grid(B.make_cube(3), 6, span=0.6)
-        y = 1.0 + 2.0 * x - x**2 + 0.5 * x**3
-        sigma = 0.01
-        *_, stderrs = B.fit_polynomial(x, y, np.full(x.size, sigma), 3)
-        a = np.vander(x / x.max(), 4, increasing=True)
-        expected = sigma * np.sqrt(np.diag(np.linalg.inv(a.T @ a))) / x.max() ** np.arange(4)
-        np.testing.assert_allclose(stderrs, expected, rtol=1e-12)
-
-    def test_parallel_volumes_monotone(self, sampler):
-        p = B.make_simplex(2)
-        grid = np.array([0.0, 0.2, 0.5, 0.9])
-        vols, _ = B.parallel_body_volumes(p, grid, 30_000, sampler)
-        assert np.all(np.diff(vols) > 0)
-
-    @pytest.mark.parametrize("body", ["square", "cube3", "point"])
-    def test_spans_give_the_former_steiner_and_lambda_grids(self, body):
-        # The grids that the steiner suite and lambda_apply wrote out, 0.4
-        # and 0.3 times diam(P) times 1 - cos, which span=0.8 and span=0.6
-        # reproduce because 0.5 * 0.8 and 0.5 * 0.6 round to 0.4 and 0.3.
-        p = {"square": B.make_cube(2), "cube3": B.make_cube(3),
-             "point": B.Polytope(3, [[1.0, 2.0, 3.0]])}[body]
-
-        def old(factor, count, d):
-            i = np.arange(count)
-            return np.sort(factor * d * (1.0 - np.cos((2 * i + 1) * np.pi / (2 * count))))
-
-        n, d = p.ambient_dim, p.diameter()
-        if d > 0.0:  # the steiner suite never had a point body
-            assert np.array_equal(B.default_epsilon_grid(p, n + 4, span=0.8), old(0.4, n + 4, d))
-        for degree in range(n + 1):
-            assert np.array_equal(B.default_epsilon_grid(p, degree + 3, span=0.6),
-                                  old(0.3, degree + 3, d or 1.0))
-        assert np.array_equal(B.default_epsilon_grid(p, n + 3, span=1.0),
-                              old(0.5, n + 3, d or 1.0))
+    def test_stderrs_are_conservative(self):
+        # The iid standard errors of one scrambled Sobol net are no smaller
+        # than the spread of the coefficients over seeds.
+        p = B.make_simplex(3)
+        fits = [B.steiner_fit(p, 1 << 13, SeededSampler(800 + j)) for j in range(12)]
+        spread = np.std([sp.coefficients for sp in fits], axis=0, ddof=1)
+        assert (np.median([sp.coefficient_stderrs for sp in fits], axis=0) >= spread).all()
 
     def test_determinism(self):
         p = B.make_cube(2)
-        grid = B.default_epsilon_grid(p, 5, span=1.0)
-        a = B.steiner_fit(p, grid, 8192, SeededSampler(55)).coefficients
-        b = B.steiner_fit(p, grid, 8192, SeededSampler(55)).coefficients
+        a = B.steiner_fit(p, 8192, SeededSampler(55)).coefficients
+        b = B.steiner_fit(p, 8192, SeededSampler(55)).coefficients
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("body", ["cube3", "random"])
     def test_volumes_within_four_stderr_of_steiner_polynomial(self, body):
+        # The parallel volumes of the estimate, on radii up to its eps, and
+        # its coefficients; sum_m stderr_m eps^m bounds a volume's stderr.
         p = B.make_cube(3) if body == "cube3" else B.make_random_polytope(3, 30, SeededSampler(60))
         iv = B.polytope_intrinsic_volumes(p).values
-        grid = B.default_epsilon_grid(p, 6, span=1.0)
-        sp = B.steiner_fit(p, grid, 1 << 14, SeededSampler(59))
-        exact = sum(unit_ball_volume(m) * iv[3 - m] * grid**m for m in range(4))
-        assert np.all(sp.volume_stderrs > 0)
-        assert np.all(np.abs(sp.volumes - exact) <= 4.0 * sp.volume_stderrs)
+        sp = B.steiner_fit(p, 1 << 14, SeededSampler(59))
+        exact = np.array([unit_ball_volume(m) * iv[3 - m] for m in range(4)])
+        powers = np.linspace(0.0, 0.6 * p.diameter(), 7)[:, None] ** np.arange(4)
+        assert np.all(sp.coefficient_stderrs > 0)
+        assert np.all(np.abs(powers @ (sp.coefficients - exact))
+                      <= 4.0 * powers @ sp.coefficient_stderrs)
+        assert np.all(np.abs(sp.coefficients - exact) <= 4.0 * sp.coefficient_stderrs)
+        assert 0.0 < sp.fit_residual < 0.02
 
     def test_agrees_with_kubota(self):
         # The two independent intrinsic-volume routes agree on a test body.
         p = B.make_crosspolytope(3)
-        grid = B.default_epsilon_grid(p, 7, span=1.0)
-        iv = _steiner_intrinsic_volumes(B.steiner_fit(p, grid, 1 << 17, SeededSampler(56)))
+        iv = _steiner_intrinsic_volumes(B.steiner_fit(p, 1 << 17, SeededSampler(56)))
         for k in (1, 2):
             kub = B.kubota_estimate(p, k, 60_000, SeededSampler(57 + k))
             assert kub.value == pytest.approx(iv[k], rel=0.02)

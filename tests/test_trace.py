@@ -54,11 +54,27 @@ def test_audit_counts_disagreement_with_wolfe(monkeypatch):
     assert c["audit_mismatches"] == c["audited"] == n_samples // 64
 
 
+@pytest.mark.parametrize("shift, mismatched", [(1e-6, True), (1e-10, False)])
+def test_distance_audit_allows_the_margin(monkeypatch, shift, mismatched):
+    # An audited distance mismatches when Wolfe's is more than the margin
+    # (2e-9 for the unit cube) off.  Points inside the cube are at 0, and
+    # the audited ones keep Wolfe's answer.
+    wolfe = B.hull_distances
+    monkeypatch.setattr(B, "hull_distances", lambda pts, verts: wolfe(pts, verts) + shift)
+    pts = np.random.default_rng(3).uniform(0.0, 1.0, size=(4096, 3))
+    trace.reset()
+    got = B._distances(B.make_cube(3), pts, 0.5)
+    c = trace.counters
+    assert np.count_nonzero(got) == c["audited"]
+    assert c["sent_to_wolfe"] == 0 and c["audited"] == 4096 // 64
+    assert c["audit_mismatches"] == (c["audited"] if mismatched else 0)
+
+
 def test_counters_add_up_per_call():
     p = B.make_simplex(3)
     pts = np.random.default_rng(2).uniform(-0.5, 1.5, size=(1000, 3))
     trace.reset()
-    B._within(p, pts, np.array([1e-9 * B._hull_scale(p)]))
+    B._within(p, pts, 1e-9 * B._hull_scale(p))
     c = dict(trace.counters)
     assert certified(c) + c["sent_to_wolfe"] == len(pts)
     assert c["audited"] == len(range(0, len(pts), 64))
